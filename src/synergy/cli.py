@@ -220,16 +220,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _require(condition: bool, message: str) -> None:
+    """Fail a self-check; unlike ``assert``, kept under ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def _check_schedule_identities(kmax: int) -> None:
     for K in range(1, kmax + 1):
         for replication in range(0, K):
             plan = plan_phases(default_config(K, K, replication))
             expected = harmonic(K) - harmonic(replication)
-            assert plan.total_duration == expected, f"duration off at K={K}, g={replication}"
+            _require(plan.total_duration == expected, f"duration off at K={K}, g={replication}")
             first = plan.phases[0]
             for phase in plan.phases:
-                assert phase.duration * phase.order == first.duration * first.order, (
-                    f"ratio law off at K={K}, g={replication}, phase {phase.order}"
+                _require(
+                    phase.duration * phase.order == first.duration * first.order,
+                    f"ratio law off at K={K}, g={replication}, phase {phase.order}",
                 )
             if replication < K:
                 denom = (
@@ -237,8 +244,9 @@ def _check_schedule_identities(kmax: int) -> None:
                     * (K - replication)
                     * plan.config.granularity
                 )
-                assert Fraction(plan.total_uses, denom) == expected, (
-                    f"use accounting off at K={K}, g={replication}"
+                _require(
+                    Fraction(plan.total_uses, denom) == expected,
+                    f"use accounting off at K={K}, g={replication}",
                 )
 
 
@@ -249,9 +257,9 @@ def _check_cache_identity(kmax: int) -> None:
             library = random_library(config, SeededRng(7).child(LIBRARY_STREAM))
             caches = fill_caches(config, subpacketize(config, library))
             expected = config.cache_fraction * config.library_symbols
-            assert expected.denominator == 1
+            _require(expected.denominator == 1, f"fractional cache size at K={K}")
             for cache in caches:
-                assert cache.symbol_count == expected, f"cache identity off at K={K}"
+                _require(cache.symbol_count == expected, f"cache identity off at K={K}")
 
 
 def _check_decodes(kmax: int, seeds: int) -> None:
@@ -263,15 +271,19 @@ def _check_decodes(kmax: int, seeds: int) -> None:
                 transcript = simulate(config, demand, seed)
                 library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
                 report = verify_all(transcript, library)
-                assert report.all_pass, (
+                _require(
+                    report.all_pass,
                     f"decode failed at K={K}, replication={replication}, seed={seed}: "
-                    + json.dumps(report.to_json())
+                    + json.dumps(report.to_json()),
                 )
                 if replication == K:
-                    assert transcript.total_uses == 0
+                    _require(transcript.total_uses == 0, f"uses sent with everything cached at K={K}")
                 else:
                     denom = config.subfiles_per_file * (K - replication) * config.granularity
-                    assert Fraction(transcript.total_uses, denom) == transcript.plan.total_duration
+                    _require(
+                        Fraction(transcript.total_uses, denom) == transcript.plan.total_duration,
+                        f"use count off at K={K}, replication={replication}, seed={seed}",
+                    )
 
 
 def _cmd_verify(args) -> int:

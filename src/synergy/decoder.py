@@ -4,13 +4,14 @@ from the folded messages, and reassemble the requested file.
 
 For phase order j, a user inside a group gathers K-j+1 observation
 streams of that group's block (its own log plus one recovered stream per
-non-member), solves a (K-j+1)-square system per slot for the transmitted
-symbols, and -- in phases past the first -- removes its own
-previous-phase observation from the combined rows and inverts a
-column-deleted combining minor to learn what the other members saw.
-At the first phase the solved block is the folded message itself; the
-user subtracts the blocks it caches for the other members and keeps its
-own missing block.
+non-member).  Each slot of the block is a (K-j+1)-square system for the
+transmitted symbols; the systems of every slot of every group holding the
+user in that phase are stacked and solved as one batch.  In phases past
+the first, the user then removes its own previous-phase observation from
+the combined rows and, per group, inverts a column-deleted combining
+minor to learn what the other members saw.  At the first phase the
+solved block is the folded message itself; the user subtracts the
+blocks it caches for the other members and keeps its own missing block.
 
 Each user's decode reads only the immutable transcript and its own
 cache, so per-user decodes are independent and safe to run in parallel.
@@ -81,25 +82,30 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
     for idx in range(len(phases) - 1, -1, -1):
         phase = phases[idx]
         active, n = phase.active_antennas, phase.uses_per_group
-        for group in phase.iter_groups():
-            if user not in group:
-                continue
+        groups = [group for group in phase.iter_groups() if user in group]
+        if not groups:
+            continue
+        # Every slot of every group holding the user, as one batch of
+        # square systems: the user's own row plus one row per non-member.
+        coefficients = np.empty((len(groups), n, active, active), dtype=np.int64)
+        rhs = np.empty((len(groups), n, active), dtype=np.int64)
+        for g, group in enumerate(groups):
             start, _ = transcript.group_slots[(phase.order, group)]
             others = group.complement()
-            rhs = np.empty((active, n), dtype=np.int64)
-            rhs[0] = own[start : start + n]
-            for row, other in enumerate(others, start=1):
-                rhs[row] = recovered[(phase.order, group, other)]
             rows = [user - 1] + [other - 1 for other in others]
-            streams = np.empty((active, n), dtype=np.int64)
-            for slot in range(n):
-                coefficients = transcript.uses[start + slot].channel[rows][:, :active]
-                streams[:, slot] = solve(coefficients, rhs[:, slot], modulus)
-                solves += 1
-            max_dim = max(max_dim, active)
+            channels = np.stack([use.channel for use in transcript.uses[start : start + n]])
+            coefficients[g] = channels[:, rows, :active]
+            rhs[g, :, 0] = own[start : start + n]
+            for row, other in enumerate(others, start=1):
+                rhs[g, :, row] = recovered[(phase.order, group, other)]
+        solved = solve(coefficients.reshape(-1, active, active), rhs.reshape(-1, active), modulus)
+        solved = solved.reshape(len(groups), n, active)
+        solves += len(groups) * n
+        max_dim = max(max_dim, active)
+        for group, sent in zip(groups, solved):  # sent[slot] = symbols of that slot
             if phase.combining is not None:
                 previous = phases[idx - 1]
-                combined = streams.T.reshape(phase.order - 1, previous.uses_per_group)
+                combined = sent.reshape(phase.order - 1, previous.uses_per_group)
                 position = group.index_of(user)
                 prev_start, prev_count = transcript.group_slots[
                     (previous.order, group.without(user))
@@ -119,7 +125,7 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
                     recovered[(previous.order, group.without(member), member)] = other_streams[row]
                     row += 1
             else:
-                payload = streams.reshape(-1).copy()
+                payload = sent.T.reshape(-1)  # antenna-major, as the message was split
                 for member in group:
                     if member == user:
                         continue

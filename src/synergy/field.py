@@ -1,10 +1,16 @@
 """Prime-field arithmetic on int64 numpy arrays, plus the deterministic
 generator behind every random draw in the package.
 
-Field elements are plain ints in ``[0, modulus)``.  The default modulus
-``2**31 - 1`` is prime and small enough that one product of reduced
-elements fits in int64; products are therefore reduced eagerly, and the
-short sums that follow cannot overflow at the matrix sizes used here.
+Field elements are plain ints in ``[0, modulus)``.  Moduli must stay
+below ``2**31`` (the default ``2**31 - 1`` is the largest prime there):
+then one product of reduced elements, and the difference of two such
+products, fits in int64, so products are reduced eagerly and the short
+sums that follow cannot overflow at the matrix sizes used here.
+:class:`~synergy.placement.SystemConfig` enforces the bound.
+
+``solve``, ``is_invertible`` and ``matmul`` also take a leading batch
+axis, so a block of small systems costs one pass of numpy operations
+instead of one Python loop per system.
 """
 
 from __future__ import annotations
@@ -75,54 +81,108 @@ def inverse(a: int, modulus: int = MODULUS) -> int:
 def matmul(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     """Matrix (or matrix-vector) product over the field.
 
-    Each scalar product is reduced before summation, so the inner
-    dimension may grow to ~2**32 terms without overflowing int64.
+    ``a`` may carry leading batch axes, ``(..., m, k)``, with ``b`` of
+    shape ``(..., k, n)`` broadcast against them; a one-dimensional ``b``
+    is a single vector.  Each scalar product is reduced before summation,
+    so the inner dimension may grow to ~2**32 terms without overflowing
+    int64.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     single = b.ndim == 1
     rhs = b[:, np.newaxis] if single else b
-    products = (a[:, :, np.newaxis] * rhs[np.newaxis, :, :]) % modulus
-    out = products.sum(axis=1) % modulus
-    return out[:, 0] if single else out
+    products = (a[..., :, :, np.newaxis] * rhs[..., np.newaxis, :, :]) % modulus
+    out = products.sum(axis=-2) % modulus
+    return out[..., 0] if single else out
+
+
+def _gauss_jordan(a: np.ndarray, rhs: np.ndarray | None, modulus: int) -> np.ndarray:
+    """Fraction-free Gauss-Jordan over a batch of square systems.
+
+    ``a`` is a reduced int64 array of shape (B, n, n) and ``rhs`` one of
+    shape (B, n, m) or None; both are overwritten.  Each column takes the
+    first nonzero pivot at or below the diagonal; every other row r then
+    becomes ``pivot * r - r[col] * pivot_row``, which scales r by a
+    nonzero field element and so keeps each system's solution.  Products
+    of two reduced elements stay below 2**62, so nothing overflows for
+    moduli below 2**31.  Returns the (B,) mask of invertible systems; for
+    those, ``a`` ends diagonal and ``rhs`` is scaled to match, so the
+    caller divides by the diagonal.  Rows of a singular system hold
+    garbage.
+    """
+    batch, n = a.shape[0], a.shape[1]
+    blocks = (a,) if rhs is None else (a, rhs)
+    ok = np.ones(batch, dtype=bool)
+    for col in range(n):
+        if not a[:, col, col].all():
+            nonzero = a[:, col:, col] != 0
+            ok &= nonzero.any(axis=1)
+            pivot = col + nonzero.argmax(axis=1)
+            swap = np.nonzero(pivot != col)[0]
+            for block in blocks:
+                top = block[swap, col].copy()
+                block[swap, col] = block[swap, pivot[swap]]
+                block[swap, pivot[swap]] = top
+        pivots = a[:, col, col, np.newaxis, np.newaxis].copy()
+        factors = a[:, :, col, np.newaxis].copy()
+        # pivot * row - (pivot - 1) * row leaves the pivot row as it is.
+        factors[:, col] = pivots[:, 0] - 1
+        for block in blocks:
+            block[...] = (block * pivots - factors * block[:, col : col + 1]) % modulus
+    return ok
+
+
+def _inverse_batch(values: np.ndarray, modulus: int) -> np.ndarray:
+    """Elementwise inverses of nonzero reduced elements.
+
+    Fermat's values ** (modulus - 2), square-and-multiply on the whole
+    array, costs about two array operations per bit of the modulus
+    whatever the size; below that many elements one ``pow`` per element
+    is cheaper.  Both give the same, exact, inverses.
+    """
+    if values.size < 2 * modulus.bit_length():
+        flat = [pow(int(v), -1, modulus) for v in values.flat]
+        return np.array(flat, dtype=np.int64).reshape(values.shape)
+    result = np.ones_like(values)
+    base = values.copy()
+    exponent = modulus - 2
+    while exponent:
+        if exponent & 1:
+            result = result * base % modulus
+        base = base * base % modulus
+        exponent >>= 1
+    return result
 
 
 def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     """Solve ``a @ x = b`` over the field; ``b`` may be a vector or a
     matrix of stacked right-hand-side columns.
 
-    Gauss-Jordan with the first nonzero pivot (exact arithmetic needs no
-    magnitude pivoting).  Raises SingularMatrixError when ``a`` is not
+    ``a`` may also be a batch ``(B, n, n)`` with ``b`` of shape ``(B, n)``
+    or ``(B, n, m)``: every system is solved in one pass.  Gauss-Jordan
+    with the first nonzero pivot (exact arithmetic needs no magnitude
+    pivoting).  Raises SingularMatrixError when any ``a`` is not
     invertible.
     """
     a = np.array(a, dtype=np.int64) % modulus
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("coefficient matrix must be square")
-    n = a.shape[0]
+    batched = a.ndim == 3
     b = np.array(b, dtype=np.int64) % modulus
-    single = b.ndim == 1
-    rhs = b.reshape(n, 1) if single else b
-    if rhs.shape[0] != n:
+    single = b.ndim == a.ndim - 1
+    rhs = b[..., np.newaxis] if single else b
+    if rhs.ndim != a.ndim or rhs.shape[:-1] != a.shape[:-1]:
         raise ValueError("right-hand side does not match the matrix")
-    for col in range(n):
-        pivots = np.nonzero(a[col:, col])[0]
-        if pivots.size == 0:
-            raise SingularMatrixError(f"rank deficiency at column {col}")
-        pivot = col + int(pivots[0])
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            rhs[[col, pivot]] = rhs[[pivot, col]]
-        inv = pow(int(a[col, col]), -1, modulus)
-        a[col] = a[col] * inv % modulus
-        rhs[col] = rhs[col] * inv % modulus
-        below = a[col + 1 :, col].copy()
-        a[col + 1 :] = (a[col + 1 :] - np.outer(below, a[col])) % modulus
-        rhs[col + 1 :] = (rhs[col + 1 :] - np.outer(below, rhs[col])) % modulus
-    for col in range(n - 1, 0, -1):
-        above = a[:col, col].copy()
-        a[:col] = (a[:col] - np.outer(above, a[col])) % modulus
-        rhs[:col] = (rhs[:col] - np.outer(above, rhs[col])) % modulus
-    return rhs[:, 0].copy() if single else rhs
+    if not batched:
+        a, rhs = a[np.newaxis], rhs[np.newaxis]
+    ok = _gauss_jordan(a, rhs, modulus)
+    if not ok.all():
+        raise SingularMatrixError(f"rank deficiency in system {int(np.argmin(ok))}")
+    diagonal = np.diagonal(a, axis1=1, axis2=2)
+    x = rhs * _inverse_batch(diagonal, modulus)[:, :, np.newaxis] % modulus
+    if not batched:
+        x = x[0]
+    return x[..., 0] if single else x
 
 
 def matrix_rank(a: np.ndarray, modulus: int = MODULUS) -> int:
@@ -149,9 +209,15 @@ def matrix_rank(a: np.ndarray, modulus: int = MODULUS) -> int:
     return rank
 
 
-def is_invertible(a: np.ndarray, modulus: int = MODULUS) -> bool:
+def is_invertible(a: np.ndarray, modulus: int = MODULUS) -> bool | np.ndarray:
+    """Whether a square matrix is invertible over the field; for a batch
+    ``(B, n, n)``, a boolean array with one entry per matrix."""
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and matrix_rank(a, modulus) == a.shape[0]
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        return np.zeros(a.shape[0], dtype=bool) if a.ndim == 3 else False
+    batch = np.array(a, dtype=np.int64).reshape(-1, *a.shape[-2:]) % modulus
+    ok = _gauss_jordan(batch, None, modulus)
+    return ok if a.ndim == 3 else bool(ok[0])
 
 
 @lru_cache(maxsize=None)
@@ -220,12 +286,37 @@ class SeededRng:
             value = self.next_u64() % modulus
         return value
 
+    def _outputs(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array, in one vector
+        pass: the state after m outputs is seed-state + m * increment."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
+
     def field_matrix(
         self, rows: int, cols: int, modulus: int = MODULUS, nonzero: bool = False
     ) -> np.ndarray:
-        """Matrix of field elements, drawn row-major, one output per entry."""
-        data = [self.field_element(modulus, nonzero) for _ in range(rows * cols)]
-        return np.array(data, dtype=np.int64).reshape(rows, cols)
+        """Matrix of field elements, drawn row-major, one output per entry.
+
+        Equal to ``rows * cols`` calls of :meth:`field_element`, stream
+        and final state included.  Rejected zeros are replaced by drawing
+        exactly the shortfall again, so every output drawn is consumed.
+        """
+        count = rows * cols
+        values = self._outputs(count) % np.uint64(modulus)
+        if nonzero:
+            values = values[values != 0]
+            while values.size < count:
+                more = self._outputs(count - values.size) % np.uint64(modulus)
+                values = np.concatenate([values, more[more != 0]])
+        return values.astype(np.int64).reshape(rows, cols)
 
     def child(self, index: int) -> "SeededRng":
         """Independent stream derived from the original seed and an index."""

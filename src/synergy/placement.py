@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _HEADER_BYTES = 20  # K, N, M, granularity, modulus as little-endian uint32
+_MODULUS_LIMIT = 1 << 31  # keeps products of reduced elements below 2**62, exact in int64
 
 
 class LengthMismatchError(ValueError):
@@ -48,7 +49,8 @@ class SystemConfig:
     granularity, and the field modulus.
 
     ``replication`` = K*M/N must be an integer: the number of users that
-    cache each block.
+    cache each block.  The modulus is a prime above 2K and below 2**31,
+    the widest field whose products the int64 kernels hold exactly.
     """
 
     K: int
@@ -70,8 +72,10 @@ class SystemConfig:
             )
         if self.granularity < 1:
             raise ValueError("granularity must be a positive integer")
-        if self.modulus <= 2 * self.K or not is_prime(self.modulus):
-            raise ValueError(f"modulus must be a prime exceeding 2K, got {self.modulus}")
+        if not 2 * self.K < self.modulus < _MODULUS_LIMIT or not is_prime(self.modulus):
+            raise ValueError(
+                f"modulus must be a prime exceeding 2K and below 2**31, got {self.modulus}"
+            )
 
     @property
     def replication(self) -> int:
@@ -144,8 +148,7 @@ class CacheContents:
 
 def random_library(config: SystemConfig, rng: SeededRng) -> np.ndarray:
     """Uniform random field symbols, shape (N, file_symbols), drawn row-major."""
-    flat = [rng.field_element(config.modulus) for _ in range(config.library_symbols)]
-    return np.array(flat, dtype=np.int64).reshape(config.N, config.file_symbols)
+    return rng.field_matrix(config.N, config.file_symbols, config.modulus)
 
 
 def subpacketize(config: SystemConfig, library: np.ndarray) -> dict[SubfileIndex, np.ndarray]:

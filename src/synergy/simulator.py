@@ -181,17 +181,18 @@ def _group_streams(
     return flat.reshape(phase.uses_per_group, phase.active_antennas).T
 
 
-def _decodable(channel: np.ndarray, group: Subset, complement_rows: list[int], active: int, modulus: int) -> bool:
-    # The systems decoding will rely on: for each member, its own row
-    # plus every non-member row, restricted to the active antennas.
-    for member in group:
-        rows = [member - 1] + complement_rows
-        if not is_invertible(channel[rows][:, :active], modulus):
-            return False
-    return True
+def _decodable(channels: np.ndarray, group: Subset, active: int, modulus: int) -> np.ndarray:
+    """Per channel of a (uses, K, K) block: whether every system decoding
+    will rely on is invertible.  For each member that is its own row plus
+    every non-member row, restricted to the active antennas."""
+    complement_rows = [member - 1 for member in group.complement()]
+    rows = np.array([[member - 1] + complement_rows for member in group])
+    systems = channels[:, rows, :active]  # (uses, members, active, active)
+    invertible = is_invertible(systems.reshape(-1, active, active), modulus)
+    return invertible.reshape(len(channels), len(group)).all(axis=1)
 
 
-def _draw_channel(
+def _draw_channels(
     rng: SeededRng,
     config: SystemConfig,
     phase: PhasePlan,
@@ -200,16 +201,47 @@ def _draw_channel(
     max_redraws: int,
     t: int,
 ) -> np.ndarray:
-    complement_rows = [member - 1 for member in group.complement()]
-    for _ in range(max_redraws):
-        channel = rng.field_matrix(config.K, config.K, config.modulus, nonzero=True)
-        if _decodable(channel, group, complement_rows, phase.active_antennas, config.modulus):
-            return channel
+    """The (uses_per_group, K, K) channels of one group, starting at use t.
+
+    All uses are drawn as one (uses * K) x K matrix, which is the same
+    row-major stream as one K x K draw per use.  From the first
+    degenerate use on, the stream is rewound to that use: it is redrawn
+    on its own (up to ``max_redraws`` draws in all), and the uses after
+    it are drawn as a block again.
+    """
+    K, modulus, active = config.K, config.modulus, phase.active_antennas
+    blocks: list[np.ndarray] = []
+    done = 0
+    while done < phase.uses_per_group:
+        start = rng._state
+        block = rng.field_matrix((phase.uses_per_group - done) * K, K, modulus, nonzero=True)
+        block = block.reshape(-1, K, K)
+        bad = np.flatnonzero(~_decodable(block, group, active, modulus))
+        if bad.size == 0:
+            blocks.append(block)
+            break
+        first = int(bad[0])
         if on_degenerate == "error":
             raise DegenerateChannelError(
-                f"use {t}: singular decoding system for group {tuple(group)}"
+                f"use {t + done + first}: singular decoding system for group {tuple(group)}"
             )
-    raise DegenerateChannelError(f"use {t}: still singular after {max_redraws} redraws")
+        # Rewind (the stream is a pure function of its state) and replay
+        # up to and including the degenerate draw, which counts as the
+        # first of that use's max_redraws draws.
+        rng._state = start
+        replayed = rng.field_matrix((first + 1) * K, K, modulus, nonzero=True)
+        blocks.append(replayed[: first * K].reshape(-1, K, K))
+        for _ in range(max_redraws - 1):
+            channel = rng.field_matrix(K, K, modulus, nonzero=True)[np.newaxis]
+            if _decodable(channel, group, active, modulus)[0]:
+                break
+        else:
+            raise DegenerateChannelError(
+                f"use {t + done + first}: still singular after {max_redraws} redraws"
+            )
+        blocks.append(channel)
+        done += first + 1
+    return np.concatenate(blocks)
 
 
 def run_delivery(
@@ -256,17 +288,19 @@ def run_delivery(
                 phase, group, previous, slots, payloads, ledger.observation, config.modulus
             )
             slots[(phase.order, group)] = (t, phase.uses_per_group)
-            for slot in range(phase.uses_per_group):
-                channel = _draw_channel(rng, config, phase, group, on_degenerate, max_redraws, t)
-                channel.setflags(write=False)
-                received = matmul(channel[:, : phase.active_antennas], streams[:, slot], config.modulus)
+            channels = _draw_channels(rng, config, phase, group, on_degenerate, max_redraws, t)
+            channels.setflags(write=False)
+            # received[slot] = channels[slot][:, :active] @ streams[:, slot]
+            active_columns = channels[:, :, : phase.active_antennas]
+            received = matmul(active_columns, streams.T[:, :, np.newaxis], config.modulus)[:, :, 0]
+            columns.append(received.T)
+            for slot, (channel, observed) in enumerate(zip(channels, received)):
                 uses.append(ChannelUse(t=t, order=phase.order, group=group, slot=slot, channel=channel))
-                columns.append(received)
-                ledger.record(channel, received)
+                ledger.record(channel, observed)
                 t += 1
         previous = phase
     observations = (
-        np.stack(columns, axis=1) if columns else np.zeros((config.K, 0), dtype=np.int64)
+        np.concatenate(columns, axis=1) if columns else np.zeros((config.K, 0), dtype=np.int64)
     )
     return Transcript(
         config=config,

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,46 @@ def test_verify_quick(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5
     assert all(line.startswith("ok ") for line in lines)
+
+
+def test_simulate_rejects_modulus_above_two_to_the_31(capsys):
+    code, _, err = run(
+        capsys, "simulate", "-K", "2", "-N", "2", "-M", "1", "--modulus", "2147483659"
+    )
+    assert code == 2
+    assert "below 2**31" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Each snippet breaks one self-check from the inside.
+BROKEN_CHECKS = {
+    "schedule": "cli.harmonic = lambda n: Fraction(-1)",
+    "cache": "cli.fill_caches = lambda config, subfiles: [CacheContents(1, {})]",
+    "decode": "cli.verify_all = lambda transcript, library: DeliveryReport("
+    "[UserReport(1, 1, False, 0, 0, 'broken')])",
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_CHECKS))
+def test_verify_fails_under_python_O(check):
+    script = "\n".join(
+        [
+            "import sys",
+            "from fractions import Fraction",
+            "import synergy.cli as cli",
+            "from synergy.decoder import DeliveryReport, UserReport",
+            "from synergy.placement import CacheContents",
+            BROKEN_CHECKS[check],
+            "sys.exit(cli.main(['verify', '--quick']))",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "FAIL" in done.stdout
 
 
 def test_usage_error_exit_code():

@@ -1,0 +1,163 @@
+"""Differential tests: the batched field kernels against per-matrix calls
+and against plain Python-int references."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synergy.field import (
+    MODULUS,
+    SeededRng,
+    SingularMatrixError,
+    is_invertible,
+    matmul,
+    matrix_rank,
+    solve,
+)
+
+
+def reference_solve(a, b, modulus):
+    """Gauss-Jordan on Python ints; None when ``a`` is singular."""
+    n = len(a)
+    rows = [[int(x) % modulus for x in row] + [int(x) % modulus for x in rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, modulus)
+        rows[col] = [x * inv % modulus for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(x - factor * y) % modulus for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def biased_matrices(rng, count, rows, cols, modulus):
+    """Field elements, a third each from {0, 1, 2}, from the three largest
+    and uniform over the field."""
+    cells = []
+    for _ in range(count * rows * cols):
+        kind, offset = rng.uniform_int(3), rng.uniform_int(3)
+        cells.append((offset, modulus - 1 - offset, rng.field_element(modulus))[kind])
+    return np.array(cells, dtype=np.int64).reshape(count, rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 12),
+    count=st.integers(1, 6),
+    rhs_cols=st.integers(1, 3),
+    modulus=st.sampled_from([101, MODULUS]),
+)
+def test_batched_solve_matches_per_matrix_and_reference(seed, n, count, rhs_cols, modulus):
+    rng = SeededRng(seed)
+    a = biased_matrices(rng, count, n, n, modulus)
+    b = biased_matrices(rng, count, n, rhs_cols, modulus)
+    references = [reference_solve(a[i].tolist(), b[i].tolist(), modulus) for i in range(count)]
+    keep = [i for i, ref in enumerate(references) if ref is not None]
+    if not keep:
+        return
+    a, b = a[keep], b[keep]
+    expected = np.array([references[i] for i in keep], dtype=np.int64)
+
+    batched = solve(a, b, modulus)
+    assert batched.shape == (len(keep), n, rhs_cols)
+    assert np.array_equal(batched, expected)
+    assert np.array_equal(np.stack([solve(a[i], b[i], modulus) for i in range(len(keep))]), expected)
+    # Vector right-hand sides, batched and not.
+    assert np.array_equal(solve(a, b[:, :, 0], modulus), expected[:, :, 0])
+    assert np.array_equal(solve(a[0], b[0, :, 0], modulus), expected[0, :, 0])
+
+
+def singular_batch(rng, count, n, modulus):
+    """Random n x n matrices, every other one made singular by setting a
+    row to a combination of two others (or to zero when n < 3)."""
+    a = np.stack([rng.field_matrix(n, n, modulus) for _ in range(count)])
+    for i in range(0, count, 2):
+        target = rng.uniform_int(n)
+        if n >= 3:
+            first, second = [r for r in range(n) if r != target][:2]
+            c1, c2 = rng.field_element(modulus), rng.field_element(modulus)
+            a[i, target] = (c1 * a[i, first] + c2 * a[i, second]) % modulus
+        else:
+            a[i, target] = 0
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 8), count=st.integers(1, 12))
+def test_batched_is_invertible_matches_rank(seed, n, count):
+    rng = SeededRng(seed)
+    a = singular_batch(rng, count, n, 7)
+    expected = np.array([matrix_rank(m, 7) == n for m in a])
+    got = is_invertible(a, 7)
+    assert got.dtype == bool and got.shape == (count,)
+    assert np.array_equal(got, expected)
+    assert [is_invertible(m, 7) for m in a] == expected.tolist()
+    assert not expected[0]  # the batch always holds a singular matrix
+    with pytest.raises(SingularMatrixError):
+        solve(a, np.ones((count, n), dtype=np.int64), 7)
+
+
+def test_is_invertible_rejects_non_square_batches():
+    assert not is_invertible(np.ones((3, 2), dtype=np.int64))
+    assert not is_invertible(np.ones(3, dtype=np.int64))
+    assert is_invertible(np.ones((4, 3, 2), dtype=np.int64)).tolist() == [False] * 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), count=st.integers(1, 5), m=st.integers(1, 6), k=st.integers(1, 6))
+def test_batched_matmul_matches_per_matrix(seed, count, m, k):
+    rng = SeededRng(seed)
+    a = np.stack([rng.field_matrix(m, k) for _ in range(count)])
+    b = np.stack([rng.field_matrix(k, 2) for _ in range(count)])
+    expected = np.stack([matmul(a[i], b[i]) for i in range(count)])
+    assert np.array_equal(matmul(a, b), expected)
+    exact = [
+        [[sum(int(x) * int(y) for x, y in zip(row, col)) % MODULUS for col in b[i].T] for row in a[i]]
+        for i in range(count)
+    ]
+    assert matmul(a, b).tolist() == exact
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    rows=st.integers(0, 9),
+    cols=st.integers(0, 9),
+    modulus=st.sampled_from([2, 3, 13, 101, MODULUS]),
+    nonzero=st.booleans(),
+)
+def test_field_matrix_matches_repeated_field_element(seed, rows, cols, modulus, nonzero):
+    batched, serial = SeededRng(seed), SeededRng(seed)
+    matrix = batched.field_matrix(rows, cols, modulus, nonzero)
+    expected = [serial.field_element(modulus, nonzero) for _ in range(rows * cols)]
+    assert matrix.dtype == np.int64 and matrix.shape == (rows, cols)
+    assert matrix.reshape(-1).tolist() == expected
+    assert batched._state == serial._state
+
+
+def test_field_matrix_blocks_equal_one_tall_draw():
+    # n consecutive K x K draws are the same stream as one (n*K) x K draw.
+    tall = SeededRng(5).field_matrix(4 * 3, 3, 2, nonzero=True)
+    rng = SeededRng(5)
+    blocks = np.concatenate([rng.field_matrix(3, 3, 2, nonzero=True) for _ in range(4)])
+    assert np.array_equal(tall, blocks)
+
+
+@pytest.mark.parametrize("modulus", [101, MODULUS])
+def test_large_batch_solve_matches_single_solves(modulus):
+    # Large enough that the batched pivot inverses run as one vector pass.
+    rng = SeededRng(9)
+    a = np.stack([rng.field_matrix(5, 5, modulus, nonzero=True) for _ in range(40)])
+    keep = is_invertible(a, modulus)
+    a = a[keep]
+    b = np.stack([rng.field_matrix(5, 1, modulus)[:, 0] for _ in range(len(a))])
+    x = solve(a, b, modulus)
+    assert len(a) > 30
+    assert np.array_equal(x, np.stack([solve(a[i], b[i], modulus) for i in range(len(a))]))
+    assert np.array_equal(matmul(a, x[:, :, np.newaxis], modulus)[:, :, 0], b)

@@ -39,6 +39,15 @@ def test_config_validation():
         SystemConfig(4, 4, 1, modulus=7)  # prime but <= 2K
 
 
+def test_config_modulus_below_two_to_the_31():
+    # int64 field kernels hold products of two reduced elements only
+    # below 2**31.
+    assert SystemConfig(2, 2, 1, modulus=(1 << 31) - 1).modulus == 2**31 - 1
+    for prime in (2147483659, 4294967291):
+        with pytest.raises(ValueError):
+            SystemConfig(2, 2, 1, modulus=prime)
+
+
 def test_config_derived_sizes():
     config = SystemConfig(4, 4, 2, granularity=3)
     assert config.replication == 2

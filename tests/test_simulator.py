@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from synergy.field import SeededRng, matmul
+from synergy.field import SeededRng, matmul, matrix_rank
 from synergy.placement import random_library, subpacketize
 from synergy.scheduler import default_config, plan_phases
 from synergy.simulator import (
+    CHANNEL_STREAM,
     LIBRARY_STREAM,
     CausalityError,
     DegenerateChannelError,
@@ -173,6 +174,57 @@ def test_degenerate_channel_surfaced_and_resampled():
     assert transcript.total_uses == 5
     again = simulate(config, demand, raising, on_degenerate="resample")
     assert transcript == again
+
+
+def per_use_channels(plan, seed, max_redraws):
+    """Reference channel draws, one use at a time: up to ``max_redraws``
+    K x K draws per use until every member's decoding system has full
+    rank."""
+    config = plan.config
+    K, modulus = config.K, config.modulus
+    rng = SeededRng(seed).child(CHANNEL_STREAM)
+    channels = []
+    for phase in plan.phases:
+        active = phase.active_antennas
+        for group in phase.iter_groups():
+            complement = [member - 1 for member in group.complement()]
+            for _ in range(phase.uses_per_group):
+                for _ in range(max_redraws):
+                    channel = rng.field_matrix(K, K, modulus, nonzero=True)
+                    if all(
+                        matrix_rank(channel[[member - 1] + complement][:, :active], modulus) == active
+                        for member in group
+                    ):
+                        break
+                else:
+                    raise DegenerateChannelError(
+                        f"use {len(channels)}: still singular after {max_redraws} redraws"
+                    )
+                channels.append(channel)
+    return channels
+
+
+@pytest.mark.parametrize("max_redraws", [1, 2, 64])
+def test_resample_draws_match_per_use_reference(max_redraws):
+    # Over GF(13) degenerate draws are common, so the block draws fall
+    # back to per-use redraws many times across this grid.
+    for K in range(3, 6):
+        for replication in range(K):
+            config = default_config(K, K, replication, modulus=13)
+            library = random_library(config, SeededRng(0).child(LIBRARY_STREAM))
+            plan = plan_phases(config, tuple(range(1, K + 1)), subfiles=subpacketize(config, library))
+            for seed in range(3):
+                try:
+                    expected = per_use_channels(plan, seed, max_redraws)
+                except DegenerateChannelError as exc:
+                    with pytest.raises(DegenerateChannelError, match=f"^{exc}$"):
+                        run_delivery(plan, library, seed, on_degenerate="resample", max_redraws=max_redraws)
+                    continue
+                transcript = run_delivery(
+                    plan, library, seed, on_degenerate="resample", max_redraws=max_redraws
+                )
+                assert len(transcript.uses) == len(expected)
+                assert all(np.array_equal(use.channel, h) for use, h in zip(transcript.uses, expected))
 
 
 def test_transcript_group_slots_cover_every_use():
