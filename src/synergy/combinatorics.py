@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
+
 Rational = Fraction
 
 __all__ = [
@@ -167,3 +169,44 @@ def iter_subsets(universe: int, size: int) -> Iterator[Subset]:
 def enumerate_subsets(universe: int, size: int) -> list[Subset]:
     """All size-``size`` subsets in canonical order, materialized."""
     return list(iter_subsets(universe, size))
+
+
+def _lex_ranks(combos: np.ndarray, universe: int) -> np.ndarray:
+    """``Subset.rank`` of every row of an (..., size) array of ascending
+    elements: the lexicographic index is C(n, k) - 1 minus the sum over
+    positions i (1-based) of C(n - c_i, k - i + 1)."""
+    size = combos.shape[-1]
+    table = np.array(
+        [[math.comb(n, k) for k in range(size + 2)] for n in range(universe + 1)], dtype=np.int64
+    )
+    tail = table[universe - combos, np.arange(size, 0, -1)].sum(axis=-1)
+    return table[universe, size] - 1 - tail
+
+
+@lru_cache(maxsize=None)
+def group_table(universe: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer tables of all size-``size`` subsets, row r being the
+    subset of rank r (``itertools.combinations`` order):
+
+    - ``members`` (C(universe, size), size): the elements, ascending;
+    - ``complement`` (C(universe, size), universe - size): the rest;
+    - ``without_rank`` (C(universe, size), size): entry [r, i] is the rank
+      of subset r with its i-th member removed, among the size - 1 subsets.
+
+    All three are int64 and read-only; they stand in for building and
+    hashing one ``Subset`` per group.
+    """
+    if not 0 <= size <= universe:
+        raise ValueError(f"subset size {size} out of range for universe {universe}")
+    ground = range(1, universe + 1)
+    count = math.comb(universe, size)
+    members = np.array(list(itertools.combinations(ground, size)), dtype=np.int64)
+    members = members.reshape(count, size)
+    inside = np.zeros((count, universe + 1), dtype=bool)
+    inside[np.arange(count)[:, np.newaxis], members] = True
+    complement = np.nonzero(~inside[:, 1:])[1].reshape(count, universe - size) + 1
+    keep = np.array([[i for i in range(size) if i != drop] for drop in range(size)], dtype=np.int64)
+    without_rank = _lex_ranks(members[:, keep.reshape(size, max(size - 1, 0))], universe)
+    for table in (members, complement, without_rank):
+        table.setflags(write=False)
+    return members, complement, without_rank

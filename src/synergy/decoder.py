@@ -2,16 +2,26 @@
 the last phase down, solve each first-phase block, strip cached blocks
 from the folded messages, and reassemble the requested file.
 
-For phase order j, a user inside a group gathers K-j+1 observation
-streams of that group's block (its own log plus one recovered stream per
-non-member).  Each slot of the block is a (K-j+1)-square system for the
-transmitted symbols; the systems of every slot of every group holding the
-user in that phase are stacked and solved as one batch.  In phases past
-the first, the user then removes its own previous-phase observation from
-the combined rows and, per group, inverts a column-deleted combining
-minor to learn what the other members saw.  At the first phase the
-solved block is the folded message itself; the user subtracts the
-blocks it caches for the other members and keeps its own missing block.
+Decoding walks integer group tables instead of ``Subset`` objects.  Phase
+order j has one row per j-subset in canonical order
+(:func:`~synergy.combinatorics.group_table`), so the group of rank r
+occupies uses ``phase_offset + r * uses_per_group`` onward, and "the
+group without member i" is one lookup in the table's ``without_rank``.
+
+Per phase, a user gathers its groups (the rows holding it) and only
+those groups' uses from the transcript.  Each slot of a group's block is
+a (K-j+1)-square system, the user's own row plus one row per
+non-member, whose right-hand side is the user's own observation and the
+streams it recovered for the non-members in the phase after; every slot
+of every such group is solved in one batch.  In phases past the first,
+the user then removes its own previous-phase observation from the
+combined rows and applies the inverse of the combining matrix with the
+user's column deleted.  There are only j such minors per phase; they are
+inverted once (one batched solve against the identity) and applied to
+all groups as one batched product, which yields what the other members
+saw in the previous phase.  At the first phase the solved block is the
+folded message itself; the user subtracts the blocks it caches for the
+other members and keeps its own missing block.
 
 Each user's decode reads only the immutable transcript and its own
 cache, so per-user decodes are independent and safe to run in parallel.
@@ -20,11 +30,12 @@ cache, so per-user decodes are independent and safe to run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import Subset, enumerate_subsets
-from .field import solve
+from .combinatorics import Subset, group_table, iter_subsets
+from .field import matmul, solve
 from .placement import CacheContents, SubfileIndex, fill_caches, subpacketize
 from .simulator import Transcript
 
@@ -45,19 +56,40 @@ class MissingObservationError(Exception):
 
 @dataclass
 class DecodeOutcome:
-    """Decoded file plus the decoder's working state, for inspection.
+    """Decoded file plus the decoder's recovered streams, for inspection.
 
-    ``recovered`` maps (order, group, observer) to that observer's
-    reconstructed observation stream of the group's block;
-    ``recovered_blocks`` maps each holder subset the user is *not* in to
-    the file block it extracted from that folded message.
+    ``recovered`` maps each phase order j below K to a
+    (C(K, j), K, uses_per_group) array: entry [r, k - 1] is what observer
+    k saw of the block of the group of rank r, as this user reconstructed
+    it, and -1 where the user reconstructed no such stream (groups
+    without the user, and the group's own members).
     """
 
     file: np.ndarray
-    recovered: dict[tuple[int, Subset, int], np.ndarray]
-    recovered_blocks: dict[Subset, np.ndarray]
+    recovered: dict[int, np.ndarray]
     solves: int
     max_system_dim: int
+
+
+@lru_cache(maxsize=None)
+def _holder_subsets(K: int, replication: int) -> tuple[Subset, ...]:
+    """Every replication-sized holder subset, by rank."""
+    return tuple(iter_subsets(K, replication))
+
+
+@lru_cache(maxsize=16)
+def _first_phase_keys(
+    K: int, replication: int, demand: tuple[int, ...]
+) -> tuple[tuple[SubfileIndex, ...], ...]:
+    """Per first-phase group (by rank) and member position, the block
+    ``SubfileIndex(demand[m - 1], group without m)`` that member m wants
+    and the other members cache; the same for every decoding user."""
+    holders = _holder_subsets(K, replication)
+    members, _, without_rank = group_table(K, replication + 1)
+    return tuple(
+        tuple(SubfileIndex(demand[m - 1], holders[h]) for m, h in zip(row, ranks))
+        for row, ranks in zip(members.tolist(), without_rank.tolist())
+    )
 
 
 def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> DecodeOutcome:
@@ -66,83 +98,87 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
     config = transcript.config
     plan = transcript.plan
     demand = transcript.demand
-    modulus = config.modulus
-    if not 1 <= user <= config.K:
-        raise ValueError(f"user must lie in [1, {config.K}]")
+    K, modulus = config.K, config.modulus
+    if not 1 <= user <= K:
+        raise ValueError(f"user must lie in [1, {K}]")
     if transcript.total_uses < plan.total_uses or transcript.observations.shape[1] < plan.total_uses:
         raise MissingObservationError(
             f"transcript holds {transcript.total_uses} of {plan.total_uses} uses"
         )
     own = transcript.observations[user - 1]
-    recovered: dict[tuple[int, Subset, int], np.ndarray] = {}
-    blocks: dict[Subset, np.ndarray] = {}
+    phases = plan.phases
+    offsets = np.cumsum([0] + [phase.group_count * phase.uses_per_group for phase in phases])
+    recovered = {
+        phase.order: np.full((phase.group_count, K, phase.uses_per_group), -1, dtype=np.int64)
+        for phase in phases[:-1]
+    }
+    holders = _holder_subsets(K, config.replication)
+    file = np.empty((len(holders), config.subfile_symbols), dtype=np.int64)
     solves = 0
     max_dim = 0
-    phases = plan.phases
     for idx in range(len(phases) - 1, -1, -1):
         phase = phases[idx]
-        active, n = phase.active_antennas, phase.uses_per_group
-        groups = [group for group in phase.iter_groups() if user in group]
-        if not groups:
-            continue
+        order, active, n = phase.order, phase.active_antennas, phase.uses_per_group
+        members, complement, without_rank = group_table(K, order)
+        groups = np.flatnonzero((members == user).any(axis=1))
+        count = len(groups)
+        position = (members[groups] == user).argmax(axis=1)
+        others = complement[groups]
         # Every slot of every group holding the user, as one batch of
         # square systems: the user's own row plus one row per non-member.
-        coefficients = np.empty((len(groups), n, active, active), dtype=np.int64)
-        rhs = np.empty((len(groups), n, active), dtype=np.int64)
-        for g, group in enumerate(groups):
-            start, _ = transcript.group_slots[(phase.order, group)]
-            others = group.complement()
-            rows = [user - 1] + [other - 1 for other in others]
-            channels = np.stack([use.channel for use in transcript.uses[start : start + n]])
-            coefficients[g] = channels[:, rows, :active]
-            rhs[g, :, 0] = own[start : start + n]
-            for row, other in enumerate(others, start=1):
-                rhs[g, :, row] = recovered[(phase.order, group, other)]
-        solved = solve(coefficients.reshape(-1, active, active), rhs.reshape(-1, active), modulus)
-        solved = solved.reshape(len(groups), n, active)
-        solves += len(groups) * n
+        slots = offsets[idx] + groups[:, np.newaxis] * n + np.arange(n)
+        channels = np.stack([transcript.uses[t].channel for t in slots.ravel().tolist()])
+        rows = np.concatenate([np.full((count, 1), user), others], axis=1) - 1
+        rows = np.repeat(rows, n, axis=0)
+        coefficients = channels[np.arange(count * n)[:, np.newaxis], rows, :active]
+        rhs = np.empty((count, n, active), dtype=np.int64)
+        rhs[:, :, 0] = own[slots]
+        if active > 1:
+            streams = recovered[order][groups[:, np.newaxis], others - 1]
+            rhs[:, :, 1:] = streams.transpose(0, 2, 1)
+        solved = solve(coefficients, rhs.reshape(-1, active), modulus)
+        solved = solved.reshape(count, n, active)  # solved[g, slot] = symbols of that slot
+        solves += count * n
         max_dim = max(max_dim, active)
-        for group, sent in zip(groups, solved):  # sent[slot] = symbols of that slot
-            if phase.combining is not None:
-                previous = phases[idx - 1]
-                combined = sent.reshape(phase.order - 1, previous.uses_per_group)
-                position = group.index_of(user)
-                prev_start, prev_count = transcript.group_slots[
-                    (previous.order, group.without(user))
-                ]
-                own_previous = own[prev_start : prev_start + prev_count]
-                adjusted = (
-                    combined - phase.combining[:, position : position + 1] * own_previous[np.newaxis, :]
-                ) % modulus
-                minor = np.delete(phase.combining, position, axis=1)
-                other_streams = solve(minor, adjusted, modulus)
-                solves += 1
-                max_dim = max(max_dim, phase.order - 1)
-                row = 0
-                for member in group:
-                    if member == user:
-                        continue
-                    recovered[(previous.order, group.without(member), member)] = other_streams[row]
-                    row += 1
-            else:
-                payload = sent.T.reshape(-1)  # antenna-major, as the message was split
-                for member in group:
-                    if member == user:
-                        continue
-                    cached = cache.entries[SubfileIndex(demand[member - 1], group.without(member))]
-                    payload = (payload - cached) % modulus
-                blocks[group.without(user)] = payload
-    pieces = []
-    for holders in enumerate_subsets(config.K, config.replication):
-        if user in holders:
-            pieces.append(cache.entries[SubfileIndex(demand[user - 1], holders)])
+        without_user = without_rank[groups, position]
+        if phase.combining is not None:
+            previous = phases[idx - 1]
+            combining, width = phase.combining, previous.uses_per_group
+            combined = solved.reshape(count, order - 1, width)
+            start = offsets[idx - 1] + without_user * width
+            own_previous = own[start[:, np.newaxis] + np.arange(width)]
+            own_part = combining.T[position][:, :, np.newaxis] * own_previous[:, np.newaxis]
+            adjusted = (combined - own_part) % modulus
+            # Only `order` distinct minors: invert each once, exactly, so
+            # applying the inverse equals a per-group solve.
+            minors = np.stack([np.delete(combining, column, axis=1) for column in range(order)])
+            identity = np.broadcast_to(np.eye(order - 1, dtype=np.int64), minors.shape)
+            inverses = solve(minors, identity, modulus)
+            other_streams = matmul(inverses[position], adjusted, modulus)
+            solves += count  # one combining system per group
+            max_dim = max(max_dim, order - 1)
+            kept = np.arange(order - 1) + (np.arange(order - 1) >= position[:, np.newaxis])
+            observers = members[groups[:, np.newaxis], kept] - 1
+            previous_ranks = without_rank[groups[:, np.newaxis], kept]
+            recovered[previous.order][previous_ranks, observers] = other_streams
         else:
-            pieces.append(blocks[holders])
-    file = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
+            payload = solved.transpose(0, 2, 1).reshape(count, -1)  # antenna-major, as split
+            keys = _first_phase_keys(K, config.replication, demand)
+            cached = [
+                cache.entries[key]
+                for g, p in zip(groups.tolist(), position.tolist())
+                for q, key in enumerate(keys[g])
+                if q != p
+            ]
+            cached = np.array(cached, dtype=np.int64).reshape(count, order - 1, payload.shape[1])
+            file[without_user] = (payload - cached.sum(axis=1)) % modulus
+    wanted = demand[user - 1]
+    for rank, subset in enumerate(holders):
+        if user in subset:
+            file[rank] = cache.entries[SubfileIndex(wanted, subset)]
     return DecodeOutcome(
-        file=file,
+        file=file.reshape(-1),
         recovered=recovered,
-        recovered_blocks=blocks,
         solves=solves,
         max_system_dim=max_dim,
     )
@@ -208,4 +244,5 @@ def verify_all(transcript: Transcript, library: np.ndarray) -> DeliveryReport:
             continue
         match = bool(np.array_equal(outcome.file, library[requested - 1]))
         entries.append(UserReport(user, requested, match, outcome.solves, outcome.max_system_dim))
+        del outcome  # free this user's recovered streams before the next decode
     return DeliveryReport(entries)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import Subset, binomial, iter_subsets
+from .combinatorics import Subset, binomial, enumerate_subsets
 from .field import MODULUS, SeededRng, is_prime
 
 __all__ = [
@@ -167,10 +167,11 @@ def subpacketize(config: SystemConfig, library: np.ndarray) -> dict[SubfileIndex
             f"(expected {expected})"
         )
     size = config.subfile_symbols
+    holder_subsets = enumerate_subsets(config.K, config.replication)
     blocks: dict[SubfileIndex, np.ndarray] = {}
     for file in range(1, config.N + 1):
         row = library[file - 1]
-        for i, holders in enumerate(iter_subsets(config.K, config.replication)):
+        for i, holders in enumerate(holder_subsets):
             blocks[SubfileIndex(file, holders)] = row[i * size : (i + 1) * size]
     return blocks
 
@@ -194,6 +195,8 @@ def save_library(path, config: SystemConfig, library: np.ndarray) -> None:
     header_values = (config.K, config.N, config.M, config.granularity, config.modulus)
     if any(value >= 1 << 32 for value in header_values):
         raise ValueError("header field exceeds uint32 range")
+    if library.size and (int(library.min()) < 0 or int(library.max()) >= config.modulus):
+        raise ValueError(f"library symbols must lie in [0, {config.modulus})")
     with open(path, "wb") as fh:
         fh.write(np.array(header_values, dtype="<u4").tobytes())
         fh.write(library.astype("<u4").tobytes())

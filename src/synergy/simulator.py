@@ -400,11 +400,22 @@ def save_transcript(transcript: Transcript, json_path, sidecar_path=None) -> Non
 
 def load_transcript(json_path, sidecar_path=None) -> Transcript:
     """Inverse of :func:`save_transcript`; the plan is rebuilt from the
-    stored config and demand."""
+    stored config and demand.
+
+    Raises ValueError, naming the file, when the metadata lacks a field,
+    the sidecar's size does not match its header, a channel coefficient
+    is zero or a symbol is not below the modulus.
+    """
     json_path = Path(json_path)
     meta = json.loads(json_path.read_text())
     if meta.get("format") != _TRANSCRIPT_FORMAT or meta.get("version") != _TRANSCRIPT_VERSION:
         raise ValueError("unrecognized transcript format or version")
+    required = ["config", "demand", "seed", "total_uses"]
+    if sidecar_path is None:
+        required.append("sidecar")
+    missing = [key for key in required if key not in meta]
+    if missing:
+        raise ValueError(f"{json_path}: transcript metadata lacks {', '.join(missing)}")
     config = SystemConfig.from_json(meta["config"])
     demand = tuple(int(r) for r in meta["demand"])
     plan = plan_phases(config, demand)
@@ -413,17 +424,28 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     raw = Path(sidecar_path).read_bytes()
     if raw[: len(_SIDECAR_MAGIC)] != _SIDECAR_MAGIC:
         raise ValueError("sidecar magic mismatch")
-    head = np.frombuffer(raw[len(_SIDECAR_MAGIC) : len(_SIDECAR_MAGIC) + 12], dtype="<u4")
+    header = len(_SIDECAR_MAGIC) + 12
+    if len(raw) < header:
+        raise ValueError(
+            f"{sidecar_path}: sidecar holds {len(raw)} bytes, expected at least {header}"
+        )
+    head = np.frombuffer(raw, dtype="<u4", count=3, offset=len(_SIDECAR_MAGIC))
     version, k, total = (int(v) for v in head)
     if version != _TRANSCRIPT_VERSION or k != config.K:
         raise ValueError("sidecar header inconsistent with metadata")
     if total != plan.total_uses or total != int(meta["total_uses"]):
         raise ValueError("sidecar use count inconsistent with the plan")
-    body = raw[len(_SIDECAR_MAGIC) + 12 :]
-    expected = total * k * k + k * total
-    symbols = np.frombuffer(body, dtype="<u4").astype(np.int64)
-    if symbols.size != expected:
-        raise ValueError(f"sidecar holds {symbols.size} symbols, expected {expected}")
+    expected = 4 * (total * k * k + k * total)
+    if len(raw) - header != expected:
+        raise ValueError(
+            f"{sidecar_path}: sidecar body holds {len(raw) - header} bytes, expected {expected}"
+        )
+    symbols = np.frombuffer(raw, dtype="<u4", offset=header)
+    if total and int(symbols.max()) >= config.modulus:
+        raise ValueError(f"{sidecar_path}: symbol not below the modulus {config.modulus}")
+    if total and int(symbols[: total * k * k].min()) == 0:
+        raise ValueError(f"{sidecar_path}: zero channel coefficient")
+    symbols = symbols.astype(np.int64)
     channels = symbols[: total * k * k].reshape(total, k, k)
     observations = symbols[total * k * k :].reshape(k, total)
     uses: list[ChannelUse] = []

@@ -11,6 +11,7 @@ from synergy.combinatorics import (
     enumerate_subsets,
     epsilon,
     format_rational,
+    group_table,
     harmonic,
     iter_subsets,
 )
@@ -159,6 +160,26 @@ def test_rank_unrank_roundtrip_exhaustive():
             for index, sub in enumerate(enumerate_subsets(universe, size)):
                 assert sub.rank() == index
                 assert Subset.unrank(universe, size, index) == sub
+
+
+def test_group_table_matches_subset_exhaustive():
+    for universe in range(11):
+        for size in range(universe + 1):
+            members, complement, without_rank = group_table(universe, size)
+            count = binomial(universe, size)
+            assert members.shape == (count, size)
+            assert complement.shape == (count, universe - size)
+            assert without_rank.shape == (count, size)
+            for index, row in enumerate(members.tolist()):
+                sub = Subset.unrank(universe, size, index)
+                assert tuple(row) == sub.elements
+                assert Subset(tuple(row), universe).rank() == index
+                assert tuple(complement[index].tolist()) == sub.complement()
+                for position, member in enumerate(sub):
+                    assert without_rank[index, position] == sub.without(member).rank()
+    assert not group_table(5, 2)[0].flags.writeable
+    with pytest.raises(ValueError):
+        group_table(3, 4)
 
 
 @given(st.data())

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synergy.combinatorics import Subset, enumerate_subsets
+from synergy.combinatorics import Subset, enumerate_subsets, group_table
 from synergy.decoder import (
     MissingObservationError,
     backward_decode,
@@ -38,7 +38,7 @@ def test_two_user_hand_trace():
     config, library, subfiles, caches, transcript = seeded_case(2, 2, 1)
     outcome = decode_user(transcript, 1, caches[0])
     ground_block = subfiles[SubfileIndex(1, Subset((2,), 2))]
-    assert np.array_equal(outcome.recovered_blocks[Subset((2,), 2)], ground_block)
+    assert np.array_equal(outcome.file[ground_block.size :], ground_block)
     expected = np.concatenate(
         [subfiles[SubfileIndex(1, Subset((1,), 2))], ground_block]
     )
@@ -75,31 +75,60 @@ def test_repeated_demands_decode():
 
 def test_recovered_streams_match_ground_truth():
     # what a user reconstructs of others' observations equals the log
-    config, library, subfiles, caches, transcript = seeded_case(4, 4, 1, seed=11)
-    for user in (1, 4):
-        outcome = decode_user(transcript, user, caches[user - 1])
-        assert outcome.recovered  # multi-phase run recovers something
-        for (order, group, observer), stream in outcome.recovered.items():
-            start, count = transcript.group_slots[(order, group)]
-            logged = transcript.observations[observer - 1, start : start + count]
-            assert np.array_equal(stream, logged)
+    for K, M, seed in ((4, 1, 11), (5, 0, 4)):
+        config, library, subfiles, caches, transcript = seeded_case(K, K, M, seed=seed)
+        phases = transcript.plan.phases
+        offsets = np.cumsum([0] + [p.group_count * p.uses_per_group for p in phases])
+        for user in (1, K):
+            outcome = decode_user(transcript, user, caches[user - 1])
+            assert sorted(outcome.recovered) == [phase.order for phase in phases[:-1]]
+            for phase, start in zip(phases[:-1], offsets):
+                streams = outcome.recovered[phase.order]
+                groups, n = phase.group_count, phase.uses_per_group
+                assert streams.shape == (groups, K, n)
+                logged = transcript.observations[:, start : start + groups * n]
+                logged = logged.reshape(K, groups, n).transpose(1, 0, 2)
+                filled = streams != -1
+                assert np.array_equal(streams[filled], logged[filled])
+                # whole streams of exactly the non-members of the user's groups
+                inside = np.zeros((groups, K + 1), dtype=bool)
+                for rank, group in enumerate(phase.iter_groups()):
+                    inside[rank, list(group)] = True
+                expected = inside[:, [user]] & ~inside[:, 1:]
+                assert expected.any()
+                assert np.array_equal(filled, np.repeat(expected[:, :, np.newaxis], n, axis=2))
 
 
 def test_recovered_and_cached_block_indices_partition():
     config, library, subfiles, caches, transcript = seeded_case(4, 4, 2, seed=2)
-    every = set(enumerate_subsets(4, 2))
+    every = enumerate_subsets(4, 2)
+    members, _, without_rank = group_table(4, 3)
     for user in range(1, 5):
         outcome = decode_user(transcript, user, caches[user - 1])
-        recovered = set(outcome.recovered_blocks)
-        cached = {
+        assert np.array_equal(outcome.file, library[user - 1])
+        holding = np.flatnonzero((members == user).any(axis=1))
+        position = (members[holding] == user).argmax(axis=1)
+        recovered = [every[rank] for rank in without_rank[holding, position]]
+        assert recovered == [Subset.unrank(4, 3, g).without(user) for g in holding]
+        cached = [
             index.cached_by
             for index in caches[user - 1].entries
             if index.file == transcript.demand[user - 1]
-        }
-        assert recovered | cached == every
-        assert not recovered & cached
+        ]
+        assert sorted(recovered + cached, key=Subset.rank) == every
         assert all(user not in holders for holders in recovered)
         assert all(user in holders for holders in cached)
+
+
+def test_coarse_cell_solve_counts():
+    # 2,283 uses, granularity 105: the per-user system counts are structural
+    config = default_config(8, 8, 0)
+    transcript = simulate(config, tuple(range(1, 9)), seed=1)
+    library = random_library(config, SeededRng(1).child(LIBRARY_STREAM))
+    report = verify_all(transcript, library)
+    assert report.all_pass
+    assert sum(entry.solves for entry in report.users) == 7_736
+    assert max(entry.max_system_dim for entry in report.users) == 8
 
 
 def test_verify_all_report_shape():

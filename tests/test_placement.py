@@ -188,6 +188,17 @@ def test_library_io_rejects_garbage(tmp_path):
         load_library(tmp_path / "bad.bin")
 
 
+def test_save_rejects_out_of_range_symbols(tmp_path):
+    config, library = make_setup(2, 2, 1)
+    for value in (-1, config.modulus):
+        bad = library.copy()
+        bad[1, 0] = value
+        path = tmp_path / f"bad_{value}.bin"
+        with pytest.raises(ValueError, match="library symbols"):
+            save_library(path, config, bad)
+        assert not path.exists()
+
+
 def test_save_rejects_mismatched_library(tmp_path):
     config, library = make_setup(2, 2, 1)
     with pytest.raises(LengthMismatchError):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -257,3 +258,49 @@ def test_transcript_load_rejects_tampered_sidecar(tmp_path):
     (tmp_path / "run.bin").write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_transcript(tmp_path / "run.json")
+
+
+def _saved_run(tmp_path):
+    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
+    save_transcript(transcript, tmp_path / "run.json")
+    return config, transcript, tmp_path / "run.json", tmp_path / "run.bin"
+
+
+def test_transcript_load_rejects_out_of_range_symbols(tmp_path):
+    config, transcript, json_path, sidecar = _saved_run(tmp_path)
+    raw = sidecar.read_bytes()
+    header, total = 20, transcript.total_uses
+    channels_end = header + 4 * total * config.K * config.K
+    zeroed = bytearray(raw)
+    zeroed[header + 4 : header + 8] = bytes(4)  # one channel coefficient
+    sidecar.write_bytes(bytes(zeroed))
+    with pytest.raises(ValueError, match="zero channel coefficient"):
+        load_transcript(json_path)
+    for offset, value in ((header, config.modulus), (channels_end + 4, 4294967295)):
+        large = bytearray(raw)
+        large[offset : offset + 4] = value.to_bytes(4, "little")
+        sidecar.write_bytes(bytes(large))
+        with pytest.raises(ValueError, match="modulus"):
+            load_transcript(json_path)
+    sidecar.write_bytes(raw)
+    assert load_transcript(json_path) == transcript
+
+
+def test_transcript_load_reports_sidecar_size(tmp_path):
+    config, transcript, json_path, sidecar = _saved_run(tmp_path)
+    raw = sidecar.read_bytes()
+    body = len(raw) - 20
+    for cut in (raw[:-4], raw[:-1], raw + b"\x00\x00", raw[:14]):
+        sidecar.write_bytes(cut)
+        expected = "at least 20" if len(cut) < 20 else f"{len(cut) - 20} bytes, expected {body}"
+        with pytest.raises(ValueError, match=f"run.bin.*{expected}"):
+            load_transcript(json_path)
+
+
+def test_transcript_load_requires_seed(tmp_path):
+    config, transcript, json_path, sidecar = _saved_run(tmp_path)
+    meta = json.loads(json_path.read_text())
+    del meta["seed"]
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="run.json.*seed"):
+        load_transcript(json_path)
