@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from synergy.bounds import gap_certificate
+from synergy.cli import main
 from synergy.decoder import decode_user
 from synergy.field import SeededRng
 from synergy.placement import fill_caches, random_library, subpacketize
@@ -125,6 +126,13 @@ GOLDEN_RESAMPLE_13 = {
 
 GAP_64 = Fraction(514863537817907878630834171, 243021526176691243877335440)
 
+# SHA-256 of the ``sweep --mode <mode> --kmax 64`` CSV files: they pin
+# every exact ``num/den`` cell and every float's repr.
+SWEEP_64_CSV = {
+    "gap": "4bd1c36a7854db274bfe89386381d9f9676f1a39476f460785f05dd8f868bd4f",
+    "dof": "76706b6589fe86ea2a6c2c20a7d3040d0262762ad072e6600542c687dd8f05c6",
+}
+
 
 def _digests(tmp_path, config, seed, on_degenerate="error"):
     demand = tuple(range(1, config.K + 1))
@@ -175,3 +183,10 @@ def test_resample_stream_holds_rejected_zeros():
 
 def test_golden_gap_certificate():
     assert gap_certificate(64).max_gap == GAP_64
+
+
+@pytest.mark.parametrize("mode", sorted(SWEEP_64_CSV))
+def test_golden_sweep_csv(tmp_path, capsys, mode):
+    path = tmp_path / f"{mode}.csv"
+    assert main(["sweep", "--mode", mode, "--kmax", "64", "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_64_CSV[mode]
