@@ -3,14 +3,19 @@ converse lower bound, optimality-gap certification, and per-user DoF
 metrics quantifying what caching and delayed feedback deliver jointly.
 
 Delivery time is measured in normalized slots (one slot = serving one
-file to one user interference-free).  Everything that feeds an exact
-comparison is a Fraction; the logarithmic-approximation metrics
-(cache_fraction_for_gap, the mid-range gap envelope) use doubles.
+file to one user interference-free).  Exact intermediate values are
+integer numerator/denominator pairs, and the converse-bound candidates
+are compared by cross-multiplying over positive denominators.  Each exact
+value a report returns is built once, as a reduced Fraction; the DoF
+floats are int / int divisions, which Python rounds correctly.  The
+logarithmic-approximation metrics (cache_fraction_for_gap, the mid-range
+gap envelope) use doubles.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,11 +52,44 @@ class EnvelopeCheckError(Exception):
     """The mid-range gap envelope failed an endpoint-dominance check."""
 
 
-def achievable_time(K: int, replication: int) -> Fraction:
-    """Delivery time of the scheme: harmonic(K) - harmonic(replication)."""
+def _split(M) -> tuple[int, int]:
+    """Numerator and positive denominator of a cache size (int or rational)."""
+    if type(M) is int:
+        return M, 1
+    if not isinstance(M, Fraction):
+        M = Fraction(M)
+    return M.numerator, M.denominator
+
+
+def _replication(K: int, N: int, mn: int, md: int) -> int:
+    """K*M/N for M = mn/md; ValueError unless it is an integer."""
+    replication, rest = divmod(K * mn, N * md)
+    if rest:
+        raise ValueError(f"K*M/N must be an integer, got {Fraction(K * mn, N * md)}")
+    return replication
+
+
+def _achievable_pair(K: int, replication: int) -> tuple[int, int]:
+    """harmonic(K) - harmonic(replication) as an unreduced pair."""
     if not 0 <= replication <= K:
         raise ValueError(f"replication must lie in [0, K], got {replication}")
-    return harmonic(K) - harmonic(replication)
+    whole, head = harmonic(K), harmonic(replication)
+    return (
+        whole.numerator * head.denominator - head.numerator * whole.denominator,
+        whole.denominator * head.denominator,
+    )
+
+
+def _dof_pair(N: int, mn: int, md: int, achievable: tuple[int, int]) -> tuple[int, int]:
+    """Per-user DoF (1 - M/N) / achievable for M = mn/md, as an unreduced
+    pair; the denominator is zero when nothing is left to deliver."""
+    time_num, time_den = achievable
+    return (N * md - mn) * time_den, N * md * time_num
+
+
+def achievable_time(K: int, replication: int) -> Fraction:
+    """Delivery time of the scheme: harmonic(K) - harmonic(replication)."""
+    return Fraction(*_achievable_pair(K, replication))
 
 
 @dataclass(frozen=True)
@@ -72,24 +110,28 @@ def outer_bound(K: int, N: int, M) -> OuterBound:
     max over s in {1, ..., min(floor(N/M), K)} of
     harmonic(s) - s*M / floor(N/s).
 
-    M may be rational; all arithmetic is exact.
+    M may be rational; all arithmetic is exact.  Each candidate is an
+    integer pair over a positive denominator, compared by
+    cross-multiplying.
     """
     if K < 1 or N < K:
         raise ValueError("need 1 <= K <= N")
-    M = Fraction(M)
-    if not 0 <= M <= N:
-        raise ValueError(f"cache size must lie in [0, {N}] files, got {M}")
-    s_hi = K if M == 0 else min(math.floor(Fraction(N) / M), K)
-    best: Fraction | None = None
-    best_s = 1
+    mn, md = _split(M)
+    if not 0 <= mn <= N * md:
+        raise ValueError(f"cache size must lie in [0, {N}] files, got {Fraction(mn, md)}")
+    s_hi = K if mn == 0 else min(N * md // mn, K)
+    best_num, best_den, best_s = 0, 1, 0
     for s in range(1, s_hi + 1):
-        value = harmonic(s) - s * M / (N // s)
-        if best is None or value > best:
-            best, best_s = value, s
-    if best is None:  # unreachable for valid inputs; keep the contract total
-        best = Fraction(0)
-    clamped = best <= 0
-    return OuterBound(value=max(best, Fraction(0)), argmax_s=best_s, clamped=clamped)
+        h = harmonic(s)
+        q = md * (N // s)
+        num = h.numerator * q - h.denominator * s * mn
+        den = h.denominator * q
+        # strict, so the smallest maximizer is kept
+        if best_s == 0 or num * best_den > best_num * den:
+            best_num, best_den, best_s = num, den, s
+    if best_num <= 0:
+        return OuterBound(value=Fraction(0), argmax_s=best_s, clamped=True)
+    return OuterBound(value=Fraction(best_num, best_den), argmax_s=best_s, clamped=False)
 
 
 def dof(K: int, N: int, M) -> Fraction:
@@ -99,14 +141,11 @@ def dof(K: int, N: int, M) -> Fraction:
     Requires replication K*M/N integral and below K (an all-cached system
     has no delivery to measure).
     """
-    M = Fraction(M)
-    replication = K * M / N
-    if replication.denominator != 1:
-        raise ValueError(f"K*M/N must be an integer, got {replication}")
-    replication = int(replication)
+    mn, md = _split(M)
+    replication = _replication(K, N, mn, md)
     if replication >= K:
         raise ValueError("dof is undefined when everything is cached (replication = K)")
-    return (1 - Fraction(M) / N) / achievable_time(K, replication)
+    return Fraction(*_dof_pair(N, mn, md, _achievable_pair(K, replication)))
 
 
 @dataclass(frozen=True)
@@ -144,24 +183,24 @@ def bound_report(K: int, N: int, M) -> BoundReport:
     ``gap`` is None when the raw lower bound is non-positive (nothing to
     divide by); that never happens on the certification sweep.
     """
-    M = Fraction(M)
-    replication = K * M / N
-    if replication.denominator != 1:
-        raise ValueError(f"K*M/N must be an integer, got {replication}")
-    replication = int(replication)
-    achievable = achievable_time(K, replication)
+    mn, md = _split(M)
+    replication = _replication(K, N, mn, md)
+    achievable = _achievable_pair(K, replication)
     lower = outer_bound(K, N, M)
-    gap = None if lower.clamped else achievable / lower.value
+    gap = None
+    if not lower.clamped:
+        bound = lower.value
+        gap = Fraction(achievable[0] * bound.denominator, achievable[1] * bound.numerator)
     return BoundReport(
         K=K,
         N=N,
-        M=M,
+        M=M if isinstance(M, Fraction) else Fraction(mn, md),
         replication=replication,
-        cache_fraction=M / N,
-        achievable=achievable,
+        cache_fraction=Fraction(mn, N * md),
+        achievable=Fraction(*achievable),
         lower_bound=lower.value,
         gap=gap,
-        dof=dof(K, N, M) if replication < K else Fraction(0),
+        dof=Fraction(*_dof_pair(N, mn, md, achievable)) if replication < K else Fraction(0),
         argmax_s=lower.argmax_s,
     )
 
@@ -242,23 +281,27 @@ class SynergyReport:
 
 
 def synergy_report(K: int, replication: int) -> SynergyReport:
-    """DoF of the combined scheme vs. the sum of the individual gains."""
+    """DoF of the combined scheme vs. the sum of the individual gains.
+
+    The floats are int / int divisions of exact pairs, which Python
+    rounds correctly, so they equal ``float`` of the reduced Fraction.
+    """
     if not 1 <= replication <= K - 1:
         raise ValueError(f"replication must lie in [1, K-1], got {replication}")
-    gamma = Fraction(replication, K)
-    joint = float(dof(K, N=K, M=replication))
-    single_stream_time = K * (1 - gamma) / (1 + K * gamma)
-    cache_only = float((1 - gamma) / single_stream_time)
+    joint_num, joint_den = _dof_pair(K, replication, 1, _achievable_pair(K, replication))
+    joint = joint_num / joint_den
+    # (1 - gamma) / single_stream_time with gamma = replication / K
+    cache_only = (1 + replication) / K
     feedback_only = 1.0 / float(harmonic(K))
     return SynergyReport(
         K=K,
         replication=replication,
-        cache_fraction=gamma,
+        cache_fraction=Fraction(replication, K),
         dof=joint,
         dof_cache_only=cache_only,
         dof_feedback_only=feedback_only,
         margin=joint - (cache_only + feedback_only),
-        single_stream_time=single_stream_time,
+        single_stream_time=Fraction(K - replication, 1 + replication),
     )
 
 
@@ -268,13 +311,22 @@ def cache_fraction_for_gap(gap: float, K: int) -> float:
     exp(-(gap - epsilon(K) + epsilon_infinity)).
 
     Decays exponentially in the target, which is what makes tiny caches
-    worthwhile; compare with :func:`min_cache_fraction_for_gap`.
+    worthwhile; compare with :func:`min_cache_fraction_for_gap`.  Raises
+    ValueError where the value is not a normal double (targets above
+    about 709).
     """
     if gap < 1:
         raise ValueError("the target factor must be at least 1")
     if K < 2:
         raise ValueError("need at least two users")
-    return math.exp(-(gap - epsilon(K) + EULER_MASCHERONI))
+    value = math.exp(-(gap - epsilon(K) + EULER_MASCHERONI))
+    # the true value is positive: a subnormal or zero double would be a
+    # silently wrong answer
+    if not value >= sys.float_info.min:
+        raise ValueError(
+            f"cache fraction for target {gap} at K={K} is below the smallest normal double"
+        )
+    return value
 
 
 def min_cache_fraction_for_gap(gap: float, K: int) -> Fraction | None:

@@ -39,6 +39,8 @@ from .simulator import (
 )
 
 _GAP_SWEEP_LIMIT = 256
+# buffer sweeps build a list of K+1 floats per gap target
+_BUFFER_KMAX_LIMIT = 1_000_000
 
 
 class UsageError(Exception):
@@ -173,7 +175,7 @@ def _parse_gap_range(spec: str) -> list[int]:
         raise UsageError(f"gap range must look like 1..10, got {spec!r}") from exc
     if lo < 1 or hi < lo:
         raise UsageError(f"gap range must be an increasing range of targets >= 1, got {spec!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _cmd_sweep(args) -> int:
@@ -203,10 +205,14 @@ def _cmd_sweep(args) -> int:
         _write_csv(rows, args.output)
         return 0
     # buffer mode: closed-form vs. exhaustive minimum cache fraction per target
-    if args.kmax < 2:
-        raise UsageError("--kmax must be at least 2")
+    if not 2 <= args.kmax <= _BUFFER_KMAX_LIMIT:
+        raise UsageError(f"--kmax must lie in [2, {_BUFFER_KMAX_LIMIT}] for buffer sweeps")
+    gaps = _parse_gap_range(args.gap_range)
+    # the closed form decreases in the target: reject an unrepresentable
+    # largest target before any exhaustive search runs
+    cache_fraction_for_gap(gaps[-1], args.kmax)
     rows = []
-    for gap in _parse_gap_range(args.gap_range):
+    for gap in gaps:
         exhaustive = min_cache_fraction_for_gap(gap, args.kmax)
         rows.append(
             {

@@ -79,7 +79,8 @@ def epsilon(n: int) -> float:
 
 def format_rational(value: Fraction) -> str:
     """Render as "num/den", keeping the denominator even when it is 1."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -116,13 +116,18 @@ class SystemConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SystemConfig":
-        return cls(
-            K=int(data["K"]),
-            N=int(data["N"]),
-            M=int(data["M"]),
-            granularity=int(data["granularity"]),
-            modulus=int(data["modulus"]),
-        )
+        """Inverse of :meth:`to_json`; ValueError names a missing or
+        non-integer field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        fields = ("K", "N", "M", "granularity", "modulus")
+        missing = [key for key in fields if key not in data]
+        if missing:
+            raise ValueError(f"config lacks {', '.join(missing)}")
+        for key in fields:
+            if type(data[key]) is not int:
+                raise ValueError(f"config field {key} must be an integer, got {data[key]!r}")
+        return cls(**{key: data[key] for key in fields})
 
 
 @dataclass(frozen=True)

@@ -402,9 +402,10 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     """Inverse of :func:`save_transcript`; the plan is rebuilt from the
     stored config and demand.
 
-    Raises ValueError, naming the file, when the metadata lacks a field,
-    the sidecar's size does not match its header, a channel coefficient
-    is zero or a symbol is not below the modulus.
+    Raises ValueError, naming the file, when the metadata or its config
+    lacks a field or holds an invalid one, the sidecar's size does not
+    match its header, a channel coefficient is zero or a symbol is not
+    below the modulus.
     """
     json_path = Path(json_path)
     meta = json.loads(json_path.read_text())
@@ -416,7 +417,10 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     missing = [key for key in required if key not in meta]
     if missing:
         raise ValueError(f"{json_path}: transcript metadata lacks {', '.join(missing)}")
-    config = SystemConfig.from_json(meta["config"])
+    try:
+        config = SystemConfig.from_json(meta["config"])
+    except ValueError as exc:
+        raise ValueError(f"{json_path}: {exc}") from exc
     demand = tuple(int(r) for r in meta["demand"])
     plan = plan_phases(config, demand)
     if sidecar_path is None:

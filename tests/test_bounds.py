@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,13 @@ def test_cache_fraction_for_gap_formula_and_decay():
         )
     with pytest.raises(ValueError):
         cache_fraction_for_gap(0.5, 10)
+
+
+def test_cache_fraction_for_gap_rejects_non_normal_doubles():
+    assert cache_fraction_for_gap(708, 1000) >= sys.float_info.min
+    for gap in (709, 745, 746, 10**6, math.inf, math.nan):
+        with pytest.raises(ValueError, match="smallest normal double"):
+            cache_fraction_for_gap(gap, 1000)
 
 
 def test_cache_fraction_formula_vs_exhaustive():

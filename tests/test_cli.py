@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from synergy.bounds import cache_fraction_for_gap
+from synergy import cli
 from synergy.cli import main
 from synergy.field import SeededRng
 from synergy.placement import random_library, save_library
@@ -221,6 +222,35 @@ def test_sweep_buffer_bad_range(capsys):
     assert code == 2
     code, _, err = run(capsys, "sweep", "--mode", "buffer", "--gap-range", "nope")
     assert code == 2
+
+
+def _no_exhaustive_search(monkeypatch):
+    def refuse(gap, K):
+        raise AssertionError("the exhaustive search ran")
+
+    monkeypatch.setattr(cli, "min_cache_fraction_for_gap", refuse)
+
+
+def test_sweep_buffer_rejects_unrepresentable_target(capsys, monkeypatch):
+    # the closed form underflows to a subnormal (745) and to 0.0 (746)
+    _no_exhaustive_search(monkeypatch)
+    code, out, err = run(capsys, "sweep", "--mode", "buffer", "--kmax", "1000",
+                         "--gap-range", "1..800")
+    assert code == 2
+    assert "smallest normal double" in err
+    assert out == ""
+
+
+def test_sweep_buffer_kmax_limit(capsys, monkeypatch):
+    _no_exhaustive_search(monkeypatch)
+    code, _, err = run(capsys, "sweep", "--mode", "buffer", "--kmax", "1000001")
+    assert code == 2
+    assert "--kmax must lie in [2, 1000000]" in err
+    monkeypatch.setattr(cli, "min_cache_fraction_for_gap", lambda gap, K: None)
+    code, out, _ = run(capsys, "sweep", "--mode", "buffer", "--kmax", "1000000",
+                       "--gap-range", "3..3")
+    assert code == 0
+    assert out.splitlines()[1].startswith("3,1000000,")
 
 
 def test_verify_quick(capsys):

@@ -304,3 +304,21 @@ def test_transcript_load_requires_seed(tmp_path):
     json_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="run.json.*seed"):
         load_transcript(json_path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: meta["config"].pop("K"), "config lacks K"),
+        (lambda meta: meta.update(config=[3, 3, 1, 1, 101]), "config must be a JSON object, got list"),
+        (lambda meta: meta["config"].update(modulus="101"), "config field modulus must be an integer"),
+    ],
+    ids=["missing-field", "list", "string-field"],
+)
+def test_transcript_load_rejects_malformed_config(tmp_path, edit, message):
+    config, transcript, json_path, sidecar = _saved_run(tmp_path)
+    meta = json.loads(json_path.read_text())
+    edit(meta)
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"run.json: {message}"):
+        load_transcript(json_path)
