@@ -189,12 +189,12 @@ def bound_report(K: int, N: int, M) -> BoundReport:
     lower = outer_bound(K, N, M)
     gap = None
     if not lower.clamped:
-        bound = lower.value
-        gap = Fraction(achievable[0] * bound.denominator, achievable[1] * bound.numerator)
+        time_num, time_den = achievable
+        gap = Fraction(time_num * lower.value.denominator, time_den * lower.value.numerator)
     return BoundReport(
         K=K,
         N=N,
-        M=M if isinstance(M, Fraction) else Fraction(mn, md),
+        M=Fraction(mn, md),
         replication=replication,
         cache_fraction=Fraction(mn, N * md),
         achievable=Fraction(*achievable),
