@@ -62,7 +62,10 @@ def _split(M) -> tuple[int, int]:
 
 
 def _replication(K: int, N: int, mn: int, md: int) -> int:
-    """K*M/N for M = mn/md; ValueError unless it is an integer."""
+    """K*M/N for M = mn/md; ValueError unless 1 <= K <= N and it is an
+    integer."""
+    if K < 1 or N < K:
+        raise ValueError("need 1 <= K <= N")
     replication, rest = divmod(K * mn, N * md)
     if rest:
         raise ValueError(f"K*M/N must be an integer, got {Fraction(K * mn, N * md)}")

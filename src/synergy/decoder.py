@@ -16,12 +16,13 @@ streams it recovered for the non-members in the phase after; every slot
 of every such group is solved in one batch.  In phases past the first,
 the user then removes its own previous-phase observation from the
 combined rows and applies the inverse of the combining matrix with the
-user's column deleted.  There are only j such minors per phase; they are
-inverted once (one batched solve against the identity) and applied to
-all groups as one batched product, which yields what the other members
-saw in the previous phase.  At the first phase the solved block is the
-folded message itself; the user subtracts the blocks it caches for the
-other members and keeps its own missing block.
+user's column deleted.  There are only j such minors per phase; the plan
+inverts them once (``PhasePlan.combining_inverses``, shared by every
+user) and each user applies them to all its groups as one batched
+product, which yields what the other members saw in the previous phase.
+At the first phase the solved block is the folded message itself; the
+user subtracts the blocks it caches for the other members and keeps its
+own missing block.
 
 Each user's decode reads only the immutable transcript and its own
 cache, so per-user decodes are independent and safe to run in parallel.
@@ -149,12 +150,9 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
             own_previous = own[start[:, np.newaxis] + np.arange(width)]
             own_part = combining.T[position][:, :, np.newaxis] * own_previous[:, np.newaxis]
             adjusted = (combined - own_part) % modulus
-            # Only `order` distinct minors: invert each once, exactly, so
-            # applying the inverse equals a per-group solve.
-            minors = np.stack([np.delete(combining, column, axis=1) for column in range(order)])
-            identity = np.broadcast_to(np.eye(order - 1, dtype=np.int64), minors.shape)
-            inverses = solve(minors, identity, modulus)
-            other_streams = matmul(inverses[position], adjusted, modulus)
+            # Only `order` distinct minors, inverted once per plan, exactly,
+            # so applying the inverse equals a per-group solve.
+            other_streams = matmul(phase.combining_inverses[position], adjusted, modulus)
             solves += count  # one combining system per group
             max_dim = max(max_dim, order - 1)
             kept = np.arange(order - 1) + (np.arange(order - 1) >= position[:, np.newaxis])

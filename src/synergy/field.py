@@ -10,7 +10,12 @@ sums that follow cannot overflow at the matrix sizes used here.
 
 ``solve``, ``is_invertible`` and ``matmul`` also take a leading batch
 axis, so a block of small systems costs one pass of numpy operations
-instead of one Python loop per system.
+instead of one Python loop per system.  ``solve`` and ``is_invertible``
+share one fraction-free forward elimination that forms only the
+trailing block at each step (about n**3 / 3 multiply-reduce steps per
+n x n system): ``is_invertible`` runs it alone, ``solve`` runs it on
+``[a | b]`` and back-substitutes with the diagonal inverted once.
+``matrix_rank`` is a separate, unbatched elimination.
 """
 
 from __future__ import annotations
@@ -96,40 +101,52 @@ def matmul(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     return out[..., 0] if single else out
 
 
-def _gauss_jordan(a: np.ndarray, rhs: np.ndarray | None, modulus: int) -> np.ndarray:
-    """Fraction-free Gauss-Jordan over a batch of square systems.
+def _eliminate(block: np.ndarray, modulus: int, keep_rows: bool) -> tuple[np.ndarray, list]:
+    """Fraction-free forward elimination over a batch of systems.
 
-    ``a`` is a reduced int64 array of shape (B, n, n) and ``rhs`` one of
-    shape (B, n, m) or None; both are overwritten.  Each column takes the
-    first nonzero pivot at or below the diagonal; every other row r then
-    becomes ``pivot * r - r[col] * pivot_row``, which scales r by a
-    nonzero field element and so keeps each system's solution.  Products
-    of two reduced elements stay below 2**62, so nothing overflows for
-    moduli below 2**31.  Returns the (B,) mask of invertible systems; for
-    those, ``a`` ends diagonal and ``rhs`` is scaled to match, so the
-    caller divides by the diagonal.  Rows of a singular system hold
-    garbage.
+    ``block`` is a reduced int64 array of shape (B, n, c) with c >= n: the
+    square coefficients first, then any right-hand-side columns.  It is
+    read, never written.  Each step takes the first nonzero entry of the
+    leading column as the pivot (swapping it with the top row) and turns
+    every other row r into ``pivot * r - r[0] * pivot_row``, which scales
+    r by a nonzero field element and so keeps each system's solution.
+    Only the trailing block is formed: the next step works on a new array
+    one row and one column smaller, about n**3 / 3 multiply-reduce steps
+    per square system in all.  Products of two reduced elements stay
+    below 2**62, so nothing overflows for moduli below 2**31.
+
+    Returns the (B,) mask of invertible systems and, with ``keep_rows``,
+    the pivot rows: entry k has shape (B, c - k), its first column the
+    k-th diagonal element of the triangular factor.  Rows of a singular
+    system hold garbage.
     """
-    batch, n = a.shape[0], a.shape[1]
-    blocks = (a,) if rhs is None else (a, rhs)
-    ok = np.ones(batch, dtype=bool)
-    for col in range(n):
-        if not a[:, col, col].all():
-            nonzero = a[:, col:, col] != 0
+    ok = np.ones(block.shape[0], dtype=bool)
+    pivot_rows = []
+    for _ in range(block.shape[1]):
+        top = block[:, 0]
+        pivot_row, swapped = top, None
+        if not top[:, 0].all():
+            nonzero = block[:, :, 0] != 0
             ok &= nonzero.any(axis=1)
-            pivot = col + nonzero.argmax(axis=1)
-            swap = np.nonzero(pivot != col)[0]
-            for block in blocks:
-                top = block[swap, col].copy()
-                block[swap, col] = block[swap, pivot[swap]]
-                block[swap, pivot[swap]] = top
-        pivots = a[:, col, col, np.newaxis, np.newaxis].copy()
-        factors = a[:, :, col, np.newaxis].copy()
-        # pivot * row - (pivot - 1) * row leaves the pivot row as it is.
-        factors[:, col] = pivots[:, 0] - 1
-        for block in blocks:
-            block[...] = (block * pivots - factors * block[:, col : col + 1]) % modulus
-    return ok
+            index = nonzero.argmax(axis=1)
+            swapped = np.flatnonzero(index)
+            pivot_row = top.copy()
+            pivot_row[swapped] = block[swapped, index[swapped]]
+        pivot = pivot_row[:, :1, np.newaxis]
+        rest = block[:, 1:]
+        trailing = rest[:, :, 1:] * pivot
+        trailing -= rest[:, :, :1] * pivot_row[:, np.newaxis, 1:]
+        trailing %= modulus
+        if swapped is not None and swapped.size:
+            # The pivot's old slot in the trailing block takes the old top row.
+            old, new = top[swapped], pivot_row[swapped]
+            trailing[swapped, index[swapped] - 1] = (
+                old[:, 1:] * new[:, :1] - old[:, :1] * new[:, 1:]
+            ) % modulus
+        if keep_rows:
+            pivot_rows.append(pivot_row)
+        block = trailing
+    return ok, pivot_rows
 
 
 def _inverse_batch(values: np.ndarray, modulus: int) -> np.ndarray:
@@ -159,27 +176,38 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     matrix of stacked right-hand-side columns.
 
     ``a`` may also be a batch ``(B, n, n)`` with ``b`` of shape ``(B, n)``
-    or ``(B, n, m)``: every system is solved in one pass.  Gauss-Jordan
-    with the first nonzero pivot (exact arithmetic needs no magnitude
-    pivoting).  Raises SingularMatrixError when any ``a`` is not
-    invertible.
+    or ``(B, n, m)``: every system is solved in one pass.  Forward
+    elimination of ``[a | b]`` with the first nonzero pivot (exact
+    arithmetic needs no magnitude pivoting), then back-substitution with
+    the diagonal inverted once.  Raises SingularMatrixError when any ``a``
+    is not invertible.
     """
-    a = np.array(a, dtype=np.int64) % modulus
+    a = np.asarray(a, dtype=np.int64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("coefficient matrix must be square")
     batched = a.ndim == 3
-    b = np.array(b, dtype=np.int64) % modulus
+    b = np.asarray(b, dtype=np.int64)
     single = b.ndim == a.ndim - 1
     rhs = b[..., np.newaxis] if single else b
     if rhs.ndim != a.ndim or rhs.shape[:-1] != a.shape[:-1]:
         raise ValueError("right-hand side does not match the matrix")
     if not batched:
         a, rhs = a[np.newaxis], rhs[np.newaxis]
-    ok = _gauss_jordan(a, rhs, modulus)
+    augmented = np.concatenate([a, rhs], axis=-1)
+    augmented %= modulus
+    ok, pivot_rows = _eliminate(augmented, modulus, keep_rows=True)
     if not ok.all():
         raise SingularMatrixError(f"rank deficiency in system {int(np.argmin(ok))}")
-    diagonal = np.diagonal(a, axis1=1, axis2=2)
-    x = rhs * _inverse_batch(diagonal, modulus)[:, :, np.newaxis] % modulus
+    # Row k of the triangular factor is [d_k, u_k(k+1), ..., u_k(n-1), rhs_k].
+    n = a.shape[-1]
+    diagonal = np.stack([row[:, 0] for row in pivot_rows], axis=1)
+    inverses = _inverse_batch(diagonal, modulus)
+    x = np.empty(rhs.shape, dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        row = pivot_rows[k]
+        known = (row[:, 1 : n - k, np.newaxis] * x[:, k + 1 :]) % modulus
+        value = (row[:, n - k :] - known.sum(axis=1)) % modulus
+        x[:, k] = value * inverses[:, k, np.newaxis] % modulus
     if not batched:
         x = x[0]
     return x[..., 0] if single else x
@@ -211,12 +239,18 @@ def matrix_rank(a: np.ndarray, modulus: int = MODULUS) -> int:
 
 def is_invertible(a: np.ndarray, modulus: int = MODULUS) -> bool | np.ndarray:
     """Whether a square matrix is invertible over the field; for a batch
-    ``(B, n, n)``, a boolean array with one entry per matrix."""
+    ``(B, n, n)``, a boolean array with one entry per matrix.
+
+    Runs the forward elimination alone.  Reduced int64 input is read in
+    place, without a copy.
+    """
     a = np.asarray(a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         return np.zeros(a.shape[0], dtype=bool) if a.ndim == 3 else False
-    batch = np.array(a, dtype=np.int64).reshape(-1, *a.shape[-2:]) % modulus
-    ok = _gauss_jordan(batch, None, modulus)
+    batch = np.asarray(a, dtype=np.int64).reshape(-1, *a.shape[-2:])
+    if batch.size and (batch.min() < 0 or batch.max() >= modulus):
+        batch = batch % modulus
+    ok, _ = _eliminate(batch, modulus, keep_rows=False)
     return ok if a.ndim == 3 else bool(ok[0])
 
 

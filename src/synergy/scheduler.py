@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
 from .combinatorics import Subset, binomial, format_rational, iter_subsets
-from .field import MODULUS, cauchy_combining_matrix
+from .field import MODULUS, cauchy_combining_matrix, solve
 from .placement import SubfileIndex, SystemConfig
 
 __all__ = [
@@ -55,8 +56,9 @@ class PhasePlan:
     """Block schedule for every group of size ``order``.
 
     ``combining`` is None in the first phase (blocks are raw folded
-    messages) and a (order-1) x order matrix afterwards.  Groups are
-    iterated lazily so plans stay cheap for large K.
+    messages) and a (order-1) x order matrix over GF(``modulus``)
+    afterwards.  Groups are iterated lazily so plans stay cheap for
+    large K.
     """
 
     order: int
@@ -65,6 +67,7 @@ class PhasePlan:
     active_antennas: int
     duration: Fraction
     combining: np.ndarray | None
+    modulus: int
 
     @property
     def group_count(self) -> int:
@@ -72,6 +75,24 @@ class PhasePlan:
 
     def iter_groups(self) -> Iterator[Subset]:
         return iter_subsets(self.universe, self.order)
+
+    @cached_property
+    def combining_inverses(self) -> np.ndarray | None:
+        """(order, order-1, order-1): entry i inverts ``combining`` with
+        column i deleted, exactly; None in the first phase.
+
+        Computed once per plan with one batched solve against the
+        identity, and derived from ``combining`` itself, so a plan built
+        with another matrix gets its own inverses.  Raises
+        SingularMatrixError if some minor is singular.
+        """
+        if self.combining is None:
+            return None
+        minors = np.stack([np.delete(self.combining, i, axis=1) for i in range(self.order)])
+        identity = np.broadcast_to(np.eye(self.order - 1, dtype=np.int64), minors.shape)
+        inverses = solve(minors, identity, self.modulus)
+        inverses.setflags(write=False)
+        return inverses
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +215,7 @@ def plan_phases(
                 active_antennas=K - order + 1,
                 duration=Fraction(binomial(K, order) * uses, slot_symbols),
                 combining=combining,
+                modulus=config.modulus,
             )
         )
     xors = build_xors(config, subfiles, demand) if subfiles is not None else None

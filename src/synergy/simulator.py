@@ -1,12 +1,21 @@
 """Symbol-level delivery over a random prime-field broadcast channel.
 
 Every channel use draws a fresh K x K matrix of nonzero coefficients
-(row k is user k's channel).  The transmitter learns coefficients and
-received values only through a strictly causal ledger: content for
-order-j groups is built exclusively from what was logged during the
-previous phase.  After delivery ends the full channel log is released to
-the decoders (delayed global receiver-side channel knowledge), while
+(row k is user k's channel).  The transmitter learns what the users
+received only through a strictly causal ledger: content for order-j
+groups is built exclusively from what was logged during the previous
+phase.  After delivery ends the full channel log is released to the
+decoders (delayed global receiver-side channel knowledge), while
 received values stay private to each user.
+
+Delivery walks phases, not groups.  Each phase is a fixed table of
+groups (:func:`~synergy.combinatorics.group_table`), and the group of
+rank r occupies uses ``phase_offset + r * uses_per_group`` onward.  So
+a phase costs one gather of its streams (in later phases one index into
+the ledger's observation array, then one batched product with the
+combining matrix), one channel draw for all its uses, one batched
+decodability check of every (use, member) system, one batched product
+for the received symbols and one ledger update.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import Subset, format_rational
+from .combinatorics import Subset, format_rational, group_table
 from .field import SeededRng, is_invertible, matmul
 from .placement import LengthMismatchError, SystemConfig, random_library, subpacketize
 from .scheduler import DeliveryPlan, PhasePlan, build_xors, plan_phases
@@ -34,7 +43,6 @@ __all__ = [
     "Transcript",
     "run_delivery",
     "simulate",
-    "replay",
     "reconstruct_transmissions",
     "save_transcript",
     "load_transcript",
@@ -70,37 +78,38 @@ class ChannelUse:
 
 
 class DelayedCsitLedger:
-    """Transmitter-side record of past uses; reads are strictly causal.
+    """Transmitter-side record of what every user received; reads are
+    strictly causal.
 
+    It wraps the (K, total_uses) observation array that the delivery
+    fills in use order; ``visible_uses`` counts the uses logged so far.
     A use becomes visible only once :meth:`record` ran for it, i.e.
-    strictly after the use completed.
+    strictly after it completed.  The combining is fixed, so the transmitter needs
+    the received symbols of past uses but none of their coefficients.
     """
 
-    def __init__(self) -> None:
-        self._channels: list[np.ndarray] = []
-        self._observations: list[np.ndarray] = []
+    def __init__(self, observations: np.ndarray) -> None:
+        self._observations = observations
+        self.visible_uses = 0
 
-    @property
-    def visible_uses(self) -> int:
-        return len(self._channels)
+    def record(self, observations: np.ndarray) -> None:
+        """Log the (K, count) received symbols of the next ``count`` uses."""
+        count = observations.shape[1]
+        self._observations[:, self.visible_uses : self.visible_uses + count] = observations
+        self.visible_uses += count
 
-    def record(self, channel: np.ndarray, observations: np.ndarray) -> None:
-        self._channels.append(channel)
-        self._observations.append(observations)
-
-    def _guard(self, t: int) -> None:
-        if not 0 <= t < self.visible_uses:
-            raise CausalityError(
-                f"use {t} is not ledger-visible yet (visible: {self.visible_uses})"
-            )
-
-    def channel(self, t: int) -> np.ndarray:
-        self._guard(t)
-        return self._channels[t]
-
-    def observation(self, t: int, user: int) -> int:
-        self._guard(t)
-        return int(self._observations[t][user - 1])
+    def observations(self, users, uses) -> np.ndarray:
+        """What ``users`` (1-based) received at ``uses``, index arrays
+        broadcast together; CausalityError if any use is not visible."""
+        uses = np.asarray(uses)
+        if uses.size:
+            first, last = int(uses.min()), int(uses.max())
+            if first < 0 or last >= self.visible_uses:
+                raise CausalityError(
+                    f"use {first if first < 0 else last} is not ledger-visible yet "
+                    f"(visible: {self.visible_uses})"
+                )
+        return self._observations[np.asarray(users) - 1, uses]
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,77 +162,85 @@ class Transcript:
         )
 
 
-def _group_streams(
+def _phase_symbols(
     phase: PhasePlan,
-    group: Subset,
     previous: PhasePlan | None,
-    slots: dict[tuple[int, Subset], tuple[int, int]],
-    payloads: dict[Subset, np.ndarray],
+    previous_offset: int,
+    xors,
     observe,
     modulus: int,
 ) -> np.ndarray:
-    """Symbols for this group as an (active_antennas, uses_per_group) block.
+    """Transmitted symbols of every use of a phase, as a
+    (group_count * uses_per_group, active_antennas) array in use order.
 
-    First phase: the folded message, split contiguously across antennas.
-    Later phases: the order-1 combined rows over the members' logged
-    previous-phase observations, flattened row-major (combined row major,
-    time minor) and refilled antenna-fastest.
+    First phase: each group's folded message (``xors`` lists them in
+    canonical group order), split contiguously across antennas.  Later
+    phases: every group's members' previous-phase observations, gathered
+    with one index through ``observe(users, uses)``, times
+    ``phase.combining`` in one batched product; each group's combined
+    rows are flattened row-major (combined row major, time minor) and
+    refilled antenna-fastest.
     """
+    members, _, without_rank = group_table(phase.universe, phase.order)
+    active, uses = phase.active_antennas, phase.uses_per_group
     if phase.combining is None:
-        return payloads[group].reshape(phase.active_antennas, phase.uses_per_group)
-    rows = []
-    for member in group:
-        start, count = slots[(previous.order, group.without(member))]
-        rows.append([observe(t, member) for t in range(start, start + count)])
-    overheard = np.array(rows, dtype=np.int64)
-    combined = matmul(phase.combining, overheard, modulus)
-    flat = combined.reshape(-1)
-    return flat.reshape(phase.uses_per_group, phase.active_antennas).T
+        blocks = np.array([message.payload for message in xors], dtype=np.int64)
+        blocks = blocks.reshape(len(members), active, uses)
+        return blocks.transpose(0, 2, 1).reshape(-1, active)
+    width = previous.uses_per_group
+    heard = previous_offset + without_rank[:, :, np.newaxis] * width + np.arange(width)
+    overheard = observe(members[:, :, np.newaxis], heard)  # (groups, order, width)
+    return matmul(phase.combining, overheard, modulus).reshape(-1, active)
 
 
-def _decodable(channels: np.ndarray, group: Subset, active: int, modulus: int) -> np.ndarray:
+def _decodable(channels: np.ndarray, rows: np.ndarray, active: int, modulus: int) -> np.ndarray:
     """Per channel of a (uses, K, K) block: whether every system decoding
-    will rely on is invertible.  For each member that is its own row plus
-    every non-member row, restricted to the active antennas."""
-    complement_rows = [member - 1 for member in group.complement()]
-    rows = np.array([[member - 1] + complement_rows for member in group])
-    systems = channels[:, rows, :active]  # (uses, members, active, active)
+    will rely on is invertible.  ``rows[u, i]`` lists the channel rows of
+    member i's system at use u, its own row and then every non-member's;
+    each system keeps the active antennas' columns."""
+    uses = np.arange(len(channels))[:, np.newaxis, np.newaxis]
+    systems = channels[uses, rows, :active]  # (uses, members, active, active)
     invertible = is_invertible(systems.reshape(-1, active, active), modulus)
-    return invertible.reshape(len(channels), len(group)).all(axis=1)
+    return invertible.reshape(len(channels), -1).all(axis=1)
 
 
-def _draw_channels(
+def _draw_phase(
     rng: SeededRng,
     config: SystemConfig,
     phase: PhasePlan,
-    group: Subset,
     on_degenerate: str,
     max_redraws: int,
-    t: int,
+    offset: int,
 ) -> np.ndarray:
-    """The (uses_per_group, K, K) channels of one group, starting at use t.
+    """The (uses, K, K) channels of one phase, whose first use is ``offset``.
 
     All uses are drawn as one (uses * K) x K matrix, which is the same
-    row-major stream as one K x K draw per use.  From the first
-    degenerate use on, the stream is rewound to that use: it is redrawn
-    on its own (up to ``max_redraws`` draws in all), and the uses after
-    it are drawn as a block again.
+    row-major stream as one K x K draw per use, and every (use, member)
+    system is checked in one batch.  From the first degenerate use on,
+    the stream is rewound to that use: it is redrawn on its own (the
+    degenerate draw is the first of ``max_redraws`` draws), and the rest
+    of the phase is drawn as one block again.
     """
     K, modulus, active = config.K, config.modulus, phase.active_antennas
+    members, complement, _ = group_table(K, phase.order)
+    others = np.broadcast_to(complement[:, np.newaxis], (*members.shape, K - phase.order))
+    rows = np.concatenate([members[:, :, np.newaxis], others], axis=2) - 1
+    rows = np.repeat(rows, phase.uses_per_group, axis=0)  # one (members, active) table per use
     blocks: list[np.ndarray] = []
     done = 0
-    while done < phase.uses_per_group:
+    while done < len(rows):
         start = rng._state
-        block = rng.field_matrix((phase.uses_per_group - done) * K, K, modulus, nonzero=True)
-        block = block.reshape(-1, K, K)
-        bad = np.flatnonzero(~_decodable(block, group, active, modulus))
+        block = rng.field_matrix((len(rows) - done) * K, K, modulus, nonzero=True).reshape(-1, K, K)
+        bad = np.flatnonzero(~_decodable(block, rows[done:], active, modulus))
         if bad.size == 0:
             blocks.append(block)
             break
         first = int(bad[0])
+        use = done + first
         if on_degenerate == "error":
+            group = tuple(members[use // phase.uses_per_group].tolist())
             raise DegenerateChannelError(
-                f"use {t + done + first}: singular decoding system for group {tuple(group)}"
+                f"use {offset + use}: singular decoding system for group {group}"
             )
         # Rewind (the stream is a pure function of its state) and replay
         # up to and including the degenerate draw, which counts as the
@@ -233,15 +250,15 @@ def _draw_channels(
         blocks.append(replayed[: first * K].reshape(-1, K, K))
         for _ in range(max_redraws - 1):
             channel = rng.field_matrix(K, K, modulus, nonzero=True)[np.newaxis]
-            if _decodable(channel, group, active, modulus)[0]:
+            if _decodable(channel, rows[use : use + 1], active, modulus)[0]:
                 break
         else:
             raise DegenerateChannelError(
-                f"use {t + done + first}: still singular after {max_redraws} redraws"
+                f"use {offset + use}: still singular after {max_redraws} redraws"
             )
         blocks.append(channel)
-        done += first + 1
-    return np.concatenate(blocks)
+        done = use + 1
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def run_delivery(
@@ -259,6 +276,10 @@ def run_delivery(
     channel makes a decoder-side system singular (probability ~K/modulus
     per use): "error" raises DegenerateChannelError, "resample" redraws
     that use's coefficients as part of the deterministic stream.
+
+    The delivery runs a phase at a time: one stream gather and product,
+    one channel draw, one decodability check and one received-symbol
+    product per phase, then one ledger update.
     """
     if on_degenerate not in ("error", "resample"):
         raise ValueError('on_degenerate must be "error" or "resample"')
@@ -274,34 +295,30 @@ def run_delivery(
     xors = plan.xors
     if xors is None:
         xors = build_xors(config, subpacketize(config, library), plan.demand)
-    payloads = {message.group: message.payload for message in xors}
+    K, modulus = config.K, config.modulus
     rng = SeededRng(seed).child(CHANNEL_STREAM)
-    ledger = DelayedCsitLedger()
+    observations = np.zeros((K, plan.total_uses), dtype=np.int64)
+    ledger = DelayedCsitLedger(observations)
     uses: list[ChannelUse] = []
-    columns: list[np.ndarray] = []
-    slots: dict[tuple[int, Subset], tuple[int, int]] = {}
     previous: PhasePlan | None = None
-    t = 0
+    previous_offset = t = 0
     for phase in plan.phases:
-        for group in phase.iter_groups():
-            streams = _group_streams(
-                phase, group, previous, slots, payloads, ledger.observation, config.modulus
+        sent = _phase_symbols(phase, previous, previous_offset, xors, ledger.observations, modulus)
+        channels = _draw_phase(rng, config, phase, on_degenerate, max_redraws, t)
+        channels.setflags(write=False)
+        # received[u] = channels[u][:, :active] @ sent[u]
+        active_columns = channels[:, :, : phase.active_antennas]
+        received = matmul(active_columns, sent[:, :, np.newaxis], modulus)[:, :, 0]
+        ledger.record(received.T)
+        n = phase.uses_per_group
+        for rank, group in enumerate(phase.iter_groups()):
+            first = rank * n
+            uses.extend(
+                ChannelUse(t=t + first + slot, order=phase.order, group=group, slot=slot, channel=channel)
+                for slot, channel in enumerate(channels[first : first + n])
             )
-            slots[(phase.order, group)] = (t, phase.uses_per_group)
-            channels = _draw_channels(rng, config, phase, group, on_degenerate, max_redraws, t)
-            channels.setflags(write=False)
-            # received[slot] = channels[slot][:, :active] @ streams[:, slot]
-            active_columns = channels[:, :, : phase.active_antennas]
-            received = matmul(active_columns, streams.T[:, :, np.newaxis], config.modulus)[:, :, 0]
-            columns.append(received.T)
-            for slot, (channel, observed) in enumerate(zip(channels, received)):
-                uses.append(ChannelUse(t=t, order=phase.order, group=group, slot=slot, channel=channel))
-                ledger.record(channel, observed)
-                t += 1
-        previous = phase
-    observations = (
-        np.concatenate(columns, axis=1) if columns else np.zeros((config.K, 0), dtype=np.int64)
-    )
+        previous, previous_offset = phase, t
+        t += len(channels)
     return Transcript(
         config=config,
         demand=plan.demand,
@@ -330,11 +347,6 @@ def simulate(
     return run_delivery(plan, library, seed, on_degenerate=on_degenerate)
 
 
-def replay(config: SystemConfig, demand, seed: int, *, on_degenerate: str = "error") -> Transcript:
-    """Re-run :func:`simulate` with the same inputs; bit-identical result."""
-    return simulate(config, demand, seed, on_degenerate=on_degenerate)
-
-
 def reconstruct_transmissions(plan: DeliveryPlan, transcript: Transcript) -> np.ndarray:
     """Recompute the (total_uses, K) matrix of transmitted symbols from a
     payload-bearing plan and the logged observations, zero-padded on idle
@@ -347,23 +359,18 @@ def reconstruct_transmissions(plan: DeliveryPlan, transcript: Transcript) -> np.
     if plan.xors is None:
         raise ValueError("reconstruction needs a payload-bearing plan")
     config = plan.config
-    payloads = {message.group: message.payload for message in plan.xors}
     sent = np.zeros((transcript.total_uses, config.K), dtype=np.int64)
 
-    def observe(t: int, user: int) -> int:
-        return int(transcript.observations[user - 1, t])
+    def observe(users, uses):
+        return transcript.observations[users - 1, uses]
 
-    slots: dict[tuple[int, Subset], tuple[int, int]] = {}
     previous: PhasePlan | None = None
-    t = 0
+    previous_offset = t = 0
     for phase in plan.phases:
-        for group in phase.iter_groups():
-            streams = _group_streams(phase, group, previous, slots, payloads, observe, config.modulus)
-            slots[(phase.order, group)] = (t, phase.uses_per_group)
-            for slot in range(phase.uses_per_group):
-                sent[t, : phase.active_antennas] = streams[:, slot]
-                t += 1
-        previous = phase
+        symbols = _phase_symbols(phase, previous, previous_offset, plan.xors, observe, config.modulus)
+        sent[t : t + len(symbols), : phase.active_antennas] = symbols
+        previous, previous_offset = phase, t
+        t += len(symbols)
     return sent
 
 

@@ -132,6 +132,15 @@ def test_dof_examples():
         dof(3, 4, 1)  # non-integral replication
 
 
+@pytest.mark.parametrize("K, N", [(2, 0), (2, 1), (0, 0), (0, 3), (-1, 2)])
+def test_dof_and_bound_report_need_at_least_as_many_files_as_users(K, N):
+    # N = 0 used to divide by zero; N < K gave a DoF for a system with
+    # fewer files than users.
+    for function in (dof, bound_report):
+        with pytest.raises(ValueError, match=r"^need 1 <= K <= N$"):
+            function(K, N, 0)
+
+
 def test_dof_stays_in_unit_interval():
     for K in range(2, 40):
         for M in range(0, K):

@@ -161,3 +161,84 @@ def test_large_batch_solve_matches_single_solves(modulus):
     assert len(a) > 30
     assert np.array_equal(x, np.stack([solve(a[i], b[i], modulus) for i in range(len(a))]))
     assert np.array_equal(matmul(a, x[:, :, np.newaxis], modulus)[:, :, 0], b)
+
+
+PRIMES = [2, 3, 13, 101, MODULUS]
+
+
+def near_modulus(rng, shape, modulus):
+    """Nonzero field elements, half from the three largest, half uniform."""
+    cells = [
+        max(1, modulus - 1 - rng.uniform_int(3)) if rng.uniform_int(2) else rng.field_element(modulus, True)
+        for _ in range(int(np.prod(shape)))
+    ]
+    return np.array(cells, dtype=np.int64).reshape(shape)
+
+
+def rotated_triangular(rng, count, n, modulus, singular):
+    """Rows U_1, ..., U_{n-1}, U_0 of upper-triangular matrices U with a
+    nonzero diagonal (one diagonal entry zeroed where ``singular``): only
+    U_k has a nonzero in column k of its trailing block, and it is always
+    the bottom row, so elimination swaps rows at every column but the
+    last."""
+    u = np.triu(near_modulus(rng, (count, n, n), modulus))
+    for i in np.flatnonzero(singular):
+        k = rng.uniform_int(n)
+        u[i, k, k] = 0
+    return np.roll(u, -1, axis=1)
+
+
+def trailing_singular(rng, count, n, modulus, singular):
+    """L @ U with L unit lower-triangular: every leading minor below the
+    last is invertible, so no row swap happens; where ``singular``, U's
+    last diagonal entry is zero, so only the last pivot vanishes."""
+    lower = np.tril(near_modulus(rng, (count, n, n), modulus), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(near_modulus(rng, (count, n, n), modulus))
+    upper[singular, n - 1, n - 1] = 0
+    return matmul(lower, upper, modulus)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 9),
+    count=st.integers(1, 8),
+    modulus=st.sampled_from(PRIMES),
+    shape=st.sampled_from([rotated_triangular, trailing_singular]),
+)
+def test_is_invertible_on_swap_heavy_and_trailing_singular_batches(seed, n, count, modulus, shape):
+    rng = SeededRng(seed)
+    singular = np.array([rng.uniform_int(2) == 1 for _ in range(count)])
+    a = shape(rng, count, n, modulus, singular)
+    expected = np.array([matrix_rank(m, modulus) == n for m in a])
+    assert np.array_equal(expected, ~singular)  # the construction does what it says
+    got = is_invertible(a, modulus)
+    assert np.array_equal(got, expected)
+    assert [is_invertible(m, modulus) for m in a] == expected.tolist()
+    # Unreduced input is reduced first, and reduced input is left as it was.
+    assert np.array_equal(is_invertible(a + modulus * (np.arange(count) % 3 - 1)[:, None, None], modulus), expected)
+    before = a.copy()
+    is_invertible(a, modulus)
+    assert np.array_equal(a, before)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 9),
+    count=st.integers(1, 6),
+    rhs_cols=st.integers(1, 3),
+    modulus=st.sampled_from(PRIMES),
+    shape=st.sampled_from([rotated_triangular, trailing_singular]),
+)
+def test_solve_on_swap_heavy_batches_matches_reference(seed, n, count, rhs_cols, modulus, shape):
+    rng = SeededRng(seed)
+    a = shape(rng, count, n, modulus, np.zeros(count, dtype=bool))
+    b = near_modulus(rng, (count, n, rhs_cols), modulus)
+    expected = np.array([reference_solve(a[i].tolist(), b[i].tolist(), modulus) for i in range(count)])
+    assert np.array_equal(solve(a, b, modulus), expected)
+    assert np.array_equal(solve(a[0], b[0, :, 0], modulus), expected[0, :, 0])
+    singular = a.copy()
+    singular[-1] = shape(rng, 1, n, modulus, np.ones(1, dtype=bool))[0]
+    with pytest.raises(SingularMatrixError, match=f"system {count - 1}$"):
+        solve(singular, b, modulus)

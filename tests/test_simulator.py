@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from synergy.simulator import (
     DelayedCsitLedger,
     load_transcript,
     reconstruct_transmissions,
-    replay,
     run_delivery,
     save_transcript,
     simulate,
@@ -116,21 +116,24 @@ def test_later_phase_content_uses_only_past_observations():
 
 
 def test_ledger_guards_future_reads():
-    ledger = DelayedCsitLedger()
+    ledger = DelayedCsitLedger(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(CausalityError):
-        ledger.channel(0)
-    ledger.record(np.eye(2, dtype=np.int64), np.array([1, 2]))
-    assert ledger.observation(0, 2) == 2
-    with pytest.raises(CausalityError):
-        ledger.observation(1, 1)
+        ledger.observations(1, [0])
+    ledger.record(np.array([[1], [2]]))
+    assert ledger.observations(2, [0]).tolist() == [2]
+    assert ledger.observations(np.array([[1], [2]]), np.array([[0]])).tolist() == [[1], [2]]
+    for uses in ([1], [0, 1], [-1]):  # at the visible count, past it, or before use 0
+        with pytest.raises(CausalityError):
+            ledger.observations(1, uses)
     assert ledger.visible_uses == 1
 
 
 def test_replay_is_bit_identical():
+    # A replay is a second simulate call with the same inputs.
     config = default_config(4, 4, 2)
     demand = (1, 2, 3, 4)
     first = simulate(config, demand, seed=11)
-    second = replay(config, demand, seed=11)
+    second = simulate(config, demand, seed=11)
     assert first == second
     different = simulate(config, demand, seed=12)
     assert first != different
@@ -177,10 +180,10 @@ def test_degenerate_channel_surfaced_and_resampled():
     assert transcript == again
 
 
-def per_use_channels(plan, seed, max_redraws):
+def per_use_channels(plan, seed, max_redraws, on_degenerate="resample"):
     """Reference channel draws, one use at a time: up to ``max_redraws``
     K x K draws per use until every member's decoding system has full
-    rank."""
+    rank; with "error", the first draw that does not raises."""
     config = plan.config
     K, modulus = config.K, config.modulus
     rng = SeededRng(seed).child(CHANNEL_STREAM)
@@ -197,6 +200,10 @@ def per_use_channels(plan, seed, max_redraws):
                         for member in group
                     ):
                         break
+                    if on_degenerate == "error":
+                        raise DegenerateChannelError(
+                            f"use {len(channels)}: singular decoding system for group {tuple(group)}"
+                        )
                 else:
                     raise DegenerateChannelError(
                         f"use {len(channels)}: still singular after {max_redraws} redraws"
@@ -205,27 +212,45 @@ def per_use_channels(plan, seed, max_redraws):
     return channels
 
 
-@pytest.mark.parametrize("max_redraws", [1, 2, 64])
-def test_resample_draws_match_per_use_reference(max_redraws):
-    # Over GF(13) degenerate draws are common, so the block draws fall
-    # back to per-use redraws many times across this grid.
-    for K in range(3, 6):
+def check_against_per_use_reference(on_degenerate, max_redraws):
+    """Every GF(13) cell with K <= 6, seeds 0-2: the same channels as the
+    per-use reference, or the same error message.  Returns how many
+    cells raised."""
+    raised = 0
+    for K in range(3, 7):
         for replication in range(K):
             config = default_config(K, K, replication, modulus=13)
             library = random_library(config, SeededRng(0).child(LIBRARY_STREAM))
             plan = plan_phases(config, tuple(range(1, K + 1)), subfiles=subpacketize(config, library))
             for seed in range(3):
                 try:
-                    expected = per_use_channels(plan, seed, max_redraws)
+                    expected = per_use_channels(plan, seed, max_redraws, on_degenerate)
                 except DegenerateChannelError as exc:
-                    with pytest.raises(DegenerateChannelError, match=f"^{exc}$"):
-                        run_delivery(plan, library, seed, on_degenerate="resample", max_redraws=max_redraws)
+                    raised += 1
+                    with pytest.raises(DegenerateChannelError, match=f"^{re.escape(str(exc))}$"):
+                        run_delivery(
+                            plan, library, seed, on_degenerate=on_degenerate, max_redraws=max_redraws
+                        )
                     continue
                 transcript = run_delivery(
-                    plan, library, seed, on_degenerate="resample", max_redraws=max_redraws
+                    plan, library, seed, on_degenerate=on_degenerate, max_redraws=max_redraws
                 )
                 assert len(transcript.uses) == len(expected)
                 assert all(np.array_equal(use.channel, h) for use, h in zip(transcript.uses, expected))
+    return raised
+
+
+@pytest.mark.parametrize("max_redraws", [1, 2, 64])
+def test_resample_draws_match_per_use_reference(max_redraws):
+    # Over GF(13) degenerate draws are common, so the phase draws fall
+    # back to per-use redraws many times across this grid.
+    check_against_per_use_reference("resample", max_redraws)
+
+
+def test_error_mode_matches_per_use_reference():
+    # The first degenerate draw raises, naming its use and group; 13 of
+    # the 54 cells draw no degenerate channel at all.
+    assert check_against_per_use_reference("error", 64) == 41
 
 
 def test_transcript_group_slots_cover_every_use():
