@@ -169,7 +169,9 @@ PRIMES = [2, 3, 13, 101, MODULUS]
 def near_modulus(rng, shape, modulus):
     """Nonzero field elements, half from the three largest, half uniform."""
     cells = [
-        max(1, modulus - 1 - rng.uniform_int(3)) if rng.uniform_int(2) else rng.field_element(modulus, True)
+        max(1, modulus - 1 - rng.uniform_int(3))
+        if rng.uniform_int(2)
+        else rng.field_element(modulus, True)
         for _ in range(int(np.prod(shape)))
     ]
     return np.array(cells, dtype=np.int64).reshape(shape)
@@ -216,7 +218,8 @@ def test_is_invertible_on_swap_heavy_and_trailing_singular_batches(seed, n, coun
     assert np.array_equal(got, expected)
     assert [is_invertible(m, modulus) for m in a] == expected.tolist()
     # Unreduced input is reduced first, and reduced input is left as it was.
-    assert np.array_equal(is_invertible(a + modulus * (np.arange(count) % 3 - 1)[:, None, None], modulus), expected)
+    shifted = a + modulus * (np.arange(count) % 3 - 1)[:, None, None]
+    assert np.array_equal(is_invertible(shifted, modulus), expected)
     before = a.copy()
     is_invertible(a, modulus)
     assert np.array_equal(a, before)
