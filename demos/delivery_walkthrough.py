@@ -9,7 +9,7 @@ observations plus the delayed channel log.  Run:
 
 from synergy import (
     SeededRng,
-    backward_decode,
+    decode_user,
     fill_caches,
     plan_phases,
     random_library,
@@ -17,6 +17,7 @@ from synergy import (
     subpacketize,
     verify_all,
 )
+from synergy.combinatorics import group_table
 from synergy.scheduler import default_config
 from synergy.simulator import LIBRARY_STREAM
 
@@ -30,20 +31,23 @@ print(f"each file = {config.subfiles_per_file} blocks x {config.subfile_symbols}
 library = random_library(config, SeededRng(SEED).child(LIBRARY_STREAM))
 subfiles = subpacketize(config, library)
 caches = fill_caches(config, subfiles)
+# Blocks are indexed by subset rank; group_table lists the subset of each rank.
+holder_sets, _, _ = group_table(config.K, config.replication)
 for cache in caches:
-    held = ", ".join(f"(file {i.file}, holders {i.cached_by.elements})" for i in cache.entries)
-    print(f"cache of user {cache.user}: {held}")
+    held = ", ".join(str(tuple(holder_sets[rank].tolist())) for rank in cache.holders)
+    print(f"cache of user {cache.user}: each file's blocks with holders {held}")
 
 # every user wants a different file
 demand = (1, 2, 3)
 plan = plan_phases(config, demand, subfiles=subfiles)
 print(f"\nfolded messages ({len(plan.xors)}):")
-for message in plan.xors:
+groups, _, without_rank = group_table(config.K, config.replication + 1)
+for group, ranks in zip(groups.tolist(), without_rank.tolist()):
     parts = " + ".join(
-        f"block(file {demand[k - 1]}, holders {message.group.without(k).elements})"
-        for k in message.group
+        f"block(file {demand[k - 1]}, holders {tuple(holder_sets[rank].tolist())})"
+        for k, rank in zip(group, ranks)
     )
-    print(f"  group {message.group.elements}: {parts}")
+    print(f"  group {tuple(group)}: {parts}")
 
 print("\nphases:")
 for phase in plan.phases:
@@ -61,7 +65,7 @@ print(f"\nran {transcript.total_uses} channel uses; "
 
 print("\nbackward decoding:")
 for user in range(1, config.K + 1):
-    decoded = backward_decode(transcript, user, caches[user - 1])
+    decoded = decode_user(transcript, user, caches[user - 1]).file
     exact = (decoded == library[demand[user - 1] - 1]).all()
     print(f"  user {user} reconstructs file {demand[user - 1]}: "
           f"{'symbol-exact' if exact else 'MISMATCH'}")

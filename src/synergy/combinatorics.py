@@ -18,16 +18,12 @@ from typing import Iterator
 
 import numpy as np
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Subset",
     "binomial",
     "harmonic",
     "epsilon",
     "iter_subsets",
-    "enumerate_subsets",
     "format_rational",
 ]
 
@@ -165,11 +161,6 @@ def iter_subsets(universe: int, size: int) -> Iterator[Subset]:
     if not 0 <= size <= universe:
         raise ValueError(f"subset size {size} out of range for universe {universe}")
     return (Subset(combo, universe) for combo in itertools.combinations(range(1, universe + 1), size))
-
-
-def enumerate_subsets(universe: int, size: int) -> list[Subset]:
-    """All size-``size`` subsets in canonical order, materialized."""
-    return list(iter_subsets(universe, size))
 
 
 def _lex_ranks(combos: np.ndarray, universe: int) -> np.ndarray:

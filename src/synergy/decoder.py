@@ -21,8 +21,8 @@ inverts them once (``PhasePlan.combining_inverses``, shared by every
 user) and each user applies them to all its groups as one batched
 product, which yields what the other members saw in the previous phase.
 At the first phase the solved block is the folded message itself; the
-user subtracts the blocks it caches for the other members and keeps its
-own missing block.
+user subtracts the blocks it caches for the other members, found by
+subset rank in the cache's ``holders``, and keeps its own missing block.
 
 Each user's decode reads only the immutable transcript and its own
 cache, so per-user decodes are independent and safe to run in parallel.
@@ -31,13 +31,12 @@ cache, so per-user decodes are independent and safe to run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import Subset, group_table, iter_subsets
+from .combinatorics import group_table
 from .field import matmul, solve
-from .placement import CacheContents, SubfileIndex, fill_caches, subpacketize
+from .placement import CacheContents, fill_caches, subpacketize
 from .simulator import Transcript
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "DecodeOutcome",
     "UserReport",
     "DeliveryReport",
-    "backward_decode",
     "decode_user",
     "verify_all",
 ]
@@ -72,30 +70,13 @@ class DecodeOutcome:
     max_system_dim: int
 
 
-@lru_cache(maxsize=None)
-def _holder_subsets(K: int, replication: int) -> tuple[Subset, ...]:
-    """Every replication-sized holder subset, by rank."""
-    return tuple(iter_subsets(K, replication))
-
-
-@lru_cache(maxsize=16)
-def _first_phase_keys(
-    K: int, replication: int, demand: tuple[int, ...]
-) -> tuple[tuple[SubfileIndex, ...], ...]:
-    """Per first-phase group (by rank) and member position, the block
-    ``SubfileIndex(demand[m - 1], group without m)`` that member m wants
-    and the other members cache; the same for every decoding user."""
-    holders = _holder_subsets(K, replication)
-    members, _, without_rank = group_table(K, replication + 1)
-    return tuple(
-        tuple(SubfileIndex(demand[m - 1], holders[h]) for m, h in zip(row, ranks))
-        for row, ranks in zip(members.tolist(), without_rank.tolist())
-    )
-
-
 def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> DecodeOutcome:
     """Backward-decode one user from its own observations, the delayed
-    global channel log, and its cache."""
+    global channel log, and its cache.
+
+    Raises ValueError when the cache does not hold exactly the blocks of
+    the subsets containing ``user`` (another user's cache, for one).
+    """
     config = transcript.config
     plan = transcript.plan
     demand = transcript.demand
@@ -106,6 +87,13 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
         raise MissingObservationError(
             f"transcript holds {transcript.total_uses} of {plan.total_uses} uses"
         )
+    holders = np.flatnonzero((group_table(K, config.replication)[0] == user).any(axis=1))
+    blocks_shape = (config.N, len(holders), config.subfile_symbols)
+    if not np.array_equal(cache.holders, holders) or cache.blocks.shape != blocks_shape:
+        raise ValueError(
+            f"cache of user {cache.user} does not hold the {blocks_shape} blocks "
+            f"of the subsets containing user {user}"
+        )
     own = transcript.observations[user - 1]
     phases = plan.phases
     offsets = np.cumsum([0] + [phase.group_count * phase.uses_per_group for phase in phases])
@@ -113,8 +101,7 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
         phase.order: np.full((phase.group_count, K, phase.uses_per_group), -1, dtype=np.int64)
         for phase in phases[:-1]
     }
-    holders = _holder_subsets(K, config.replication)
-    file = np.empty((len(holders), config.subfile_symbols), dtype=np.int64)
+    file = np.empty((config.subfiles_per_file, config.subfile_symbols), dtype=np.int64)
     solves = 0
     max_dim = 0
     for idx in range(len(phases) - 1, -1, -1):
@@ -142,6 +129,10 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
         solves += count * n
         max_dim = max(max_dim, active)
         without_user = without_rank[groups, position]
+        # Per group, its other members and the group without each of them.
+        kept = np.arange(order - 1) + (np.arange(order - 1) >= position[:, np.newaxis])
+        other_members = members[groups[:, np.newaxis], kept]
+        other_ranks = without_rank[groups[:, np.newaxis], kept]
         if phase.combining is not None:
             previous = phases[idx - 1]
             combining, width = phase.combining, previous.uses_per_group
@@ -155,36 +146,21 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
             other_streams = matmul(phase.combining_inverses[position], adjusted, modulus)
             solves += count  # one combining system per group
             max_dim = max(max_dim, order - 1)
-            kept = np.arange(order - 1) + (np.arange(order - 1) >= position[:, np.newaxis])
-            observers = members[groups[:, np.newaxis], kept] - 1
-            previous_ranks = without_rank[groups[:, np.newaxis], kept]
-            recovered[previous.order][previous_ranks, observers] = other_streams
+            recovered[previous.order][other_ranks, other_members - 1] = other_streams
         else:
             payload = solved.transpose(0, 2, 1).reshape(count, -1)  # antenna-major, as split
-            keys = _first_phase_keys(K, config.replication, demand)
-            cached = [
-                cache.entries[key]
-                for g, p in zip(groups.tolist(), position.tolist())
-                for q, key in enumerate(keys[g])
-                if q != p
-            ]
-            cached = np.array(cached, dtype=np.int64).reshape(count, order - 1, payload.shape[1])
+            # Member m's block is file demand[m]'s block of the group
+            # without m, which the user caches.
+            files = np.array(demand)[other_members - 1] - 1
+            cached = cache.blocks[files, np.searchsorted(holders, other_ranks)]
             file[without_user] = (payload - cached.sum(axis=1)) % modulus
-    wanted = demand[user - 1]
-    for rank, subset in enumerate(holders):
-        if user in subset:
-            file[rank] = cache.entries[SubfileIndex(wanted, subset)]
+    file[holders] = cache.blocks[demand[user - 1] - 1]
     return DecodeOutcome(
         file=file.reshape(-1),
         recovered=recovered,
         solves=solves,
         max_system_dim=max_dim,
     )
-
-
-def backward_decode(transcript: Transcript, user: int, cache: CacheContents) -> np.ndarray:
-    """Reconstructed file requested by ``user``."""
-    return decode_user(transcript, user, cache).file
 
 
 @dataclass

@@ -5,7 +5,9 @@ that user.
 A library is an (N, file_symbols) int64 array of field symbols.  Each
 file splits into one contiguous block per replication-sized user subset,
 in canonical subset order, so concatenating the blocks back in that
-order reproduces the file exactly.  Block size is
+order reproduces the file exactly.  Blocks and caches are arrays indexed
+by subset rank (:func:`~synergy.combinatorics.group_table` order), never
+keyed by subset objects.  Block size is
 ``max(K - replication, 1) * granularity`` symbols: the first delivery
 phase spreads a block over K - replication antennas, and the granularity
 multiplier keeps every later phase's re-chunking integral.
@@ -19,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import Subset, binomial, enumerate_subsets
+from .combinatorics import binomial, group_table
 from .field import MODULUS, SeededRng, is_prime
 
 __all__ = [
     "LengthMismatchError",
     "SystemConfig",
-    "SubfileIndex",
     "CacheContents",
     "random_library",
     "subpacketize",
@@ -130,25 +131,20 @@ class SystemConfig:
         return cls(**{key: data[key] for key in fields})
 
 
-@dataclass(frozen=True)
-class SubfileIndex:
-    """One block of one file: ``file`` is 1-based, ``cached_by`` is the
-    user subset holding the block."""
-
-    file: int
-    cached_by: Subset
-
-
 @dataclass(eq=False)
 class CacheContents:
-    """Blocks stored at one user, keyed by SubfileIndex in canonical order."""
+    """Blocks stored at one user: ``holders`` are the ascending ranks of
+    the replication-sized subsets that contain the user, and ``blocks``
+    is the (N, len(holders), subfile_symbols) array whose entry
+    [file - 1, i] is that file's block of subset rank ``holders[i]``."""
 
     user: int
-    entries: dict[SubfileIndex, np.ndarray]
+    holders: np.ndarray
+    blocks: np.ndarray
 
     @property
     def symbol_count(self) -> int:
-        return sum(block.size for block in self.entries.values())
+        return self.blocks.size
 
 
 def random_library(config: SystemConfig, rng: SeededRng) -> np.ndarray:
@@ -156,9 +152,11 @@ def random_library(config: SystemConfig, rng: SeededRng) -> np.ndarray:
     return rng.field_matrix(config.N, config.file_symbols, config.modulus)
 
 
-def subpacketize(config: SystemConfig, library: np.ndarray) -> dict[SubfileIndex, np.ndarray]:
+def subpacketize(config: SystemConfig, library: np.ndarray) -> np.ndarray:
     """Split every file into equal contiguous blocks, one per
-    replication-sized subset in canonical order.
+    replication-sized subset in canonical order: the read-only
+    (N, subfiles_per_file, subfile_symbols) view whose entry [file - 1, r]
+    is the block of subset rank r.
 
     Raises LengthMismatchError when the library does not match the
     (N, subfiles_per_file * subfile_symbols) grid.
@@ -171,22 +169,18 @@ def subpacketize(config: SystemConfig, library: np.ndarray) -> dict[SubfileIndex
             f"{config.subfiles_per_file} blocks of {config.subfile_symbols} symbols "
             f"(expected {expected})"
         )
-    size = config.subfile_symbols
-    holder_subsets = enumerate_subsets(config.K, config.replication)
-    blocks: dict[SubfileIndex, np.ndarray] = {}
-    for file in range(1, config.N + 1):
-        row = library[file - 1]
-        for i, holders in enumerate(holder_subsets):
-            blocks[SubfileIndex(file, holders)] = row[i * size : (i + 1) * size]
+    blocks = library.reshape(config.N, config.subfiles_per_file, config.subfile_symbols)
+    blocks.setflags(write=False)
     return blocks
 
 
-def fill_caches(config: SystemConfig, subfiles: dict[SubfileIndex, np.ndarray]) -> list[CacheContents]:
+def fill_caches(config: SystemConfig, subfiles: np.ndarray) -> list[CacheContents]:
     """User k caches exactly the blocks whose subset contains k."""
-    caches = [CacheContents(user, {}) for user in range(1, config.K + 1)]
-    for index, block in subfiles.items():
-        for user in index.cached_by:
-            caches[user - 1].entries[index] = block
+    members, _, _ = group_table(config.K, config.replication)
+    caches = []
+    for user in range(1, config.K + 1):
+        holders = np.flatnonzero((members == user).any(axis=1))
+        caches.append(CacheContents(user, holders, subfiles[:, holders]))
     return caches
 
 

@@ -20,13 +20,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .combinatorics import Subset, binomial, format_rational, iter_subsets
+from .combinatorics import Subset, binomial, format_rational, group_table, iter_subsets
 from .field import MODULUS, cauchy_combining_matrix, solve
-from .placement import SubfileIndex, SystemConfig
+from .placement import SystemConfig
 
 __all__ = [
     "GranularityError",
-    "XorMessage",
     "PhasePlan",
     "DeliveryPlan",
     "minimal_granularity",
@@ -40,15 +39,6 @@ __all__ = [
 
 class GranularityError(ValueError):
     """Configured granularity does not give whole channel-use counts."""
-
-
-@dataclass(frozen=True, eq=False)
-class XorMessage:
-    """Field-sum over the group of the block each member wants and the
-    other members cache; useful to all of them at once."""
-
-    group: Subset
-    payload: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +87,12 @@ class PhasePlan:
 
 @dataclass(frozen=True, eq=False)
 class DeliveryPlan:
-    """Per-phase schedule plus, optionally, the folded-message payloads."""
+    """Per-phase schedule plus, optionally, the folded-message payloads
+    (see :func:`build_xors`)."""
 
     config: SystemConfig
     demand: tuple[int, ...] | None
-    xors: tuple[XorMessage, ...] | None
+    xors: np.ndarray | None
     phases: tuple[PhasePlan, ...]
 
     @property
@@ -151,34 +142,27 @@ def validate_demand(config: SystemConfig, demand) -> tuple[int, ...]:
     return demand
 
 
-def build_xors(
-    config: SystemConfig,
-    subfiles: dict[SubfileIndex, np.ndarray],
-    demand,
-) -> tuple[XorMessage, ...]:
-    """One folded message per (replication+1)-subset, in canonical order.
+def build_xors(config: SystemConfig, subfiles: np.ndarray, demand) -> np.ndarray:
+    """One folded message per (replication+1)-subset, in canonical order:
+    a (C(K, replication+1), subfile_symbols) array whose row g sums, over
+    the members m of group g, the block of file demand[m] held by the
+    group without m.  Empty (0 rows) when everything is cached.
 
     Field addition plays the folding role: it is invertible by
     subtraction, which is all decoding needs.
     """
-    demand = validate_demand(config, demand)
+    demand = np.array(validate_demand(config, demand))
     size = config.replication + 1
     if size > config.K:
-        return ()
-    messages = []
-    for group in iter_subsets(config.K, size):
-        payload = np.zeros(config.subfile_symbols, dtype=np.int64)
-        for member in group:
-            block = subfiles[SubfileIndex(demand[member - 1], group.without(member))]
-            payload = (payload + block) % config.modulus
-        messages.append(XorMessage(group, payload))
-    return tuple(messages)
+        return np.zeros((0, config.subfile_symbols), dtype=np.int64)
+    members, _, without_rank = group_table(config.K, size)
+    return subfiles[demand[members - 1] - 1, without_rank].sum(axis=1) % config.modulus
 
 
 def plan_phases(
     config: SystemConfig,
     demand=None,
-    subfiles: dict[SubfileIndex, np.ndarray] | None = None,
+    subfiles: np.ndarray | None = None,
 ) -> DeliveryPlan:
     """Build the full delivery plan.
 

@@ -173,8 +173,8 @@ def _phase_symbols(
     """Transmitted symbols of every use of a phase, as a
     (group_count * uses_per_group, active_antennas) array in use order.
 
-    First phase: each group's folded message (``xors`` lists them in
-    canonical group order), split contiguously across antennas.  Later
+    First phase: each group's folded message (row g of ``xors`` for the
+    group of rank g), split contiguously across antennas.  Later
     phases: every group's members' previous-phase observations, gathered
     with one index through ``observe(users, uses)``, times
     ``phase.combining`` in one batched product; each group's combined
@@ -184,8 +184,7 @@ def _phase_symbols(
     members, _, without_rank = group_table(phase.universe, phase.order)
     active, uses = phase.active_antennas, phase.uses_per_group
     if phase.combining is None:
-        blocks = np.array([message.payload for message in xors], dtype=np.int64)
-        blocks = blocks.reshape(len(members), active, uses)
+        blocks = xors.reshape(len(members), active, uses)
         return blocks.transpose(0, 2, 1).reshape(-1, active)
     width = previous.uses_per_group
     heard = previous_offset + without_rank[:, :, np.newaxis] * width + np.arange(width)
@@ -409,32 +408,42 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     """Inverse of :func:`save_transcript`; the plan is rebuilt from the
     stored config and demand.
 
-    Raises ValueError, naming the file, when the metadata or its config
-    lacks a field or holds an invalid one, the sidecar's size does not
-    match its header, a channel coefficient is zero or a symbol is not
-    below the modulus.
+    Raises ValueError, naming the file, when the metadata is not a JSON
+    object, it or its config lacks a field or holds an invalid one (seed,
+    total_uses and every demand entry must be JSON integers, not floats
+    or booleans), the sidecar's magic, header or size does not match, a
+    channel coefficient is zero or a symbol is not below the modulus.
     """
     json_path = Path(json_path)
     meta = json.loads(json_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{json_path}: transcript metadata must be a JSON object")
     if meta.get("format") != _TRANSCRIPT_FORMAT or meta.get("version") != _TRANSCRIPT_VERSION:
-        raise ValueError("unrecognized transcript format or version")
+        raise ValueError(f"{json_path}: unrecognized transcript format or version")
     required = ["config", "demand", "seed", "total_uses"]
     if sidecar_path is None:
         required.append("sidecar")
     missing = [key for key in required if key not in meta]
     if missing:
         raise ValueError(f"{json_path}: transcript metadata lacks {', '.join(missing)}")
+    for key in ("seed", "total_uses"):
+        if type(meta[key]) is not int:
+            raise ValueError(f"{json_path}: {key} must be an integer, got {meta[key]!r}")
+    demand = meta["demand"]
+    if not isinstance(demand, list) or any(type(r) is not int for r in demand):
+        raise ValueError(f"{json_path}: demand must be a list of integers, got {demand!r}")
+    if sidecar_path is None and not isinstance(meta["sidecar"], str):
+        raise ValueError(f"{json_path}: sidecar must be a file name, got {meta['sidecar']!r}")
     try:
         config = SystemConfig.from_json(meta["config"])
+        plan = plan_phases(config, demand)
     except ValueError as exc:
         raise ValueError(f"{json_path}: {exc}") from exc
-    demand = tuple(int(r) for r in meta["demand"])
-    plan = plan_phases(config, demand)
     if sidecar_path is None:
         sidecar_path = json_path.parent / meta["sidecar"]
     raw = Path(sidecar_path).read_bytes()
     if raw[: len(_SIDECAR_MAGIC)] != _SIDECAR_MAGIC:
-        raise ValueError("sidecar magic mismatch")
+        raise ValueError(f"{sidecar_path}: sidecar magic mismatch")
     header = len(_SIDECAR_MAGIC) + 12
     if len(raw) < header:
         raise ValueError(
@@ -443,9 +452,9 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     head = np.frombuffer(raw, dtype="<u4", count=3, offset=len(_SIDECAR_MAGIC))
     version, k, total = (int(v) for v in head)
     if version != _TRANSCRIPT_VERSION or k != config.K:
-        raise ValueError("sidecar header inconsistent with metadata")
-    if total != plan.total_uses or total != int(meta["total_uses"]):
-        raise ValueError("sidecar use count inconsistent with the plan")
+        raise ValueError(f"{sidecar_path}: sidecar header inconsistent with metadata")
+    if total != plan.total_uses or total != meta["total_uses"]:
+        raise ValueError(f"{sidecar_path}: sidecar use count inconsistent with the plan")
     expected = 4 * (total * k * k + k * total)
     if len(raw) - header != expected:
         raise ValueError(
@@ -470,9 +479,9 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
                 t += 1
     return Transcript(
         config=config,
-        demand=demand,
+        demand=plan.demand,
         plan=plan,
         uses=tuple(uses),
         observations=observations,
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
     )

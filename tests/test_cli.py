@@ -274,7 +274,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Each snippet breaks one self-check from the inside.
 BROKEN_CHECKS = {
     "schedule": "cli.harmonic = lambda n: Fraction(-1)",
-    "cache": "cli.fill_caches = lambda config, subfiles: [CacheContents(1, {})]",
+    "cache": "cli.fill_caches = lambda config, subfiles: "
+    "[CacheContents(1, np.arange(0), np.empty((1, 0, 1)))]",
     "decode": "cli.verify_all = lambda transcript, library: DeliveryReport("
     "[UserReport(1, 1, False, 0, 0, 'broken')])",
 }
@@ -286,6 +287,7 @@ def test_verify_fails_under_python_O(check):
         [
             "import sys",
             "from fractions import Fraction",
+            "import numpy as np",
             "import synergy.cli as cli",
             "from synergy.decoder import DeliveryReport, UserReport",
             "from synergy.placement import CacheContents",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from synergy.combinatorics import (
     Subset,
     binomial,
-    enumerate_subsets,
     epsilon,
     format_rational,
     group_table,
@@ -115,15 +114,15 @@ def test_format_rational():
 
 
 def test_enumerate_pairs_of_three():
-    assert [s.elements for s in enumerate_subsets(3, 2)] == [(1, 2), (1, 3), (2, 3)]
+    assert [s.elements for s in iter_subsets(3, 2)] == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_enumerate_empty_subset():
-    assert [s.elements for s in enumerate_subsets(5, 0)] == [()]
+    assert [s.elements for s in iter_subsets(5, 0)] == [()]
 
 
 def test_enumerate_five_choose_three():
-    subs = enumerate_subsets(5, 3)
+    subs = list(iter_subsets(5, 3))
     assert len(subs) == 10
     assert subs[0].elements == (1, 2, 3)
     assert subs[-1].elements == (3, 4, 5)
@@ -133,20 +132,20 @@ def test_enumerate_matches_bitmask_oracle():
     for universe in range(7):
         for size in range(universe + 1):
             expected = bitmask_subsets(universe, size)
-            assert [s.elements for s in enumerate_subsets(universe, size)] == expected
+            assert [s.elements for s in iter_subsets(universe, size)] == expected
 
 
 def test_enumerate_count_matches_binomial():
     for universe in range(17):
         for size in range(universe + 1):
-            assert len(enumerate_subsets(universe, size)) == binomial(universe, size)
+            assert len(list(iter_subsets(universe, size))) == binomial(universe, size)
 
 
 def test_enumerate_rejects_bad_size():
     with pytest.raises(ValueError):
-        enumerate_subsets(3, 4)
+        list(iter_subsets(3, 4))
     with pytest.raises(ValueError):
-        enumerate_subsets(3, -1)
+        list(iter_subsets(3, -1))
 
 
 def test_iter_subsets_is_lazy():
@@ -157,7 +156,7 @@ def test_iter_subsets_is_lazy():
 def test_rank_unrank_roundtrip_exhaustive():
     for universe in range(9):
         for size in range(universe + 1):
-            for index, sub in enumerate(enumerate_subsets(universe, size)):
+            for index, sub in enumerate(iter_subsets(universe, size)):
                 assert sub.rank() == index
                 assert Subset.unrank(universe, size, index) == sub
 

@@ -3,16 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synergy.combinatorics import Subset, enumerate_subsets, group_table
+from synergy import decoder
+from synergy.combinatorics import Subset, group_table, iter_subsets
 from synergy.decoder import (
     MissingObservationError,
-    backward_decode,
     decode_user,
     verify_all,
 )
 from synergy.field import SeededRng
 from synergy.placement import (
-    SubfileIndex,
+    CacheContents,
     fill_caches,
     random_library,
     subpacketize,
@@ -37,10 +37,10 @@ def test_two_user_hand_trace():
     # strips the cached block it holds for user 2, and keeps its own
     config, library, subfiles, caches, transcript = seeded_case(2, 2, 1)
     outcome = decode_user(transcript, 1, caches[0])
-    ground_block = subfiles[SubfileIndex(1, Subset((2,), 2))]
+    ground_block = subfiles[0, Subset((2,), 2).rank()]
     assert np.array_equal(outcome.file[ground_block.size :], ground_block)
     expected = np.concatenate(
-        [subfiles[SubfileIndex(1, Subset((1,), 2))], ground_block]
+        [subfiles[0, Subset((1,), 2).rank()], ground_block]
     )
     assert np.array_equal(outcome.file, expected)
     assert np.array_equal(outcome.file, library[0])
@@ -49,7 +49,7 @@ def test_two_user_hand_trace():
 def test_three_user_end_to_end():
     config, library, subfiles, caches, transcript = seeded_case(3, 3, 1, seed=7)
     for user in range(1, 4):
-        decoded = backward_decode(transcript, user, caches[user - 1])
+        decoded = decode_user(transcript, user, caches[user - 1]).file
         assert np.array_equal(decoded, library[user - 1])
 
 
@@ -57,13 +57,13 @@ def test_fully_cached_reads_from_cache_only():
     config, library, subfiles, caches, transcript = seeded_case(3, 3, 3)
     assert transcript.total_uses == 0
     for user in range(1, 4):
-        assert np.array_equal(backward_decode(transcript, user, caches[user - 1]), library[user - 1])
+        assert np.array_equal(decode_user(transcript, user, caches[user - 1]).file, library[user - 1])
 
 
 def test_no_cache_pure_feedback_delivery():
     config, library, subfiles, caches, transcript = seeded_case(4, 4, 0, seed=3)
     for user in range(1, 5):
-        assert np.array_equal(backward_decode(transcript, user, caches[user - 1]), library[user - 1])
+        assert np.array_equal(decode_user(transcript, user, caches[user - 1]).file, library[user - 1])
 
 
 def test_repeated_demands_decode():
@@ -101,7 +101,7 @@ def test_recovered_streams_match_ground_truth():
 
 def test_recovered_and_cached_block_indices_partition():
     config, library, subfiles, caches, transcript = seeded_case(4, 4, 2, seed=2)
-    every = enumerate_subsets(4, 2)
+    every = list(iter_subsets(4, 2))
     members, _, without_rank = group_table(4, 3)
     for user in range(1, 5):
         outcome = decode_user(transcript, user, caches[user - 1])
@@ -110,11 +110,7 @@ def test_recovered_and_cached_block_indices_partition():
         position = (members[holding] == user).argmax(axis=1)
         recovered = [every[rank] for rank in without_rank[holding, position]]
         assert recovered == [Subset.unrank(4, 3, g).without(user) for g in holding]
-        cached = [
-            index.cached_by
-            for index in caches[user - 1].entries
-            if index.file == transcript.demand[user - 1]
-        ]
+        cached = [every[rank] for rank in caches[user - 1].holders]
         assert sorted(recovered + cached, key=Subset.rank) == every
         assert all(user not in holders for holders in recovered)
         assert all(user in holders for holders in cached)
@@ -184,6 +180,25 @@ def test_decode_rejects_bad_user():
     config, library, subfiles, caches, transcript = seeded_case(2, 2, 1)
     with pytest.raises(ValueError):
         decode_user(transcript, 0, caches[0])
+
+
+def test_foreign_cache_fails_decoding(monkeypatch):
+    config, library, subfiles, caches, transcript = seeded_case(4, 4, 2, seed=2)
+    own = caches[0]
+    dropped = CacheContents(1, own.holders[1:], own.blocks[:, 1:])
+    for cache in (caches[1], dropped):
+        with pytest.raises(ValueError, match="does not hold"):
+            decode_user(transcript, 1, cache)
+    rotated = caches[1:] + caches[:1]
+    for foreign, failing in ((rotated, [1, 2, 3, 4]), ([dropped] + caches[1:], [1])):
+        monkeypatch.setattr(decoder, "fill_caches", lambda config, subfiles: foreign)
+        report = verify_all(transcript, library)
+        assert [entry.user for entry in report.users if not entry.match] == failing
+        assert all(
+            entry.error.startswith("ValueError: cache of user")
+            for entry in report.users
+            if entry.user in failing
+        )
 
 
 def test_single_user_boundary():

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from synergy.combinatorics import binomial, enumerate_subsets
+from synergy.combinatorics import binomial, group_table, iter_subsets
 from synergy.field import MODULUS, SeededRng
 from synergy.placement import (
     CacheContents,
     LengthMismatchError,
-    SubfileIndex,
     SystemConfig,
     fill_caches,
     load_library,
@@ -14,6 +13,7 @@ from synergy.placement import (
     save_library,
     subpacketize,
 )
+from synergy.scheduler import build_xors
 
 
 def make_setup(K, N, M, granularity=1, seed=0):
@@ -66,33 +66,32 @@ def test_config_json_roundtrip():
 def test_subpacketize_two_users():
     config, library = make_setup(2, 2, 1)
     blocks = subpacketize(config, library)
-    taus = {index.cached_by.elements for index in blocks if index.file == 1}
-    assert taus == {(1,), (2,)}
-    assert len(blocks) == 4
+    members, _, _ = group_table(2, 1)
+    assert {tuple(members[rank]) for rank in range(blocks.shape[1])} == {(1,), (2,)}
+    assert blocks.shape[:2] == (2, 2)
 
 
 def test_subpacketize_four_users_block_sizes():
     config, library = make_setup(4, 4, 2, granularity=5)
     blocks = subpacketize(config, library)
-    assert len(blocks) == 4 * 6
-    assert all(block.shape == (2 * 5,) for block in blocks.values())
+    assert blocks.shape == (4, 6, 2 * 5)
+    assert np.shares_memory(blocks, library) and not blocks.flags.writeable
 
 
 def test_subpacketize_no_cache_keeps_whole_file():
     config, library = make_setup(3, 3, 0)
     blocks = subpacketize(config, library)
-    assert len(blocks) == 3
-    index = SubfileIndex(2, next(iter(blocks)).cached_by)
-    assert index.cached_by.elements == ()
-    assert np.array_equal(blocks[index], library[1])
+    assert blocks.shape[:2] == (3, 1)
+    assert group_table(3, 0)[0].shape == (1, 0)  # rank 0 is the empty subset
+    assert np.array_equal(blocks[1, 0], library[1])
 
 
 def test_subpacketize_full_cache_single_block():
     config, library = make_setup(3, 3, 3)
     blocks = subpacketize(config, library)
-    assert len(blocks) == 3
-    assert all(index.cached_by.elements == (1, 2, 3) for index in blocks)
-    assert all(block.size == config.granularity for block in blocks.values())
+    assert blocks.shape[:2] == (3, 1)
+    assert group_table(3, 3)[0].tolist() == [[1, 2, 3]]
+    assert blocks.shape[2] == config.granularity
 
 
 def test_partition_roundtrip():
@@ -101,10 +100,7 @@ def test_partition_roundtrip():
         config, library = make_setup(K, K, M, granularity=2)
         blocks = subpacketize(config, library)
         for file in range(1, config.N + 1):
-            ordered = [
-                blocks[SubfileIndex(file, tau)]
-                for tau in enumerate_subsets(config.K, config.replication)
-            ]
+            ordered = [blocks[file - 1, tau.rank()] for tau in iter_subsets(config.K, config.replication)]
             assert np.array_equal(np.concatenate(ordered), library[file - 1])
 
 
@@ -119,31 +115,33 @@ def test_length_mismatch_rejected():
 def test_fill_caches_membership_counts():
     config, library = make_setup(3, 3, 1)
     caches = fill_caches(config, subpacketize(config, library))
+    members, _, _ = group_table(3, 1)
     assert [cache.user for cache in caches] == [1, 2, 3]
-    assert all(len(cache.entries) == 3 for cache in caches)  # one block per file
+    assert all(cache.blocks.shape[:2] == (3, 1) for cache in caches)  # one block per file
     for cache in caches:
-        assert all(cache.user in index.cached_by for index in cache.entries)
+        assert all(cache.user in members[rank] for rank in cache.holders)
 
 
 def test_fill_caches_counts_k4():
     config, library = make_setup(4, 4, 2)
     caches = fill_caches(config, subpacketize(config, library))
-    assert all(len(cache.entries) == 4 * binomial(3, 1) for cache in caches)
+    assert all(cache.blocks.shape[0] * len(cache.holders) == 4 * binomial(3, 1) for cache in caches)
 
 
 def test_fill_caches_empty_when_no_cache():
     config, library = make_setup(4, 4, 0)
     caches = fill_caches(config, subpacketize(config, library))
-    assert all(not cache.entries for cache in caches)
+    assert all(len(cache.holders) == 0 and cache.blocks.size == 0 for cache in caches)
 
 
 def test_each_block_held_by_exactly_replication_users():
     config, library = make_setup(5, 5, 2)
     blocks = subpacketize(config, library)
     caches = fill_caches(config, blocks)
-    for index in blocks:
-        holders = [cache.user for cache in caches if index in cache.entries]
-        assert holders == list(index.cached_by.elements)
+    members, _, _ = group_table(5, 2)
+    for rank in range(blocks.shape[1]):
+        holders = [cache.user for cache in caches if rank in cache.holders]
+        assert holders == members[rank].tolist()
         assert len(holders) == config.replication
 
 
@@ -220,3 +218,54 @@ def test_cache_contents_symbol_count():
     caches = fill_caches(config, subpacketize(config, library))
     assert isinstance(caches[0], CacheContents)
     assert caches[0].symbol_count == 3 * config.subfile_symbols
+
+
+def reference_placement(config, library, demand):
+    """Blocks keyed by (file, Subset), caches by membership and folded
+    messages through Subset.without, in pure Python."""
+    size = config.subfile_symbols
+    blocks = {
+        (file, tau): [int(v) for v in library[file - 1, i * size : (i + 1) * size]]
+        for file in range(1, config.N + 1)
+        for i, tau in enumerate(iter_subsets(config.K, config.replication))
+    }
+    caches = [
+        {key: block for key, block in blocks.items() if user in key[1]}
+        for user in range(1, config.K + 1)
+    ]
+    messages = []
+    if config.replication < config.K:
+        for group in iter_subsets(config.K, config.replication + 1):
+            payload = [0] * size
+            for member in group:
+                block = blocks[(demand[member - 1], group.without(member))]
+                payload = [(a + b) % config.modulus for a, b in zip(payload, block)]
+            messages.append((group, payload))
+    return blocks, caches, messages
+
+
+@pytest.mark.parametrize("K", range(1, 8))
+def test_placement_tables_match_subset_reference(K):
+    distinct = tuple(range(1, K + 1))
+    repeated = tuple(1 + k // 2 for k in range(K))
+    for M in range(K + 1):
+        config, library = make_setup(K, K, M, granularity=2, seed=K * 10 + M)
+        subfiles = subpacketize(config, library)
+        holder_subsets = list(iter_subsets(K, config.replication))
+        for demand in (distinct, repeated):
+            blocks, caches, messages = reference_placement(config, library, demand)
+            assert len(blocks) == subfiles.shape[0] * subfiles.shape[1]
+            for (file, tau), block in blocks.items():
+                assert subfiles[file - 1, tau.rank()].tolist() == block
+            for cache, expected in zip(fill_caches(config, subfiles), caches):
+                held = {
+                    (file + 1, holder_subsets[rank]): cache.blocks[file, i].tolist()
+                    for file in range(config.N)
+                    for i, rank in enumerate(cache.holders)
+                }
+                assert held == expected
+                assert cache.symbol_count == sum(len(block) for block in expected.values())
+            xors = build_xors(config, subfiles, demand)
+            assert xors.shape == (len(messages), config.subfile_symbols)
+            for group, payload in messages:
+                assert xors[group.rank()].tolist() == payload

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from synergy.combinatorics import Subset, binomial, harmonic
+from synergy.combinatorics import Subset, binomial, group_table, harmonic
 from synergy.field import SeededRng
-from synergy.placement import SubfileIndex, SystemConfig, random_library, subpacketize
+from synergy.placement import SystemConfig, random_library, subpacketize
 from synergy.scheduler import (
     GranularityError,
     build_xors,
@@ -83,38 +83,41 @@ def test_validate_demand():
 
 def test_build_xors_two_users_by_hand():
     config, library, subfiles = seeded_setup(2, 2, 1)
-    (message,) = build_xors(config, subfiles, (1, 2))
-    assert message.group.elements == (1, 2)
-    wanted_by_1 = subfiles[SubfileIndex(1, Subset((2,), 2))]
-    wanted_by_2 = subfiles[SubfileIndex(2, Subset((1,), 2))]
-    assert np.array_equal(message.payload, (wanted_by_1 + wanted_by_2) % config.modulus)
+    xors = build_xors(config, subfiles, (1, 2))
+    assert xors.shape == (1, config.subfile_symbols)
+    assert group_table(2, 2)[0].tolist() == [[1, 2]]
+    wanted_by_1 = subfiles[0, Subset((2,), 2).rank()]
+    wanted_by_2 = subfiles[1, Subset((1,), 2).rank()]
+    assert np.array_equal(xors[0], (wanted_by_1 + wanted_by_2) % config.modulus)
 
 
 def test_build_xors_count_three_users():
     config, library, subfiles = seeded_setup(3, 3, 1)
-    messages = build_xors(config, subfiles, (1, 2, 3))
-    assert [m.group.elements for m in messages] == [(1, 2), (1, 3), (2, 3)]
+    xors = build_xors(config, subfiles, (1, 2, 3))
+    assert len(xors) == 3
+    assert group_table(3, 2)[0].tolist() == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_build_xors_no_cache_degenerates_to_files():
     config, library, subfiles = seeded_setup(3, 3, 0)
-    messages = build_xors(config, subfiles, (2, 2, 1))
-    for message, user in zip(messages, (1, 2, 3)):
-        assert message.group.elements == (user,)
-        assert np.array_equal(message.payload, library[(2, 2, 1)[user - 1] - 1])
+    xors = build_xors(config, subfiles, (2, 2, 1))
+    members, _, _ = group_table(3, 1)
+    for rank, user in enumerate((1, 2, 3)):
+        assert members[rank].tolist() == [user]
+        assert np.array_equal(xors[rank], library[(2, 2, 1)[user - 1] - 1])
 
 
 def test_build_xors_count_matches_binomial():
     for K in range(2, 7):
         for M in range(0, K):
             config, library, subfiles = seeded_setup(K, K, M)
-            messages = build_xors(config, subfiles, tuple(range(1, K + 1)))
-            assert len(messages) == binomial(K, config.replication + 1)
+            xors = build_xors(config, subfiles, tuple(range(1, K + 1)))
+            assert len(xors) == binomial(K, config.replication + 1)
 
 
 def test_build_xors_fully_cached_is_empty():
     config, library, subfiles = seeded_setup(3, 3, 3)
-    assert build_xors(config, subfiles, (1, 2, 3)) == ()
+    assert build_xors(config, subfiles, (1, 2, 3)).shape == (0, config.subfile_symbols)
 
 
 def test_plan_durations_three_users():

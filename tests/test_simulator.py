@@ -347,3 +347,43 @@ def test_transcript_load_rejects_malformed_config(tmp_path, edit, message):
     json_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=f"run.json: {message}"):
         load_transcript(json_path)
+
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (lambda meta: {**meta, "seed": 1.9}, "seed must be an integer"),
+        (lambda meta: {**meta, "seed": True}, "seed must be an integer"),
+        (lambda meta: {**meta, "total_uses": meta["total_uses"] + 0.5}, "total_uses must be an integer"),
+        (lambda meta: {**meta, "demand": [1.9, 2.2, 3.7]}, "demand must be a list of integers"),
+        (lambda meta: {**meta, "demand": [True, 2, 3]}, "demand must be a list of integers"),
+        (lambda meta: {**meta, "demand": 5}, "demand must be a list of integers"),
+        (lambda meta: {**meta, "demand": [1, 2, 4]}, "demand entries must lie in"),
+        (lambda meta: {**meta, "sidecar": 5}, "sidecar must be a file name"),
+        (lambda meta: {**meta, "version": 2}, "unrecognized transcript format or version"),
+        (lambda meta: [], "transcript metadata must be a JSON object"),
+    ],
+    ids=[
+        "float-seed", "bool-seed", "float-uses", "float-demand", "bool-demand",
+        "scalar-demand", "demand-range", "int-sidecar", "version", "list",
+    ],
+)
+def test_transcript_load_rejects_coerced_metadata(tmp_path, document, message):
+    config, transcript, json_path, sidecar = _saved_run(tmp_path)
+    json_path.write_text(json.dumps(document(json.loads(json_path.read_text()))))
+    with pytest.raises(ValueError, match=f"run.json: {message}"):
+        load_transcript(json_path)
+
+
+def test_transcript_load_names_the_sidecar(tmp_path):
+    config, transcript, json_path, sidecar = _saved_run(tmp_path)
+    raw = sidecar.read_bytes()
+    for broken, message in (
+        (b"XXXXXXXX" + raw[8:], "magic mismatch"),
+        (raw[:12] + (config.K + 1).to_bytes(4, "little") + raw[16:], "header inconsistent"),
+        (raw[:16] + (transcript.total_uses + 1).to_bytes(4, "little") + raw[20:], "use count"),
+    ):
+        sidecar.write_bytes(broken)
+        with pytest.raises(ValueError, match=f"run.bin: sidecar {message}"):
+            load_transcript(json_path)
