@@ -133,6 +133,11 @@ SWEEP_64_CSV = {
     "dof": "76706b6589fe86ea2a6c2c20a7d3040d0262762ad072e6600542c687dd8f05c6",
 }
 
+# SHA-256 of ``sweep --mode buffer --kmax 20000 --gap-range 1..10``: K
+# above the exact-harmonic limit of 10**4, so epsilon(K) takes the fsum
+# branch, and every target up to the default range's end.
+BUFFER_20000_CSV = "78a445bcc071c322c5c21f8f440c184c4d190b909d566a15c2abdb07ff23c3e9"
+
 
 def _digests(tmp_path, config, seed, on_degenerate="error"):
     demand = tuple(range(1, config.K + 1))
@@ -190,3 +195,10 @@ def test_golden_sweep_csv(tmp_path, capsys, mode):
     path = tmp_path / f"{mode}.csv"
     assert main(["sweep", "--mode", mode, "--kmax", "64", "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_64_CSV[mode]
+
+
+def test_golden_buffer_sweep_csv(tmp_path):
+    path = tmp_path / "buffer.csv"
+    argv = ["sweep", "--mode", "buffer", "--kmax", "20000", "--gap-range", "1..10", "--output", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BUFFER_20000_CSV
