@@ -18,6 +18,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .combinatorics import epsilon, format_rational, harmonic
 
@@ -332,23 +335,33 @@ def cache_fraction_for_gap(gap: float, K: int) -> float:
     return value
 
 
+@lru_cache(maxsize=1)
+def _cumulative_harmonics(K: int) -> np.ndarray:
+    """Doubles H(0), H(1), ..., H(K), each the previous plus 1.0 / i
+    (``cumsum`` adds left to right, as a Python loop would); kept for the
+    last K so a sweep over gap targets builds it once."""
+    cumulative = np.zeros(K + 1)
+    np.cumsum(1.0 / np.arange(1, K + 1), out=cumulative[1:])
+    cumulative.setflags(write=False)
+    return cumulative
+
+
 def min_cache_fraction_for_gap(gap: float, K: int) -> Fraction | None:
     """Smallest replication/K whose DoF reaches 1/gap, by exhaustive
     search over replication (float harmonic accumulation); None when even
     replication = K-1 falls short."""
     if gap < 1:
         raise ValueError("the target factor must be at least 1")
+    if K < 2:
+        return None  # no replication in 1..K-1 to search
     target = 1.0 / gap
-    cumulative = [0.0]
-    for i in range(1, K + 1):
-        cumulative.append(cumulative[-1] + 1.0 / i)
-    for replication in range(1, K):
-        time = cumulative[K] - cumulative[replication]
-        # float metric: leave a few ulp of slack so exact boundary hits
-        # (e.g. replication = K-1 at gap 1) are not lost to rounding
-        if (1.0 - replication / K) / time >= target - 1e-12:
-            return Fraction(replication, K)
-    return None
+    cumulative = _cumulative_harmonics(K)
+    replication = np.arange(1, K)
+    time = cumulative[K] - cumulative[1:K]
+    # float metric: leave a few ulp of slack so exact boundary hits
+    # (e.g. replication = K-1 at gap 1) are not lost to rounding
+    reached = np.flatnonzero((1.0 - replication / K) / time >= target - 1e-12)
+    return Fraction(int(reached[0]) + 1, K) if reached.size else None
 
 
 @dataclass(frozen=True)

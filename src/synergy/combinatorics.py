@@ -59,8 +59,9 @@ def harmonic(n: int) -> Fraction:
     return Fraction(*_harmonic_span(1, n))
 
 
+@lru_cache(maxsize=256)
 def epsilon(n: int) -> float:
-    """harmonic(n) - ln(n) as a double.
+    """harmonic(n) - ln(n) as a double, memoized on n.
 
     Non-increasing in n: starts at 1.0 and approaches ~0.5772.  Exact
     harmonic numbers are used while they stay small; bigger n switches to

@@ -14,7 +14,7 @@ instead of one Python loop per system.  ``solve`` and ``is_invertible``
 share one fraction-free forward elimination that forms only the
 trailing block at each step (about n**3 / 3 multiply-reduce steps per
 n x n system): ``is_invertible`` runs it alone, ``solve`` runs it on
-``[a | b]`` and back-substitutes with the diagonal inverted once.
+``[a | b]`` and back-substitutes with one inversion per system.
 ``matrix_rank`` is a separate, unbatched elimination.
 """
 
@@ -178,9 +178,11 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     ``a`` may also be a batch ``(B, n, n)`` with ``b`` of shape ``(B, n)``
     or ``(B, n, m)``: every system is solved in one pass.  Forward
     elimination of ``[a | b]`` with the first nonzero pivot (exact
-    arithmetic needs no magnitude pivoting), then back-substitution with
-    the diagonal inverted once.  Raises SingularMatrixError when any ``a``
-    is not invertible.
+    arithmetic needs no magnitude pivoting), then back-substitution.  Each
+    system inverts only the product of its diagonal; the back-substitution
+    recovers every pivot's inverse from prefix products of the diagonal
+    (Montgomery's trick).  Raises SingularMatrixError when any ``a`` is
+    not invertible.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -199,15 +201,24 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     if not ok.all():
         raise SingularMatrixError(f"rank deficiency in system {int(np.argmin(ok))}")
     # Row k of the triangular factor is [d_k, u_k(k+1), ..., u_k(n-1), rhs_k].
+    # prefix[k] = d_0 * ... * d_k; one inversion of prefix[n - 1] per
+    # system, then 1/d_k = prefix[k - 1] / prefix[k] walking k down.
     n = a.shape[-1]
-    diagonal = np.stack([row[:, 0] for row in pivot_rows], axis=1)
-    inverses = _inverse_batch(diagonal, modulus)
+    prefix = [pivot_rows[0][:, 0]]
+    for row in pivot_rows[1:]:
+        prefix.append(prefix[-1] * row[:, 0] % modulus)
+    running = _inverse_batch(prefix[-1], modulus)  # 1 / prefix[k] at step k
     x = np.empty(rhs.shape, dtype=np.int64)
     for k in range(n - 1, -1, -1):
         row = pivot_rows[k]
+        if k:
+            inverse_k = running * prefix[k - 1] % modulus
+            running = running * row[:, 0] % modulus
+        else:
+            inverse_k = running
         known = (row[:, 1 : n - k, np.newaxis] * x[:, k + 1 :]) % modulus
         value = (row[:, n - k :] - known.sum(axis=1)) % modulus
-        x[:, k] = value * inverses[:, k, np.newaxis] % modulus
+        x[:, k] = value * inverse_k[:, np.newaxis] % modulus
     if not batched:
         x = x[0]
     return x[..., 0] if single else x

@@ -202,17 +202,30 @@ def save_library(path, config: SystemConfig, library: np.ndarray) -> None:
 
 
 def load_library(path) -> tuple[SystemConfig, np.ndarray]:
-    """Inverse of :func:`save_library`."""
+    """Inverse of :func:`save_library`.
+
+    Raises ValueError (LengthMismatchError for a wrong size), naming the
+    file, when it is truncated, its header is not a valid config, its
+    payload does not hold the config's symbols or a symbol is not below
+    the modulus.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER_BYTES:
-        raise LengthMismatchError("truncated library file")
-    k, n, m, granularity, modulus = (int(v) for v in np.frombuffer(raw[:_HEADER_BYTES], dtype="<u4"))
-    config = SystemConfig(K=k, N=n, M=m, granularity=granularity, modulus=modulus)
-    symbols = np.frombuffer(raw[_HEADER_BYTES:], dtype="<u4").astype(np.int64)
-    if symbols.size != config.library_symbols:
         raise LengthMismatchError(
-            f"payload holds {symbols.size} symbols, expected {config.library_symbols}"
+            f"{path}: truncated library file ({len(raw)} bytes, header needs {_HEADER_BYTES})"
         )
+    k, n, m, granularity, modulus = (int(v) for v in np.frombuffer(raw[:_HEADER_BYTES], dtype="<u4"))
+    try:
+        config = SystemConfig(K=k, N=n, M=m, granularity=granularity, modulus=modulus)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    expected = _HEADER_BYTES + 4 * config.library_symbols
+    if len(raw) != expected:
+        raise LengthMismatchError(
+            f"{path}: payload holds {len(raw) - _HEADER_BYTES} bytes, expected "
+            f"{config.library_symbols} symbols ({expected - _HEADER_BYTES} bytes)"
+        )
+    symbols = np.frombuffer(raw, dtype="<u4", offset=_HEADER_BYTES).astype(np.int64)
     if symbols.size and int(symbols.max()) >= config.modulus:
-        raise ValueError("library symbol exceeds the field modulus")
+        raise ValueError(f"{path}: library symbol not below the field modulus {config.modulus}")
     return config, symbols.reshape(config.N, config.file_symbols)

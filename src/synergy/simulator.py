@@ -13,9 +13,12 @@ groups (:func:`~synergy.combinatorics.group_table`), and the group of
 rank r occupies uses ``phase_offset + r * uses_per_group`` onward.  So
 a phase costs one gather of its streams (in later phases one index into
 the ledger's observation array, then one batched product with the
-combining matrix), one channel draw for all its uses, one batched
-decodability check of every (use, member) system, one batched product
-for the received symbols and one ledger update.
+combining matrix) and one forward walk over the channel stream.  The
+walk fills a preallocated (uses, K, K) phase array in windows of at most
+``_WINDOW`` uses, each drawn and checked for decodability in one batch,
+and never rewinds the stream: a degenerate draw is consumed as a failed
+draw of its use.  The received symbols are formed and logged window by
+window too, so delivery's working set does not grow with phase length.
 """
 
 from __future__ import annotations
@@ -55,6 +58,12 @@ LIBRARY_STREAM, CHANNEL_STREAM, DEMAND_STREAM = 0, 1, 2
 _TRANSCRIPT_FORMAT = "synergy-transcript"
 _TRANSCRIPT_VERSION = 1
 _SIDECAR_MAGIC = b"SYNTRANS"
+
+# Most uses one step of the channel walk draws, checks or multiplies at
+# once, which bounds delivery's working set whatever the phase length;
+# after a degenerate draw the walk restarts at _RETRY_WINDOW uses.
+_WINDOW = 1024
+_RETRY_WINDOW = 4
 
 
 class DegenerateChannelError(Exception):
@@ -213,51 +222,52 @@ def _draw_phase(
 ) -> np.ndarray:
     """The (uses, K, K) channels of one phase, whose first use is ``offset``.
 
-    All uses are drawn as one (uses * K) x K matrix, which is the same
-    row-major stream as one K x K draw per use, and every (use, member)
-    system is checked in one batch.  From the first degenerate use on,
-    the stream is rewound to that use: it is redrawn on its own (the
-    degenerate draw is the first of ``max_redraws`` draws), and the rest
-    of the phase is drawn as one block again.
+    One forward walk over the channel stream, in windows of at most
+    ``_WINDOW`` uses.  A window draws only the matrices it still lacks
+    (n consecutive K x K draws equal one (n * K) x K draw) and checks
+    every (use, member) system in one batch.  Every matrix before the
+    first degenerate one is kept; the degenerate one is consumed as a
+    failed draw of its use (the first of that use's ``max_redraws``
+    draws), and the matrices after it move up one use and are checked
+    again.  The window then restarts at ``_RETRY_WINDOW`` uses and
+    doubles while checks come back clean.  The stream is never rewound
+    and nothing is drawn past the phase's last use.
     """
-    K, modulus, active = config.K, config.modulus, phase.active_antennas
+    K, modulus, active, width = config.K, config.modulus, phase.active_antennas, phase.uses_per_group
     members, complement, _ = group_table(K, phase.order)
     others = np.broadcast_to(complement[:, np.newaxis], (*members.shape, K - phase.order))
-    rows = np.concatenate([members[:, :, np.newaxis], others], axis=2) - 1
-    rows = np.repeat(rows, phase.uses_per_group, axis=0)  # one (members, active) table per use
-    blocks: list[np.ndarray] = []
-    done = 0
-    while done < len(rows):
-        start = rng._state
-        block = rng.field_matrix((len(rows) - done) * K, K, modulus, nonzero=True).reshape(-1, K, K)
-        bad = np.flatnonzero(~_decodable(block, rows[done:], active, modulus))
+    group_rows = np.concatenate([members[:, :, np.newaxis], others], axis=2) - 1
+    channels = np.empty((len(members) * width, K, K), dtype=np.int64)
+    # channels[:done] are accepted, channels[done:drawn] drawn but unchecked
+    # at their current use; `failures` counts the failed draws of use `done`.
+    done = drawn = failures = 0
+    window = _WINDOW
+    while done < len(channels):
+        end = min(done + window, len(channels))
+        if drawn < end:
+            block = rng.field_matrix((end - drawn) * K, K, modulus, nonzero=True)
+            channels[drawn:end] = block.reshape(-1, K, K)
+            drawn = end
+        rows = group_rows[np.arange(done, end) // width]
+        bad = np.flatnonzero(~_decodable(channels[done:end], rows, active, modulus))
         if bad.size == 0:
-            blocks.append(block)
-            break
-        first = int(bad[0])
-        use = done + first
+            done, failures = end, 0
+            window = min(2 * window, _WINDOW)
+            continue
+        use = done + int(bad[0])
         if on_degenerate == "error":
-            group = tuple(members[use // phase.uses_per_group].tolist())
+            group = tuple(members[use // width].tolist())
             raise DegenerateChannelError(
                 f"use {offset + use}: singular decoding system for group {group}"
             )
-        # Rewind (the stream is a pure function of its state) and replay
-        # up to and including the degenerate draw, which counts as the
-        # first of that use's max_redraws draws.
-        rng._state = start
-        replayed = rng.field_matrix((first + 1) * K, K, modulus, nonzero=True)
-        blocks.append(replayed[: first * K].reshape(-1, K, K))
-        for _ in range(max_redraws - 1):
-            channel = rng.field_matrix(K, K, modulus, nonzero=True)[np.newaxis]
-            if _decodable(channel, rows[use : use + 1], active, modulus)[0]:
-                break
-        else:
+        failures = failures + 1 if use == done else 1
+        if failures >= max_redraws:
             raise DegenerateChannelError(
                 f"use {offset + use}: still singular after {max_redraws} redraws"
             )
-        blocks.append(channel)
-        done = use + 1
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        channels[use : drawn - 1] = channels[use + 1 : drawn]
+        done, drawn, window = use, drawn - 1, min(_RETRY_WINDOW, _WINDOW)
+    return channels
 
 
 def run_delivery(
@@ -276,9 +286,10 @@ def run_delivery(
     per use): "error" raises DegenerateChannelError, "resample" redraws
     that use's coefficients as part of the deterministic stream.
 
-    The delivery runs a phase at a time: one stream gather and product,
-    one channel draw, one decodability check and one received-symbol
-    product per phase, then one ledger update.
+    The delivery runs a phase at a time: one stream gather and product
+    per phase, then one forward walk over the channel stream
+    (:func:`_draw_phase`) and one received-symbol product and ledger
+    update per window of at most ``_WINDOW`` uses.
     """
     if on_degenerate not in ("error", "resample"):
         raise ValueError('on_degenerate must be "error" or "resample"')
@@ -305,10 +316,12 @@ def run_delivery(
         sent = _phase_symbols(phase, previous, previous_offset, xors, ledger.observations, modulus)
         channels = _draw_phase(rng, config, phase, on_degenerate, max_redraws, t)
         channels.setflags(write=False)
-        # received[u] = channels[u][:, :active] @ sent[u]
-        active_columns = channels[:, :, : phase.active_antennas]
-        received = matmul(active_columns, sent[:, :, np.newaxis], modulus)[:, :, 0]
-        ledger.record(received.T)
+        for start in range(0, len(channels), _WINDOW):
+            # received[u] = channels[u][:, :active] @ sent[u]
+            window = slice(start, start + _WINDOW)
+            active_columns = channels[window, :, : phase.active_antennas]
+            received = matmul(active_columns, sent[window, :, np.newaxis], modulus)[:, :, 0]
+            ledger.record(received.T)
         n = phase.uses_per_group
         for rank, group in enumerate(phase.iter_groups()):
             first = rank * n
@@ -408,14 +421,18 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     """Inverse of :func:`save_transcript`; the plan is rebuilt from the
     stored config and demand.
 
-    Raises ValueError, naming the file, when the metadata is not a JSON
-    object, it or its config lacks a field or holds an invalid one (seed,
-    total_uses and every demand entry must be JSON integers, not floats
-    or booleans), the sidecar's magic, header or size does not match, a
-    channel coefficient is zero or a symbol is not below the modulus.
+    Raises ValueError, naming the file, when the metadata is not JSON
+    text or not a JSON object, it or its config lacks a field or holds
+    an invalid one (seed, total_uses and every demand entry must be JSON
+    integers, not floats or booleans), the sidecar's magic, header or
+    size does not match, a channel coefficient is zero or a symbol is not
+    below the modulus.
     """
     json_path = Path(json_path)
-    meta = json.loads(json_path.read_text())
+    try:
+        meta = json.loads(json_path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{json_path}: transcript metadata is not JSON text ({exc})") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{json_path}: transcript metadata must be a JSON object")
     if meta.get("format") != _TRANSCRIPT_FORMAT or meta.get("version") != _TRANSCRIPT_VERSION:

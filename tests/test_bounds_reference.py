@@ -19,6 +19,7 @@ from synergy.bounds import (
     achievable_time,
     bound_report,
     dof,
+    min_cache_fraction_for_gap,
     outer_bound,
     synergy_report,
 )
@@ -161,3 +162,22 @@ def test_synergy_report_matches_reference_to_K_128():
             ), (K, replication)
     for K, replication in ((4, 0), (4, 4), (1, 1)):
         assert outcome(synergy_report, K, replication) == outcome(ref_synergy_report, K, replication)
+
+
+def ref_min_cache_fraction_for_gap(gap, K):
+    # The per-replication loop over a float cumulative harmonic list.
+    target = 1.0 / gap
+    cumulative = [0.0]
+    for i in range(1, K + 1):
+        cumulative.append(cumulative[-1] + 1.0 / i)
+    for replication in range(1, K):
+        time = cumulative[K] - cumulative[replication]
+        if (1.0 - replication / K) / time >= target - 1e-12:
+            return Fraction(replication, K)
+    return None
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 7, 64, 1000, 12_345])
+def test_min_cache_fraction_matches_loop_reference(K):
+    for gap in (1, 1.05, 1.5, 2, 3, 4.5, 7, 12, 40):
+        assert min_cache_fraction_for_gap(gap, K) == ref_min_cache_fraction_for_gap(gap, K), gap

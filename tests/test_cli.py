@@ -128,6 +128,14 @@ def test_simulate_seed_env_fallback(capsys, monkeypatch):
     assert code == 2
 
 
+def test_simulate_names_a_corrupt_library(tmp_path, capsys):
+    path = tmp_path / "lib.bin"
+    path.write_bytes(b"abc")
+    code, _, err = run(capsys, "simulate", "--library", str(path))
+    assert code == 2
+    assert f"{path}: truncated library file" in err
+
+
 def test_simulate_from_library_file(tmp_path, capsys):
     config = default_config(3, 3, 1)
     library = random_library(config, SeededRng(0).child(LIBRARY_STREAM))

@@ -186,6 +186,22 @@ def test_library_io_rejects_garbage(tmp_path):
         load_library(tmp_path / "bad.bin")
 
 
+def test_library_load_names_the_file(tmp_path):
+    config, library = make_setup(2, 2, 1)
+    save_library(tmp_path / "lib.bin", config, library)
+    raw = (tmp_path / "lib.bin").read_bytes()
+    symbol_too_large = raw[:20] + config.modulus.to_bytes(4, "little") + raw[24:]
+    for name, content, error, message in (
+        ("three.bin", b"abc", LengthMismatchError, "truncated library file"),
+        ("zeroed.bin", bytes(20), ValueError, "need at least one user"),
+        ("odd.bin", raw + b"\x00", LengthMismatchError, "payload holds"),
+        ("large.bin", symbol_too_large, ValueError, "library symbol not below the field modulus"),
+    ):
+        (tmp_path / name).write_bytes(content)
+        with pytest.raises(error, match=f"{name}: {message}"):
+            load_library(tmp_path / name)
+
+
 def test_save_rejects_out_of_range_symbols(tmp_path):
     config, library = make_setup(2, 2, 1)
     for value in (-1, config.modulus):

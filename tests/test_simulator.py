@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synergy import simulator
 from synergy.field import SeededRng, matmul, matrix_rank
 from synergy.placement import random_library, subpacketize
 from synergy.scheduler import default_config, plan_phases
@@ -180,10 +183,11 @@ def test_degenerate_channel_surfaced_and_resampled():
     assert transcript == again
 
 
-def per_use_channels(plan, seed, max_redraws, on_degenerate="resample"):
+def per_use_channels(plan, seed, max_redraws, on_degenerate="resample", phase_states=None):
     """Reference channel draws, one use at a time: up to ``max_redraws``
     K x K draws per use until every member's decoding system has full
-    rank; with "error", the first draw that does not raises."""
+    rank; with "error", the first draw that does not raises.  The stream
+    state after each phase is appended to ``phase_states`` if given."""
     config = plan.config
     K, modulus = config.K, config.modulus
     rng = SeededRng(seed).child(CHANNEL_STREAM)
@@ -209,6 +213,8 @@ def per_use_channels(plan, seed, max_redraws, on_degenerate="resample"):
                         f"use {len(channels)}: still singular after {max_redraws} redraws"
                     )
                 channels.append(channel)
+        if phase_states is not None:
+            phase_states.append(rng._state)
     return channels
 
 
@@ -251,6 +257,85 @@ def test_error_mode_matches_per_use_reference():
     # The first degenerate draw raises, naming its use and group; 13 of
     # the 54 cells draw no degenerate channel at all.
     assert check_against_per_use_reference("error", 64) == 41
+
+
+def delivery_phase_states(monkeypatch):
+    """Record the channel stream's state after each phase that
+    run_delivery draws."""
+    states = []
+    draw_phase = simulator._draw_phase
+
+    def recording(rng, *args):
+        channels = draw_phase(rng, *args)
+        states.append(rng._state)
+        return channels
+
+    monkeypatch.setattr(simulator, "_draw_phase", recording)
+    return states
+
+
+@pytest.mark.parametrize("window", [None, 1, 3])
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    K=st.integers(3, 6),
+    modulus=st.sampled_from([13, 17, 101]),
+    max_redraws=st.sampled_from([1, 2, 3, 64]),
+    seed=st.integers(0, 2**32),
+    on_degenerate=st.sampled_from(["resample", "resample", "error"]),
+)
+def test_channel_walk_matches_per_use_reference(window, data, K, modulus, max_redraws, seed, on_degenerate):
+    # A window of 1 or 3 uses puts degenerate draws on window edges; None
+    # keeps the module's window.
+    replication = data.draw(st.integers(0, K - 1), label="replication")
+    config = default_config(K, K, replication, modulus=modulus)
+    library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
+    plan = plan_phases(config, tuple(range(1, K + 1)), subfiles=subpacketize(config, library))
+    expected_states = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if window is not None:
+            monkeypatch.setattr(simulator, "_WINDOW", window)
+        states = delivery_phase_states(monkeypatch)
+        try:
+            expected = per_use_channels(plan, seed, max_redraws, on_degenerate, expected_states)
+        except DegenerateChannelError as exc:
+            with pytest.raises(DegenerateChannelError, match=f"^{re.escape(str(exc))}$"):
+                run_delivery(plan, library, seed, on_degenerate=on_degenerate, max_redraws=max_redraws)
+            return
+        transcript = run_delivery(plan, library, seed, on_degenerate=on_degenerate, max_redraws=max_redraws)
+    assert len(transcript.uses) == len(expected)
+    assert all(np.array_equal(use.channel, h) for use, h in zip(transcript.uses, expected))
+    assert states == expected_states
+
+
+def test_channel_walk_checks_few_uses(monkeypatch):
+    # K=12 replication 8 over GF(101) draws degenerate channels often:
+    # the walk checks at most 3x the delivered uses, in at most 30 draws.
+    checked, draws = [0], [0]
+    decodable, field_matrix = simulator._decodable, SeededRng.field_matrix
+
+    def counting_decodable(channels, *args):
+        checked[0] += len(channels)
+        return decodable(channels, *args)
+
+    def counting_field_matrix(rng, *args, **kwargs):
+        draws[0] += 1
+        return field_matrix(rng, *args, **kwargs)
+
+    config = default_config(12, 12, 8, modulus=101)
+    for seed in (1, 2, 3):
+        library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
+        plan = plan_phases(config, tuple(range(1, 13)), subfiles=subpacketize(config, library))
+        checked[0] = draws[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_decodable", counting_decodable)
+            patch.setattr(SeededRng, "field_matrix", counting_field_matrix)
+            transcript = run_delivery(plan, library, seed, on_degenerate="resample")
+        assert transcript.total_uses == 763
+        with pytest.raises(DegenerateChannelError):  # so the walk did redraw
+            run_delivery(plan, library, seed)
+        assert checked[0] <= 3 * transcript.total_uses, (seed, checked[0])
+        assert draws[0] <= 30, (seed, draws[0])
 
 
 def test_transcript_group_slots_cover_every_use():
@@ -387,3 +472,13 @@ def test_transcript_load_names_the_sidecar(tmp_path):
         sidecar.write_bytes(broken)
         with pytest.raises(ValueError, match=f"run.bin: sidecar {message}"):
             load_transcript(json_path)
+
+
+@pytest.mark.parametrize(
+    "content", [b"not json\n", b"\x80\xff\x00SYNTRANS"], ids=["not-json", "binary"]
+)
+def test_transcript_load_names_undecodable_metadata(tmp_path, content):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match="run.json: transcript metadata is not JSON text"):
+        load_transcript(path)
