@@ -484,15 +484,14 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
         raise ValueError(f"{sidecar_path}: zero channel coefficient")
     symbols = symbols.astype(np.int64)
     channels = symbols[: total * k * k].reshape(total, k, k)
+    channels.setflags(write=False)  # every use's channel is a read-only view
     observations = symbols[total * k * k :].reshape(k, total)
     uses: list[ChannelUse] = []
     t = 0
     for phase in plan.phases:
         for group in phase.iter_groups():
             for slot in range(phase.uses_per_group):
-                channel = channels[t].copy()
-                channel.setflags(write=False)
-                uses.append(ChannelUse(t=t, order=phase.order, group=group, slot=slot, channel=channel))
+                uses.append(ChannelUse(t=t, order=phase.order, group=group, slot=slot, channel=channels[t]))
                 t += 1
     return Transcript(
         config=config,

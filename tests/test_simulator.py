@@ -352,6 +352,7 @@ def test_transcript_roundtrip_through_files(tmp_path):
     loaded = load_transcript(tmp_path / "run.json")
     assert loaded == transcript
     assert loaded.plan.total_duration == transcript.plan.total_duration
+    assert not any(use.channel.flags.writeable for use in loaded.uses)
 
 
 def test_transcript_roundtrip_empty(tmp_path):
