@@ -13,7 +13,7 @@ number of pairs the change won (ties count for neither side) and the
 ratio of the medians.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --pairs 10 --seconds 20 --output BENCH_11.json --about "what changed"
+        --pairs 10 --seconds 20 --output bench.json --about "what changed"
 
 Both trees must be complete checkouts with ``perfbench/`` and
 ``src/synergy/``; the metric directions come from the change tree's
@@ -169,7 +169,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--about", default="", help="what the change is, for the report")
-    parser.add_argument("--extra", type=Path, help="JSON object merged into the report")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -182,8 +181,6 @@ def main(argv=None) -> int:
                f"--trace 0, run in a separate source tree of each commit; in pair i (from 1) the "
                f"parent runs first when i is odd and the change first when i is even")
     report = build_report(args.about, summaries, environments, command)
-    if args.extra is not None:
-        report.update(json.loads(args.extra.read_text()))
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
