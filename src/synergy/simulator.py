@@ -18,7 +18,9 @@ walk fills a preallocated (uses, K, K) phase array in windows of at most
 ``_WINDOW`` uses, each drawn and checked for decodability in one batch,
 and never rewinds the stream: a degenerate draw is consumed as a failed
 draw of its use.  The received symbols are formed and logged window by
-window too, so delivery's working set does not grow with phase length.
+window too.  Only those buffers (each window's draw, decodability check
+and received-symbol product) are bounded by ``_WINDOW``; the phase's
+transmitted symbols and its returned channel array are still held whole.
 """
 
 from __future__ import annotations

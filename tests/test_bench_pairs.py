@@ -39,6 +39,29 @@ def test_parse_result_line_takes_the_last_result():
         bench_pairs.parse_result_line("benchmark error: boom\n{\"gate_ok\": true}\n")
 
 
+def test_result_file_is_the_path_named_on_stdout():
+    stdout = "\n".join([
+        "workload coarse  seed 1  ops 20  failed 0  error_rate 0/20",
+        "  op_cost = 8.1 ref",
+        "  result file: /tmp/tree/perfbench/out/coarse-seed1-trace0.json",
+        json.dumps(line(8.1, 0.1)),
+    ])
+    assert bench_pairs.result_file(stdout) == Path("/tmp/tree/perfbench/out/coarse-seed1-trace0.json")
+    with pytest.raises(ValueError, match="no result file"):
+        bench_pairs.result_file(json.dumps(line(8.1, 0.1)))
+
+
+def test_read_benchmark_takes_workloads_and_directions_from_the_spec(tmp_path):
+    spec = {
+        "workloads": [{"name": "coarse", "why": "a"}, {"name": "analytics", "why": "b"}],
+        "end_to_end": [{"name": "op_cost", "better": "lower"}, {"name": "rate", "better": "higher"}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    assert bench_pairs.read_benchmark(tmp_path) == (
+        ["coarse", "analytics"], {"op_cost": "lower", "rate": "higher"}
+    )
+
+
 def test_quartiles_match_numpy_linear_percentiles():
     for values in ([3.0], [1.0, 2.0], [5.0, 1.0, 4.0, 2.0, 3.0], [0.3, 9.1, 2.2, 7.5, 1.0, 4.4, 8.8]):
         q1, median, q3 = bench_pairs.quartiles(values)
@@ -96,7 +119,7 @@ def test_build_report_records_both_commits():
 def test_run_pairs_alternates_which_side_runs_first(monkeypatch):
     calls = []
 
-    def fake_run_once(tree, workload, seconds, seed):
+    def fake_run_once(tree, workload):
         calls.append(tree.name)
         value = 10.0 if tree.name == "parent" else 8.0
         return line(value, 0.1), {"source_sha256": tree.name}
@@ -104,7 +127,7 @@ def test_run_pairs_alternates_which_side_runs_first(monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     trees = {"parent": Path("parent"), "change": Path("change")}
     summaries, environments = bench_pairs.run_pairs(
-        trees, ["coarse"], 3, 1.0, 1, DIRECTIONS, log=lambda message: None
+        trees, ["coarse"], 3, DIRECTIONS, log=lambda message: None
     )
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     assert summaries["coarse"]["metrics"]["op_cost"]["change_wins"] == 3

@@ -1,23 +1,23 @@
 """Alternating parent/change pairs of the repository benchmark.
 
 Runs ``perfbench/run.py --workload W --trace 0`` in two source trees, a
-parent and a change, pair after pair: in pair i (from 1) the parent
-runs first when i is odd and the change first when i is even, so a slow
-spell of a shared machine falls on both sides alike.  Every run's last
-stdout line is its result line, ``{"correct", "attempted", "failed",
-"metrics"}``; the tree's ``perfbench/out/<W>-seed<S>-trace0.json`` adds
-the machine, the commit and the source SHA-256.  The summary is one JSON
+parent and a change, pair after pair, with the benchmark's own seed and
+run length: in pair i (from 1) the parent runs first when i is odd and
+the change first when i is even, so a slow spell of a shared machine
+falls on both sides alike.  Every run's last stdout line is its result
+line, ``{"correct", "attempted", "failed", "metrics"}``; the result file
+it names on stdout adds the machine, the commit and the source SHA-256.  The summary is one JSON
 file: per workload and end-to-end metric, each side's runs, median and
 quartiles (linear interpolation, as numpy's default percentile), the
 number of pairs the change won (ties count for neither side) and the
 ratio of the medians.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --pairs 10 --seconds 20 --output bench.json --about "what changed"
+        --pairs 10 --output bench.json --about "what changed"
 
 Both trees must be complete checkouts with ``perfbench/`` and
-``src/synergy/``; the metric directions come from the change tree's
-``BENCHMARK.json``.
+``src/synergy/``; the workloads and the metric directions come from the
+change tree's ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -99,27 +99,37 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     }
 
 
-def benchmark_directions(tree: Path) -> dict[str, str]:
+def result_file(stdout: str) -> Path:
+    """The path of the result file a benchmark run names on stdout."""
+    for line in stdout.splitlines():
+        name, _, path = line.strip().partition("result file: ")
+        if not name and path:
+            return Path(path)
+    raise ValueError("benchmark output names no result file")
+
+
+def read_benchmark(tree: Path) -> tuple[list[str], dict[str, str]]:
+    """The workload names and ``{metric: "lower" | "higher"}`` of the
+    end-to-end metrics in ``tree``'s ``BENCHMARK.json``."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    workloads = [entry["name"] for entry in spec["workloads"]]
+    return workloads, {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
 
 
-def run_once(tree: Path, workload: str, seconds: float, seed: int) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str) -> tuple[dict, dict]:
     """One benchmark run in ``tree``: its result line and the environment
     from its result file."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(command[1:])} exited {done.returncode}: "
                            f"{done.stderr.strip()[-400:]}")
     result = parse_result_line(done.stdout)
-    out = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
-    return result, json.loads(out.read_text())["environment"]
+    return result, json.loads(result_file(done.stdout).read_text())["environment"]
 
 
-def run_pairs(trees: dict[str, Path], workloads: list[str], pairs: int, seconds: float,
-              seed: int, directions: dict[str, str], log=print) -> tuple[dict, dict]:
+def run_pairs(trees: dict[str, Path], workloads: list[str], pairs: int,
+              directions: dict[str, str], log=print) -> tuple[dict, dict]:
     """Every workload's summary, and each side's environment from its
     last run."""
     summaries, environments = {}, {}
@@ -128,7 +138,7 @@ def run_pairs(trees: dict[str, Path], workloads: list[str], pairs: int, seconds:
         for pair in range(1, pairs + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
-                result, environments[side] = run_once(trees[side], workload, seconds, seed)
+                result, environments[side] = run_once(trees[side], workload)
                 results[side].append(result)
                 log(f"{workload} pair {pair} {side}: {json.dumps(metric_values(result))}")
         summaries[workload] = summarize(results["parent"], results["change"], directions)
@@ -164,22 +174,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
-    parser.add_argument("--workloads", default="coarse,fine-resample,transcript-io,analytics")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--about", default="", help="what the change is, for the report")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = args.workloads.split(",")
-    summaries, environments = run_pairs(trees, workloads, args.pairs, args.seconds, args.seed,
-                                        benchmark_directions(trees["change"]))
-    command = (f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} "
-               f"--trace 0, run in a separate source tree of each commit; in pair i (from 1) the "
-               f"parent runs first when i is odd and the change first when i is even")
+    workloads, directions = read_benchmark(trees["change"])
+    summaries, environments = run_pairs(trees, workloads, args.pairs, directions)
+    command = ("python3 perfbench/run.py --workload W --trace 0 (its default seed and run "
+               "length), run in a separate source tree of each commit; in pair i (from 1) the "
+               "parent runs first when i is odd and the change first when i is even")
     report = build_report(args.about, summaries, environments, command)
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     return 0
