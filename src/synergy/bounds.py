@@ -349,11 +349,12 @@ def _cumulative_harmonics(K: int) -> np.ndarray:
 def min_cache_fraction_for_gap(gap: float, K: int) -> Fraction | None:
     """Smallest replication/K whose DoF reaches 1/gap, by exhaustive
     search over replication (float harmonic accumulation); None when even
-    replication = K-1 falls short."""
+    replication = K-1 falls short.  Raises ValueError for a target below
+    1 or fewer than two users, as :func:`cache_fraction_for_gap` does."""
     if gap < 1:
         raise ValueError("the target factor must be at least 1")
     if K < 2:
-        return None  # no replication in 1..K-1 to search
+        raise ValueError("need at least two users")
     target = 1.0 / gap
     cumulative = _cumulative_harmonics(K)
     replication = np.arange(1, K)

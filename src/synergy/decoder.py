@@ -8,8 +8,9 @@ order j has one row per j-subset in canonical order
 occupies uses ``phase_offset + r * uses_per_group`` onward, and "the
 group without member i" is one lookup in the table's ``without_rank``.
 
-Per phase, a user gathers its groups (the rows holding it) and only
-those groups' uses from the transcript.  Each slot of a group's block is
+Per phase, a user gathers its groups (the rows holding it) and, with one
+index into the transcript's (T, K, K) channel log, only the channel rows
+and active columns of those groups' uses.  Each slot of a group's block is
 a (K-j+1)-square system, the user's own row plus one row per
 non-member, whose right-hand side is the user's own observation and the
 streams it recovered for the non-members in the phase after; every slot
@@ -115,10 +116,9 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
         # Every slot of every group holding the user, as one batch of
         # square systems: the user's own row plus one row per non-member.
         slots = offsets[idx] + groups[:, np.newaxis] * n + np.arange(n)
-        channels = np.stack([transcript.uses[t].channel for t in slots.ravel().tolist()])
         rows = np.concatenate([np.full((count, 1), user), others], axis=1) - 1
         rows = np.repeat(rows, n, axis=0)
-        coefficients = channels[np.arange(count * n)[:, np.newaxis], rows, :active]
+        coefficients = transcript.channels[slots.reshape(-1, 1), rows, :active]
         rhs = np.empty((count, n, active), dtype=np.int64)
         rhs[:, :, 0] = own[slots]
         if active > 1:

@@ -8,25 +8,31 @@ phase.  After delivery ends the full channel log is released to the
 decoders (delayed global receiver-side channel knowledge), while
 received values stay private to each user.
 
+The channel log is one read-only int64 (T, K, K) array,
+``Transcript.channels``: row t is the matrix of use t.  Delivery fills it
+in place, the sidecar stores it in the same order as uint32 symbols, the
+loader hands back the sidecar buffer reshaped, and decoders index it
+directly.
+
 Delivery walks phases, not groups.  Each phase is a fixed table of
 groups (:func:`~synergy.combinatorics.group_table`), and the group of
 rank r occupies uses ``phase_offset + r * uses_per_group`` onward.  So
 a phase costs one gather of its streams (in later phases one index into
 the ledger's observation array, then one batched product with the
 combining matrix) and one forward walk over the channel stream.  The
-walk fills a preallocated (uses, K, K) phase array in windows of at most
-``_WINDOW`` uses, each drawn and checked for decodability in one batch,
-and never rewinds the stream: a degenerate draw is consumed as a failed
-draw of its use.  The received symbols are formed and logged window by
-window too.  Only those buffers (each window's draw, decodability check
-and received-symbol product) are bounded by ``_WINDOW``; the phase's
-transmitted symbols and its returned channel array are still held whole.
+walk fills the phase's slice of the preallocated channel log in windows
+of at most ``_WINDOW`` uses, each drawn and checked for decodability in
+one batch, and never rewinds the stream: a degenerate draw is consumed
+as a failed draw of its use.  The received symbols are formed and logged
+window by window too.  Only those buffers (each window's draw,
+decodability check and received-symbol product) are bounded by
+``_WINDOW``; the phase's transmitted symbols are still held whole.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -127,16 +133,49 @@ class DelayedCsitLedger:
 class Transcript:
     """Complete delivery record, reproducible from (config, demand, seed).
 
-    ``plan`` is structural (no payloads); ``observations`` has one row
-    per user and one column per channel use.
+    ``plan`` is structural (no payloads).  ``channels`` is the channel
+    log, one read-only int64 (total_uses, K, K) array whose row t is the
+    matrix of use t (row k of it is user k's channel); ``observations``
+    has one row per user and one column per channel use.  ``uses`` holds
+    one :class:`ChannelUse` per row of ``channels``, in the plan's
+    phase -> group -> slot order, each channel a read-only view of its
+    row; it stops where ``channels`` does.
+
+    Raises ValueError when ``channels`` is not a (T, K, K) array or
+    ``observations`` does not have K rows.
     """
 
     config: SystemConfig
     demand: tuple[int, ...]
     plan: DeliveryPlan
-    uses: tuple[ChannelUse, ...]
+    channels: np.ndarray
     observations: np.ndarray
     seed: int
+    uses: tuple[ChannelUse, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        K = self.config.K
+        channels = np.asarray(self.channels, dtype=np.int64)
+        if channels.ndim != 3 or channels.shape[1:] != (K, K):
+            raise ValueError(f"channels must have shape (uses, {K}, {K}), got {channels.shape}")
+        if np.ndim(self.observations) != 2 or len(self.observations) != K:
+            raise ValueError(
+                f"observations must have {K} rows, got shape {np.shape(self.observations)}"
+            )
+        channels = channels.view()
+        channels.setflags(write=False)
+        object.__setattr__(self, "channels", channels)
+        slots = (
+            (phase.order, group, slot)
+            for phase in self.plan.phases
+            for group in phase.iter_groups()
+            for slot in range(phase.uses_per_group)
+        )
+        uses = tuple(
+            ChannelUse(t, order, group, slot, channel)
+            for t, (channel, (order, group, slot)) in enumerate(zip(channels, slots))
+        )
+        object.__setattr__(self, "uses", uses)
 
     @cached_property
     def group_slots(self) -> dict[tuple[int, Subset], tuple[int, int]]:
@@ -151,7 +190,7 @@ class Transcript:
 
     @property
     def total_uses(self) -> int:
-        return len(self.uses)
+        return len(self.channels)
 
     def __eq__(self, other: object):
         if not isinstance(other, Transcript):
@@ -160,15 +199,7 @@ class Transcript:
             self.config == other.config
             and self.demand == other.demand
             and self.seed == other.seed
-            and len(self.uses) == len(other.uses)
-            and all(
-                a.t == b.t
-                and a.order == b.order
-                and a.group == b.group
-                and a.slot == b.slot
-                and np.array_equal(a.channel, b.channel)
-                for a, b in zip(self.uses, other.uses)
-            )
+            and np.array_equal(self.channels, other.channels)
             and np.array_equal(self.observations, other.observations)
         )
 
@@ -220,9 +251,11 @@ def _draw_phase(
     phase: PhasePlan,
     on_degenerate: str,
     max_redraws: int,
+    channels: np.ndarray,
     offset: int,
-) -> np.ndarray:
-    """The (uses, K, K) channels of one phase, whose first use is ``offset``.
+) -> None:
+    """Fill ``channels``, the (uses, K, K) slice of the channel log that
+    holds one phase, whose first use is ``offset``.
 
     One forward walk over the channel stream, in windows of at most
     ``_WINDOW`` uses.  A window draws only the matrices it still lacks
@@ -239,7 +272,6 @@ def _draw_phase(
     members, complement, _ = group_table(K, phase.order)
     others = np.broadcast_to(complement[:, np.newaxis], (*members.shape, K - phase.order))
     group_rows = np.concatenate([members[:, :, np.newaxis], others], axis=2) - 1
-    channels = np.empty((len(members) * width, K, K), dtype=np.int64)
     # channels[:done] are accepted, channels[done:drawn] drawn but unchecked
     # at their current use; `failures` counts the failed draws of use `done`.
     done = drawn = failures = 0
@@ -269,7 +301,6 @@ def _draw_phase(
             )
         channels[use : drawn - 1] = channels[use + 1 : drawn]
         done, drawn, window = use, drawn - 1, min(_RETRY_WINDOW, _WINDOW)
-    return channels
 
 
 def run_delivery(
@@ -290,8 +321,9 @@ def run_delivery(
 
     The delivery runs a phase at a time: one stream gather and product
     per phase, then one forward walk over the channel stream
-    (:func:`_draw_phase`) and one received-symbol product and ledger
-    update per window of at most ``_WINDOW`` uses.
+    (:func:`_draw_phase`) into the phase's slice of the preallocated
+    channel log, and one received-symbol product and ledger update per
+    window of at most ``_WINDOW`` uses.
     """
     if on_degenerate not in ("error", "resample"):
         raise ValueError('on_degenerate must be "error" or "resample"')
@@ -309,35 +341,28 @@ def run_delivery(
         xors = build_xors(config, subpacketize(config, library), plan.demand)
     K, modulus = config.K, config.modulus
     rng = SeededRng(seed).child(CHANNEL_STREAM)
+    channels = np.empty((plan.total_uses, K, K), dtype=np.int64)
     observations = np.zeros((K, plan.total_uses), dtype=np.int64)
     ledger = DelayedCsitLedger(observations)
-    uses: list[ChannelUse] = []
     previous: PhasePlan | None = None
     previous_offset = t = 0
     for phase in plan.phases:
         sent = _phase_symbols(phase, previous, previous_offset, xors, ledger.observations, modulus)
-        channels = _draw_phase(rng, config, phase, on_degenerate, max_redraws, t)
-        channels.setflags(write=False)
-        for start in range(0, len(channels), _WINDOW):
+        end = t + len(sent)
+        _draw_phase(rng, config, phase, on_degenerate, max_redraws, channels[t:end], t)
+        for start in range(t, end, _WINDOW):
             # received[u] = channels[u][:, :active] @ sent[u]
-            window = slice(start, start + _WINDOW)
-            active_columns = channels[window, :, : phase.active_antennas]
-            received = matmul(active_columns, sent[window, :, np.newaxis], modulus)[:, :, 0]
-            ledger.record(received.T)
-        n = phase.uses_per_group
-        for rank, group in enumerate(phase.iter_groups()):
-            first = rank * n
-            uses.extend(
-                ChannelUse(t=t + first + slot, order=phase.order, group=group, slot=slot, channel=channel)
-                for slot, channel in enumerate(channels[first : first + n])
-            )
+            stop = min(start + _WINDOW, end)
+            active_columns = channels[start:stop, :, : phase.active_antennas]
+            received = matmul(active_columns, sent[start - t : stop - t, :, np.newaxis], modulus)
+            ledger.record(received[:, :, 0].T)
         previous, previous_offset = phase, t
-        t += len(channels)
+        t = end
     return Transcript(
         config=config,
         demand=plan.demand,
         plan=replace(plan, xors=None),
-        uses=tuple(uses),
+        channels=channels,
         observations=observations,
         seed=seed,
     )
@@ -413,10 +438,8 @@ def save_transcript(transcript: Transcript, json_path, sidecar_path=None) -> Non
     with open(sidecar_path, "wb") as fh:
         fh.write(_SIDECAR_MAGIC)
         fh.write(np.array([_TRANSCRIPT_VERSION, transcript.config.K, total], dtype="<u4").tobytes())
-        if total:
-            channels = np.stack([use.channel for use in transcript.uses])
-            fh.write(channels.astype("<u4").tobytes())
-            fh.write(transcript.observations.astype("<u4").tobytes())
+        for symbols in (transcript.channels, transcript.observations):
+            fh.write(symbols.astype("<u4", order="C"))
 
 
 def load_transcript(json_path, sidecar_path=None) -> Transcript:
@@ -485,21 +508,11 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     if total and int(symbols[: total * k * k].min()) == 0:
         raise ValueError(f"{sidecar_path}: zero channel coefficient")
     symbols = symbols.astype(np.int64)
-    channels = symbols[: total * k * k].reshape(total, k, k)
-    channels.setflags(write=False)  # every use's channel is a read-only view
-    observations = symbols[total * k * k :].reshape(k, total)
-    uses: list[ChannelUse] = []
-    t = 0
-    for phase in plan.phases:
-        for group in phase.iter_groups():
-            for slot in range(phase.uses_per_group):
-                uses.append(ChannelUse(t=t, order=phase.order, group=group, slot=slot, channel=channels[t]))
-                t += 1
     return Transcript(
         config=config,
         demand=plan.demand,
         plan=plan,
-        uses=tuple(uses),
-        observations=observations,
+        channels=symbols[: total * k * k].reshape(total, k, k),
+        observations=symbols[total * k * k :].reshape(k, total),
         seed=meta["seed"],
     )

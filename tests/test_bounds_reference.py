@@ -18,6 +18,7 @@ from synergy.bounds import (
     SynergyReport,
     achievable_time,
     bound_report,
+    cache_fraction_for_gap,
     dof,
     min_cache_fraction_for_gap,
     outer_bound,
@@ -177,7 +178,16 @@ def ref_min_cache_fraction_for_gap(gap, K):
     return None
 
 
-@pytest.mark.parametrize("K", [0, 1, 2, 3, 7, 64, 1000, 12_345])
+@pytest.mark.parametrize("K", [2, 3, 7, 64, 1000, 12_345])
 def test_min_cache_fraction_matches_loop_reference(K):
     for gap in (1, 1.05, 1.5, 2, 3, 4.5, 7, 12, 40):
         assert min_cache_fraction_for_gap(gap, K) == ref_min_cache_fraction_for_gap(gap, K), gap
+
+
+@pytest.mark.parametrize("K", [-1, 0, 1])
+def test_min_cache_fraction_needs_two_users(K):
+    # No replication in 1..K-1 to search: rejected, as in cache_fraction_for_gap.
+    for gap in (1, 2, 40):
+        for function in (min_cache_fraction_for_gap, cache_fraction_for_gap):
+            with pytest.raises(ValueError, match="need at least two users"):
+                function(gap, K)

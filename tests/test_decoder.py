@@ -166,7 +166,7 @@ def test_truncated_transcript_raises_and_reports():
     config, library, subfiles, caches, transcript = seeded_case(3, 3, 1, seed=1)
     truncated = replace(
         transcript,
-        uses=transcript.uses[:-1],
+        channels=transcript.channels[:-1],
         observations=transcript.observations[:, :-1],
     )
     with pytest.raises(MissingObservationError):
@@ -174,6 +174,22 @@ def test_truncated_transcript_raises_and_reports():
     report = verify_all(truncated, library)
     assert not report.all_pass
     assert all("MissingObservation" in (entry.error or "") for entry in report.users)
+
+
+@pytest.mark.parametrize("short", ["channels", "observations", "both-empty"])
+def test_transcript_shorter_than_its_plan_is_missing_observations(short):
+    config, library, subfiles, caches, transcript = seeded_case(4, 4, 1, seed=3)
+    channels, observations = transcript.channels, transcript.observations
+    if short == "channels":
+        channels = channels[: len(channels) // 2]
+    elif short == "observations":
+        observations = observations[:, :-1]
+    else:
+        channels, observations = channels[:0], observations[:, :0]
+    truncated = replace(transcript, channels=channels, observations=observations)
+    for user in range(1, 5):
+        with pytest.raises(MissingObservationError, match=f"of {transcript.total_uses} uses"):
+            decode_user(truncated, user, caches[user - 1])
 
 
 def test_decode_rejects_bad_user():

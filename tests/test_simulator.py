@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from synergy.simulator import (
     CausalityError,
     DegenerateChannelError,
     DelayedCsitLedger,
+    Transcript,
     load_transcript,
     reconstruct_transmissions,
     run_delivery,
@@ -353,6 +355,55 @@ def test_transcript_roundtrip_through_files(tmp_path):
     assert loaded == transcript
     assert loaded.plan.total_duration == transcript.plan.total_duration
     assert not any(use.channel.flags.writeable for use in loaded.uses)
+
+
+def test_uses_are_read_only_views_of_the_channel_log(tmp_path):
+    config, library, plan, transcript = seeded_run(4, 4, 1, seed=6)
+    save_transcript(transcript, tmp_path / "run.json")
+    for record in (transcript, load_transcript(tmp_path / "run.json")):
+        channels = record.channels
+        assert channels.shape == (plan.total_uses, 4, 4) and channels.dtype == np.int64
+        assert not channels.flags.writeable
+        assert len(record.uses) == record.total_uses
+        for t, use in enumerate(record.uses):
+            assert use.t == t
+            assert not use.channel.flags.writeable
+            assert np.shares_memory(use.channel, channels[t])
+            assert np.array_equal(use.channel, channels[t])
+
+
+def test_transcript_equality_compares_channels_observations_and_seed(tmp_path):
+    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
+    save_transcript(transcript, tmp_path / "run.json")
+    loaded = load_transcript(tmp_path / "run.json")
+    assert loaded == transcript and transcript == loaded
+    channels = transcript.channels.copy()
+    channels[2, 1, 0] = channels[2, 1, 0] % (config.modulus - 1) + 1  # another nonzero value
+    assert replace(transcript, channels=channels) != transcript
+    observations = transcript.observations.copy()
+    observations[1, 3] = (observations[1, 3] + 1) % config.modulus
+    assert replace(transcript, observations=observations) != transcript
+    assert replace(transcript, seed=transcript.seed + 1) != transcript
+    assert replace(transcript, channels=transcript.channels.copy()) == transcript
+
+
+@pytest.mark.parametrize(
+    "arrays, message",
+    [
+        (lambda channels, observations: (channels.reshape(len(channels), -1), observations), "channels"),
+        (lambda channels, observations: (channels[:, :, :-1], observations), "channels"),
+        (lambda channels, observations: (channels[:, :-1], observations), "channels"),
+        (lambda channels, observations: (channels[0], observations), "channels"),
+        (lambda channels, observations: (channels, observations[:-1]), "observations"),
+        (lambda channels, observations: (channels, observations[0]), "observations"),
+    ],
+    ids=["flat", "short-rows", "short-columns", "one-use", "short-observations", "one-user"],
+)
+def test_transcript_rejects_misshapen_arrays(arrays, message):
+    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
+    channels, observations = arrays(transcript.channels, transcript.observations)
+    with pytest.raises(ValueError, match=message):
+        Transcript(config, transcript.demand, transcript.plan, channels, observations, transcript.seed)
 
 
 def test_transcript_roundtrip_empty(tmp_path):
