@@ -397,7 +397,7 @@ def test_transcript_equality_compares_channels_observations_and_seed(tmp_path):
         (lambda channels, observations: (channels, observations[:-1]), "observations"),
         (lambda channels, observations: (channels, observations[0]), "observations"),
     ],
-    ids=["flat", "short-rows", "short-columns", "one-use", "short-observations", "one-user"],
+    ids=["flat", "short-columns", "short-rows", "one-use", "short-observations", "one-user"],
 )
 def test_transcript_rejects_misshapen_arrays(arrays, message):
     config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
