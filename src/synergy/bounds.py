@@ -4,12 +4,14 @@ metrics quantifying what caching and delayed feedback deliver jointly.
 
 Delivery time is measured in normalized slots (one slot = serving one
 file to one user interference-free).  Exact intermediate values are
-integer numerator/denominator pairs, and the converse-bound candidates
-are compared by cross-multiplying over positive denominators.  Each exact
-value a report returns is built once, as a reduced Fraction; the DoF
-floats are int / int divisions, which Python rounds correctly.  The
-logarithmic-approximation metrics (cache_fraction_for_gap, the mid-range
-gap envelope) use doubles.
+integer numerator/denominator pairs (the sweeps read one memoized table
+of reduced harmonic pairs), and the converse-bound candidates and the
+gap checks are compared by cross-multiplying over positive denominators.
+Each exact value a report returns is built once, as a reduced Fraction;
+the gap certificate keeps integer pairs per cell and builds its reports
+only when ``rows`` is read.  The floats are int / int divisions, which
+Python rounds correctly.  The logarithmic-approximation metrics
+(cache_fraction_for_gap, the mid-range gap envelope) use doubles.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -75,6 +78,26 @@ def _replication(K: int, N: int, mn: int, md: int) -> int:
     return replication
 
 
+@lru_cache(maxsize=None)
+def _harmonic_table(size: int) -> tuple[tuple[int, int], ...]:
+    """harmonic(0), ..., harmonic(size - 1) as reduced (numerator,
+    denominator) pairs, each the previous plus 1/n."""
+    table = [(0, 1)]
+    num, den = 0, 1
+    for n in range(1, size):
+        num, den = num * n + den, den * n
+        common = math.gcd(num, den)
+        num, den = num // common, den // common
+        table.append((num, den))
+    return tuple(table)
+
+
+def _harmonics(n: int) -> tuple[tuple[int, int], ...]:
+    """A pair table whose entry s is harmonic(s) for every s in [0, n];
+    sizes are powers of two, so a sweep over n builds few tables."""
+    return _harmonic_table(1 << n.bit_length())
+
+
 def _achievable_pair(K: int, replication: int) -> tuple[int, int]:
     """harmonic(K) - harmonic(replication) as an unreduced pair."""
     if not 0 <= replication <= K:
@@ -126,12 +149,13 @@ def outer_bound(K: int, N: int, M) -> OuterBound:
     if not 0 <= mn <= N * md:
         raise ValueError(f"cache size must lie in [0, {N}] files, got {Fraction(mn, md)}")
     s_hi = K if mn == 0 else min(N * md // mn, K)
+    table = _harmonics(s_hi)
     best_num, best_den, best_s = 0, 1, 0
     for s in range(1, s_hi + 1):
-        h = harmonic(s)
+        h_num, h_den = table[s]
         q = md * (N // s)
-        num = h.numerator * q - h.denominator * s * mn
-        den = h.denominator * q
+        num = h_num * q - h_den * s * mn
+        den = h_den * q
         # strict, so the smallest maximizer is kept
         if best_s == 0 or num * best_den > best_num * den:
             best_num, best_den, best_s = num, den, s
@@ -154,9 +178,51 @@ def dof(K: int, N: int, M) -> Fraction:
     return Fraction(*_dof_pair(N, mn, md, _achievable_pair(K, replication)))
 
 
+def _bound_csv_values(
+    K: int,
+    replication: int,
+    cache_fraction: tuple[int, int],
+    achievable: tuple[int, int],
+    lower_bound: tuple[int, int],
+    gap: tuple[int, int] | None,
+    argmax_s: int,
+) -> tuple:
+    """One gap-sweep CSV row.  ``cache_fraction``, ``achievable`` and
+    ``lower_bound`` are reduced (numerator, denominator) pairs, printed as
+    ``num/den``; ``gap`` is any pair of its value (only its double is
+    printed), or None for an empty cell."""
+    return (
+        K,
+        replication,
+        f"{cache_fraction[0]}/{cache_fraction[1]}",
+        f"{achievable[0]}/{achievable[1]}",
+        achievable[0] / achievable[1],
+        f"{lower_bound[0]}/{lower_bound[1]}",
+        lower_bound[0] / lower_bound[1],
+        "" if gap is None else gap[0] / gap[1],
+        argmax_s,
+    )
+
+
+def _pair(value: Fraction) -> tuple[int, int]:
+    return value.numerator, value.denominator
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One analytic row: achievable time, lower bound, and their ratio."""
+
+    CSV_FIELDS: ClassVar[tuple[str, ...]] = (
+        "K",
+        "replication",
+        "cache_fraction",
+        "delivery_time",
+        "delivery_time_decimal",
+        "lower_bound",
+        "lower_bound_decimal",
+        "gap",
+        "argmax_s",
+    )
 
     K: int
     N: int
@@ -170,17 +236,16 @@ class BoundReport:
     argmax_s: int
 
     def csv_row(self) -> dict:
-        return {
-            "K": self.K,
-            "replication": self.replication,
-            "cache_fraction": format_rational(self.cache_fraction),
-            "delivery_time": format_rational(self.achievable),
-            "delivery_time_decimal": float(self.achievable),
-            "lower_bound": format_rational(self.lower_bound),
-            "lower_bound_decimal": float(self.lower_bound),
-            "gap": float(self.gap) if self.gap is not None else "",
-            "argmax_s": self.argmax_s,
-        }
+        values = _bound_csv_values(
+            self.K,
+            self.replication,
+            _pair(self.cache_fraction),
+            _pair(self.achievable),
+            _pair(self.lower_bound),
+            None if self.gap is None else _pair(self.gap),
+            self.argmax_s,
+        )
+        return dict(zip(self.CSV_FIELDS, values))
 
 
 def bound_report(K: int, N: int, M) -> BoundReport:
@@ -213,15 +278,58 @@ def bound_report(K: int, N: int, M) -> BoundReport:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """Exhaustive sweep result: every cell's exact gap is below 4."""
+    """Exhaustive sweep result: every cell's exact gap is below 4.
 
-    rows: tuple[BoundReport, ...]
+    ``cells`` holds one ``(K, replication, achievable numerator,
+    achievable denominator, lower-bound numerator, lower-bound
+    denominator, argmax_s)`` tuple per cell in sweep order, both pairs
+    reduced; the cell's exact gap is achievable / lower bound.  ``rows``
+    builds one :class:`BoundReport` per cell on first read, each equal to
+    ``bound_report(K, K, replication)``.
+    """
+
+    cells: tuple[tuple[int, int, int, int, int, int, int], ...]
     max_gap: Fraction
     argmax: tuple[int, int]  # (K, replication)
 
+    @cached_property
+    def rows(self) -> tuple[BoundReport, ...]:
+        rows = []
+        for K, replication, time_num, time_den, low_num, low_den, argmax_s in self.cells:
+            rows.append(
+                BoundReport(
+                    K=K,
+                    N=K,
+                    M=Fraction(replication),
+                    replication=replication,
+                    cache_fraction=Fraction(replication, K),
+                    achievable=Fraction(time_num, time_den),
+                    lower_bound=Fraction(low_num, low_den),
+                    gap=Fraction(time_num * low_den, time_den * low_num),
+                    dof=Fraction(*_dof_pair(K, replication, 1, (time_num, time_den))),
+                    argmax_s=argmax_s,
+                )
+            )
+        return tuple(rows)
+
+    def csv_rows(self) -> Iterator[tuple]:
+        """The CSV values of every cell, as ``row.csv_row()`` would give
+        them for each of ``rows``, without building the rows."""
+        for K, replication, time_num, time_den, low_num, low_den, argmax_s in self.cells:
+            common = math.gcd(replication, K)
+            yield _bound_csv_values(
+                K,
+                replication,
+                (replication // common, K // common),
+                (time_num, time_den),
+                (low_num, low_den),
+                (time_num * low_den, time_den * low_num),
+                argmax_s,
+            )
+
     def to_json(self) -> dict:
         return {
-            "cells": len(self.rows),
+            "cells": len(self.cells),
             "max_gap": format_rational(self.max_gap),
             "max_gap_decimal": float(self.max_gap),
             "argmax_K": self.argmax[0],
@@ -237,20 +345,30 @@ def gap_certificate(K_max: int) -> GapCertificate:
     """
     if K_max < 2:
         raise ValueError("the sweep needs K_max >= 2")
-    rows: list[BoundReport] = []
-    max_gap: Fraction | None = None
-    argmax = (0, 0)
+    table = _harmonics(K_max)
+    cells = []
+    # every certified gap is positive, so the first cell replaces 0/1
+    best_num, best_den, argmax = 0, 1, (0, 0)
     for K in range(2, K_max + 1):
+        whole_num, whole_den = table[K]
         for replication in range(1, K):
-            row = bound_report(K, N=K, M=replication)
-            if row.gap is None or row.gap >= 4:
+            head_num, head_den = table[replication]
+            time_num = whole_num * head_den - head_num * whole_den
+            time_den = whole_den * head_den
+            common = math.gcd(time_num, time_den)
+            time_num, time_den = time_num // common, time_den // common
+            lower = outer_bound(K, K, replication)
+            low_num, low_den = lower.value.numerator, lower.value.denominator
+            gap_num, gap_den = time_num * low_den, time_den * low_num
+            if lower.clamped or gap_num >= 4 * gap_den:
+                gap = None if lower.clamped else Fraction(gap_num, gap_den)
                 raise CertificateViolationError(
-                    f"gap {row.gap} at K={K}, replication={replication}"
+                    f"gap {gap} at K={K}, replication={replication}"
                 )
-            rows.append(row)
-            if max_gap is None or row.gap > max_gap:
-                max_gap, argmax = row.gap, (K, replication)
-    return GapCertificate(rows=tuple(rows), max_gap=max_gap, argmax=argmax)
+            cells.append((K, replication, time_num, time_den, low_num, low_den, lower.argmax_s))
+            if gap_num * best_den > best_num * gap_den:
+                best_num, best_den, argmax = gap_num, gap_den, (K, replication)
+    return GapCertificate(cells=tuple(cells), max_gap=Fraction(best_num, best_den), argmax=argmax)
 
 
 @dataclass(frozen=True)
@@ -264,6 +382,17 @@ class SynergyReport:
     joint scheme exceeds their sum (not sign-guaranteed at small K).
     """
 
+    CSV_FIELDS: ClassVar[tuple[str, ...]] = (
+        "K",
+        "replication",
+        "cache_fraction",
+        "dof",
+        "dof_cache_only",
+        "dof_feedback_only",
+        "margin",
+        "single_stream_time",
+    )
+
     K: int
     replication: int
     cache_fraction: Fraction
@@ -273,17 +402,21 @@ class SynergyReport:
     margin: float
     single_stream_time: Fraction
 
+    def csv_values(self) -> tuple:
+        """The DoF-sweep CSV row, in ``CSV_FIELDS`` order."""
+        return (
+            self.K,
+            self.replication,
+            format_rational(self.cache_fraction),
+            self.dof,
+            self.dof_cache_only,
+            self.dof_feedback_only,
+            self.margin,
+            format_rational(self.single_stream_time),
+        )
+
     def csv_row(self) -> dict:
-        return {
-            "K": self.K,
-            "replication": self.replication,
-            "cache_fraction": format_rational(self.cache_fraction),
-            "dof": self.dof,
-            "dof_cache_only": self.dof_cache_only,
-            "dof_feedback_only": self.dof_feedback_only,
-            "margin": self.margin,
-            "single_stream_time": format_rational(self.single_stream_time),
-        }
+        return dict(zip(self.CSV_FIELDS, self.csv_values()))
 
 
 def synergy_report(K: int, replication: int) -> SynergyReport:

@@ -15,9 +15,12 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from .bounds import (
+    BoundReport,
     CertificateViolationError,
+    SynergyReport,
     cache_fraction_for_gap,
     check_midrange_gap_envelope,
     gap_certificate,
@@ -154,13 +157,12 @@ def _cmd_simulate(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _write_csv(rows: list[dict], output: str | None) -> None:
-    if not rows:
-        return
+def _write_csv(header: tuple[str, ...], rows: Iterable[tuple], output: str | None) -> None:
+    """Write a header and then each row as it is produced."""
     target = open(output, "w", newline="") if output else sys.stdout
     try:
-        writer = csv.DictWriter(target, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
+        writer = csv.writer(target)
+        writer.writerow(header)
         writer.writerows(rows)
     finally:
         if output:
@@ -188,21 +190,21 @@ def _cmd_sweep(args) -> int:
         except CertificateViolationError as exc:
             print(f"gap certificate violated: {exc}", file=sys.stderr)
             return 1
-        _write_csv([row.csv_row() for row in certificate.rows], args.output)
+        _write_csv(BoundReport.CSV_FIELDS, certificate.csv_rows(), args.output)
         print(
             f"max gap {format_rational(certificate.max_gap)} "
             f"({float(certificate.max_gap):.6f}) at K={certificate.argmax[0]}, "
-            f"replication={certificate.argmax[1]}; all {len(certificate.rows)} cells below 4",
+            f"replication={certificate.argmax[1]}; all {len(certificate.cells)} cells below 4",
             file=sys.stderr,
         )
         return 0
     if args.mode == "dof":
-        rows = [
-            synergy_report(K, replication).csv_row()
+        rows = (
+            synergy_report(K, replication).csv_values()
             for K in range(2, args.kmax + 1)
             for replication in range(1, K)
-        ]
-        _write_csv(rows, args.output)
+        )
+        _write_csv(SynergyReport.CSV_FIELDS, rows, args.output)
         return 0
     # buffer mode: closed-form vs. exhaustive minimum cache fraction per target
     if not 2 <= args.kmax <= _BUFFER_KMAX_LIMIT:
@@ -215,14 +217,15 @@ def _cmd_sweep(args) -> int:
     for gap in gaps:
         exhaustive = min_cache_fraction_for_gap(gap, args.kmax)
         rows.append(
-            {
-                "gap_target": gap,
-                "users": args.kmax,
-                "cache_fraction_formula": cache_fraction_for_gap(gap, args.kmax),
-                "cache_fraction_exhaustive": "" if exhaustive is None else float(exhaustive),
-            }
+            (
+                gap,
+                args.kmax,
+                cache_fraction_for_gap(gap, args.kmax),
+                "" if exhaustive is None else float(exhaustive),
+            )
         )
-    _write_csv(rows, args.output)
+    header = ("gap_target", "users", "cache_fraction_formula", "cache_fraction_exhaustive")
+    _write_csv(header, rows, args.output)
     return 0
 
 

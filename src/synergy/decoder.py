@@ -76,7 +76,9 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
     global channel log, and its cache.
 
     Raises ValueError when the cache does not hold exactly the blocks of
-    the subsets containing ``user`` (another user's cache, for one).
+    the subsets containing ``user`` (another user's cache, for one), and
+    MissingObservationError when the transcript holds fewer channel uses,
+    or fewer observation columns, than the plan sends.
     """
     config = transcript.config
     plan = transcript.plan
@@ -84,9 +86,14 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
     K, modulus = config.K, config.modulus
     if not 1 <= user <= K:
         raise ValueError(f"user must lie in [1, {K}]")
-    if transcript.total_uses < plan.total_uses or transcript.observations.shape[1] < plan.total_uses:
+    if transcript.total_uses < plan.total_uses:
         raise MissingObservationError(
             f"transcript holds {transcript.total_uses} of {plan.total_uses} uses"
+        )
+    observed = transcript.observations.shape[1]
+    if observed < plan.total_uses:
+        raise MissingObservationError(
+            f"transcript holds observations of {observed} of {plan.total_uses} uses"
         )
     holders = np.flatnonzero((group_table(K, config.replication)[0] == user).any(axis=1))
     blocks_shape = (config.N, len(holders), config.subfile_symbols)

@@ -415,12 +415,22 @@ def reconstruct_transmissions(plan: DeliveryPlan, transcript: Transcript) -> np.
 
 def save_transcript(transcript: Transcript, json_path, sidecar_path=None) -> None:
     """Write metadata as JSON plus a binary sidecar with the channel and
-    observation symbols (little-endian uint32, versioned header)."""
+    observation symbols (little-endian uint32, versioned header).
+
+    Raises ValueError, before writing anything, when ``observations`` does
+    not have one column per channel use: the header counts the uses from
+    ``channels``, so such a file could not be loaded back.
+    """
     json_path = Path(json_path)
     sidecar_path = Path(sidecar_path) if sidecar_path is not None else json_path.with_suffix(".bin")
     total = transcript.total_uses
     if total >= 1 << 32:
         raise ValueError("transcript too large for the sidecar header")
+    if transcript.observations.shape[1] != total:
+        raise ValueError(
+            f"observations hold {transcript.observations.shape[1]} columns "
+            f"for {total} channel uses"
+        )
     meta = {
         "format": _TRANSCRIPT_FORMAT,
         "version": _TRANSCRIPT_VERSION,

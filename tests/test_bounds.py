@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
 
 import pytest
 
+from synergy import bounds
 from synergy.bounds import (
     EULER_MASCHERONI,
+    CertificateViolationError,
+    OuterBound,
     achievable_time,
     bound_report,
     cache_fraction_for_gap,
@@ -16,6 +20,7 @@ from synergy.bounds import (
     outer_bound,
     synergy_report,
 )
+from synergy.cli import main
 from synergy.combinatorics import epsilon, harmonic
 
 
@@ -111,6 +116,79 @@ def test_gap_certificate_reports_argmax():
 def test_gap_certificate_validation():
     with pytest.raises(ValueError):
         gap_certificate(1)
+
+
+def test_gap_certificate_rows_equal_bound_reports_field_by_field():
+    certificate = gap_certificate(24)
+    cells = [(K, replication) for K in range(2, 25) for replication in range(1, K)]
+    assert [(row.K, row.replication) for row in certificate.rows] == cells
+    for row in certificate.rows:
+        expected = bound_report(row.K, row.K, row.replication)
+        assert row == expected
+        for name in (field.name for field in dataclasses.fields(row)):
+            assert type(getattr(row, name)) is type(getattr(expected, name)), (row.K, name)
+
+
+def test_gap_certificate_csv_rows_match_the_reports_without_building_them():
+    certificate = gap_certificate(24)
+    tuples = list(certificate.csv_rows())
+    assert certificate.to_json()["cells"] == len(tuples) == 23 * 24 // 2
+    assert "rows" not in vars(certificate)  # built on first read only
+    assert tuples == [tuple(row.csv_row().values()) for row in certificate.rows]
+    assert list(bound_report(4, 4, 1).csv_row()) == list(bounds.BoundReport.CSV_FIELDS)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_gap_certificate_rejects_a_cell_pushed_to_four(monkeypatch, shift):
+    # the check cross-multiplies integer pairs: a lower bound of exactly a
+    # quarter of the achievable time must fail, one a hair above must pass
+    true_outer_bound = bounds.outer_bound
+
+    def pushed(K, N, M):
+        result = true_outer_bound(K, N, M)
+        if (K, M) != (7, 3):
+            return result
+        quarter = achievable_time(7, 3) / 4 + Fraction(shift, 10**30)
+        return OuterBound(value=quarter, argmax_s=result.argmax_s, clamped=False)
+
+    monkeypatch.setattr(bounds, "outer_bound", pushed)
+    if shift:
+        certificate = gap_certificate(8)
+        assert certificate.max_gap < 4 and certificate.argmax == (7, 3)
+        return
+    with pytest.raises(CertificateViolationError, match=r"^gap 4 at K=7, replication=3$"):
+        gap_certificate(8)
+
+
+def test_gap_certificate_rejects_a_clamped_lower_bound(monkeypatch):
+    monkeypatch.setattr(
+        bounds, "outer_bound", lambda K, N, M: OuterBound(value=Fraction(0), argmax_s=1, clamped=True)
+    )
+    with pytest.raises(CertificateViolationError, match=r"^gap None at K=2, replication=1$"):
+        gap_certificate(2)
+
+
+def test_every_bounds_memo_clears_and_a_cleared_sweep_writes_the_same_bytes(tmp_path):
+    memos = {name for name, value in vars(bounds).items() if callable(getattr(value, "cache_clear", None))}
+    assert {"harmonic", "epsilon", "_cumulative_harmonics", "_harmonic_table"} <= memos
+    # state kept anywhere but in an lru_cache would survive the clearing
+    held = [
+        name
+        for name, value in vars(bounds).items()
+        if isinstance(value, (list, dict, set)) and name not in ("__all__", "__builtins__")
+    ]
+    assert held == []
+
+    def cleared_sweep(name):
+        for memo in memos:
+            getattr(bounds, memo).cache_clear()
+        path = tmp_path / name
+        assert main(["sweep", "--mode", "gap", "--kmax", "16", "--output", str(path)]) == 0
+        return path.read_bytes()
+
+    first = cleared_sweep("first.csv")
+    assert bounds._harmonic_table.cache_info().currsize > 0
+    assert cleared_sweep("second.csv") == first
 
 
 def test_midrange_case_closed_form():

@@ -192,6 +192,19 @@ def test_transcript_shorter_than_its_plan_is_missing_observations(short):
             decode_user(truncated, user, caches[user - 1])
 
 
+def test_missing_observation_message_counts_what_is_short():
+    config, library, subfiles, caches, transcript = seeded_case(4, 4, 1, seed=3)
+    total = transcript.total_uses
+    short_observations = replace(transcript, observations=transcript.observations[:, :-1])
+    with pytest.raises(MissingObservationError) as caught:
+        decode_user(short_observations, 1, caches[0])
+    assert str(caught.value) == f"transcript holds observations of {total - 1} of {total} uses"
+    short_channels = replace(transcript, channels=transcript.channels[:-2])
+    with pytest.raises(MissingObservationError) as caught:
+        decode_user(short_channels, 1, caches[0])
+    assert str(caught.value) == f"transcript holds {total - 2} of {total} uses"
+
+
 def test_decode_rejects_bad_user():
     config, library, subfiles, caches, transcript = seeded_case(2, 2, 1)
     with pytest.raises(ValueError):

@@ -412,6 +412,23 @@ def test_transcript_roundtrip_empty(tmp_path):
     assert load_transcript(tmp_path / "empty.json") == transcript
 
 
+@pytest.mark.parametrize("columns", [-1, 1])
+def test_save_rejects_observations_that_do_not_match_the_channel_log(tmp_path, columns):
+    # the header counts uses from the channel log: one observation column
+    # too few or too many would make a file that load_transcript rejects
+    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
+    observations = transcript.observations
+    if columns < 0:
+        observations = observations[:, :columns]
+    else:
+        observations = np.concatenate([observations, observations[:, :columns]], axis=1)
+    malformed = replace(transcript, observations=observations)
+    expected = f"observations hold {observations.shape[1]} columns for {transcript.total_uses}"
+    with pytest.raises(ValueError, match=expected):
+        save_transcript(malformed, tmp_path / "run.json")
+    assert not (tmp_path / "run.json").exists() and not (tmp_path / "run.bin").exists()
+
+
 def test_transcript_load_rejects_tampered_sidecar(tmp_path):
     config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
     save_transcript(transcript, tmp_path / "run.json")
