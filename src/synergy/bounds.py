@@ -444,6 +444,16 @@ def synergy_report(K: int, replication: int) -> SynergyReport:
     )
 
 
+def _check_gap_target(gap: float, K: int) -> None:
+    # NaN fails every comparison, so it is rejected by name, not by `gap < 1`.
+    if not math.isfinite(gap):
+        raise ValueError(f"the target factor must be finite, got {gap}")
+    if gap < 1:
+        raise ValueError("the target factor must be at least 1")
+    if K < 2:
+        raise ValueError("need at least two users")
+
+
 def cache_fraction_for_gap(gap: float, K: int) -> float:
     """Closed-form cache fraction that puts the per-user DoF within a
     target factor ``gap`` of the interference-free optimum:
@@ -451,13 +461,10 @@ def cache_fraction_for_gap(gap: float, K: int) -> float:
 
     Decays exponentially in the target, which is what makes tiny caches
     worthwhile; compare with :func:`min_cache_fraction_for_gap`.  Raises
-    ValueError where the value is not a normal double (targets above
-    about 709).
+    ValueError for a target that is not finite and where the value is not
+    a normal double (targets above about 709).
     """
-    if gap < 1:
-        raise ValueError("the target factor must be at least 1")
-    if K < 2:
-        raise ValueError("need at least two users")
+    _check_gap_target(gap, K)
     value = math.exp(-(gap - epsilon(K) + EULER_MASCHERONI))
     # the true value is positive: a subnormal or zero double would be a
     # silently wrong answer
@@ -482,12 +489,10 @@ def _cumulative_harmonics(K: int) -> np.ndarray:
 def min_cache_fraction_for_gap(gap: float, K: int) -> Fraction | None:
     """Smallest replication/K whose DoF reaches 1/gap, by exhaustive
     search over replication (float harmonic accumulation); None when even
-    replication = K-1 falls short.  Raises ValueError for a target below
-    1 or fewer than two users, as :func:`cache_fraction_for_gap` does."""
-    if gap < 1:
-        raise ValueError("the target factor must be at least 1")
-    if K < 2:
-        raise ValueError("need at least two users")
+    replication = K-1 falls short.  Raises ValueError for a target that is
+    not finite or below 1, or fewer than two users, as
+    :func:`cache_fraction_for_gap` does."""
+    _check_gap_target(gap, K)
     target = 1.0 / gap
     cumulative = _cumulative_harmonics(K)
     replication = np.arange(1, K)

@@ -1,5 +1,5 @@
 """Exact combinatorial primitives: binomials, harmonic numbers, and
-canonical subsets of {1, ..., universe}.
+integer tables of the canonical subsets of {1, ..., universe}.
 
 Schedule durations, bounds and gap ratios throughout the package are
 exact `fractions.Fraction` values built on these helpers.  Floats appear
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "binomial",
     "harmonic",
     "epsilon",
-    "iter_subsets",
     "format_rational",
 ]
 
@@ -83,11 +81,11 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Subset:
-    """Sorted subset of the ground set {1, ..., universe}.
+    """Sorted subset of the ground set {1, ..., universe}: the group label
+    of a :class:`~synergy.simulator.ChannelUse`.
 
-    The canonical order of all size-j subsets is lexicographic on the
-    element tuples; ``rank``/``unrank`` implement that order via the
-    combinatorial number system.
+    Computation never reads it; the integer tables of :func:`group_table`
+    and :func:`system_rows` hold every subset of a size by rank.
     """
 
     elements: tuple[int, ...]
@@ -101,73 +99,11 @@ class Subset:
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError(f"elements must be strictly increasing: {elems}")
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __contains__(self, member: object) -> bool:
-        return member in self.elements
-
-    def index_of(self, member: int) -> int:
-        """Position of a member within the sorted element tuple."""
-        return self.elements.index(member)
-
-    def without(self, member: int) -> "Subset":
-        """The subset with one member removed."""
-        if member not in self.elements:
-            raise ValueError(f"{member} is not a member of {self.elements}")
-        return Subset(tuple(e for e in self.elements if e != member), self.universe)
-
-    def complement(self) -> tuple[int, ...]:
-        """Ground-set members not in this subset, ascending."""
-        inside = set(self.elements)
-        return tuple(e for e in range(1, self.universe + 1) if e not in inside)
-
-    def rank(self) -> int:
-        """Lexicographic index among all subsets of this size."""
-        index = 0
-        size = len(self.elements)
-        previous = 0
-        for i, element in enumerate(self.elements):
-            for skipped in range(previous + 1, element):
-                index += binomial(self.universe - skipped, size - i - 1)
-            previous = element
-        return index
-
-    @classmethod
-    def unrank(cls, universe: int, size: int, index: int) -> "Subset":
-        """Inverse of ``rank`` for the given universe and subset size."""
-        total = binomial(universe, size)
-        if not 0 <= index < total:
-            raise ValueError(f"index {index} out of range for {total} subsets")
-        elements = []
-        candidate = 1
-        remaining = index
-        for i in range(size):
-            while True:
-                block = binomial(universe - candidate, size - i - 1)
-                if remaining < block:
-                    break
-                remaining -= block
-                candidate += 1
-            elements.append(candidate)
-            candidate += 1
-        return cls(tuple(elements), universe)
-
-
-def iter_subsets(universe: int, size: int) -> Iterator[Subset]:
-    """All size-``size`` subsets in canonical order, lazily."""
-    if not 0 <= size <= universe:
-        raise ValueError(f"subset size {size} out of range for universe {universe}")
-    return (Subset(combo, universe) for combo in itertools.combinations(range(1, universe + 1), size))
-
 
 def _lex_ranks(combos: np.ndarray, universe: int) -> np.ndarray:
-    """``Subset.rank`` of every row of an (..., size) array of ascending
-    elements: the lexicographic index is C(n, k) - 1 minus the sum over
-    positions i (1-based) of C(n - c_i, k - i + 1)."""
+    """Lexicographic index, among all subsets of their size, of every row
+    of an (..., size) array of ascending elements: C(n, k) - 1 minus the
+    sum over positions i (1-based) of C(n - c_i, k - i + 1)."""
     size = combos.shape[-1]
     table = np.array(
         [[math.comb(n, k) for k in range(size + 2)] for n in range(universe + 1)], dtype=np.int64
@@ -186,8 +122,7 @@ def group_table(universe: int, size: int) -> tuple[np.ndarray, np.ndarray, np.nd
     - ``without_rank`` (C(universe, size), size): entry [r, i] is the rank
       of subset r with its i-th member removed, among the size - 1 subsets.
 
-    All three are int64 and read-only; they stand in for building and
-    hashing one ``Subset`` per group.
+    All three are int64 and read-only.
     """
     if not 0 <= size <= universe:
         raise ValueError(f"subset size {size} out of range for universe {universe}")
@@ -203,3 +138,20 @@ def group_table(universe: int, size: int) -> tuple[np.ndarray, np.ndarray, np.nd
     for table in (members, complement, without_rank):
         table.setflags(write=False)
     return members, complement, without_rank
+
+
+@lru_cache(maxsize=None)
+def system_rows(universe: int, size: int) -> np.ndarray:
+    """Channel rows of every member's decoding system, per group:
+    a read-only int64 (C(universe, size), size, universe - size + 1)
+    array whose entry [r, i] lists, 0-based, the i-th member's own row of
+    the group of rank r and then every non-member's row, ascending.
+
+    Delivery checks exactly these systems for invertibility and decoding
+    solves them, so both read this one table.
+    """
+    members, complement, _ = group_table(universe, size)
+    others = np.broadcast_to(complement[:, np.newaxis], (*members.shape, universe - size))
+    rows = np.concatenate([members[:, :, np.newaxis], others], axis=2) - 1
+    rows.setflags(write=False)
+    return rows

@@ -2,17 +2,18 @@
 the last phase down, solve each first-phase block, strip cached blocks
 from the folded messages, and reassemble the requested file.
 
-Decoding walks integer group tables instead of ``Subset`` objects.  Phase
-order j has one row per j-subset in canonical order
-(:func:`~synergy.combinatorics.group_table`), so the group of rank r
-occupies uses ``phase_offset + r * uses_per_group`` onward, and "the
-group without member i" is one lookup in the table's ``without_rank``.
+Decoding walks integer group tables.  Phase order j has one row per
+j-subset in canonical order (:func:`~synergy.combinatorics.group_table`),
+so in phase i the group of rank r occupies uses
+``plan.offsets[i] + r * uses_per_group`` onward, and "the group without
+member i" is one lookup in the table's ``without_rank``.
 
 Per phase, a user gathers its groups (the rows holding it) and, with one
 index into the transcript's (T, K, K) channel log, only the channel rows
 and active columns of those groups' uses.  Each slot of a group's block is
-a (K-j+1)-square system, the user's own row plus one row per
-non-member, whose right-hand side is the user's own observation and the
+a (K-j+1)-square system, the user's own row plus one row per non-member
+(:func:`~synergy.combinatorics.system_rows`, the systems delivery
+checked), whose right-hand side is the user's own observation and the
 streams it recovered for the non-members in the phase after; every slot
 of every such group is solved in one batch.  In phases past the first,
 the user then removes its own previous-phase observation from the
@@ -35,23 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import group_table
+from .combinatorics import group_table, system_rows
 from .field import matmul, solve
 from .placement import CacheContents, fill_caches, subpacketize
 from .simulator import Transcript
 
 __all__ = [
-    "MissingObservationError",
     "DecodeOutcome",
     "UserReport",
     "DeliveryReport",
     "decode_user",
     "verify_all",
 ]
-
-
-class MissingObservationError(Exception):
-    """Transcript lacks uses the decode needs."""
 
 
 @dataclass
@@ -76,9 +72,9 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
     global channel log, and its cache.
 
     Raises ValueError when the cache does not hold exactly the blocks of
-    the subsets containing ``user`` (another user's cache, for one), and
-    MissingObservationError when the transcript holds fewer channel uses,
-    or fewer observation columns, than the plan sends.
+    the subsets containing ``user`` (another user's cache, for one), or
+    when the transcript holds fewer channel uses, or fewer observation
+    columns, than the plan sends.
     """
     config = transcript.config
     plan = transcript.plan
@@ -87,12 +83,12 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
     if not 1 <= user <= K:
         raise ValueError(f"user must lie in [1, {K}]")
     if transcript.total_uses < plan.total_uses:
-        raise MissingObservationError(
+        raise ValueError(
             f"transcript holds {transcript.total_uses} of {plan.total_uses} uses"
         )
     observed = transcript.observations.shape[1]
     if observed < plan.total_uses:
-        raise MissingObservationError(
+        raise ValueError(
             f"transcript holds observations of {observed} of {plan.total_uses} uses"
         )
     holders = np.flatnonzero((group_table(K, config.replication)[0] == user).any(axis=1))
@@ -103,8 +99,7 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
             f"of the subsets containing user {user}"
         )
     own = transcript.observations[user - 1]
-    phases = plan.phases
-    offsets = np.cumsum([0] + [phase.group_count * phase.uses_per_group for phase in phases])
+    phases, offsets = plan.phases, plan.offsets
     recovered = {
         phase.order: np.full((phase.group_count, K, phase.uses_per_group), -1, dtype=np.int64)
         for phase in phases[:-1]
@@ -115,21 +110,19 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
     for idx in range(len(phases) - 1, -1, -1):
         phase = phases[idx]
         order, active, n = phase.order, phase.active_antennas, phase.uses_per_group
-        members, complement, without_rank = group_table(K, order)
+        members, _, without_rank = group_table(K, order)
         groups = np.flatnonzero((members == user).any(axis=1))
         count = len(groups)
         position = (members[groups] == user).argmax(axis=1)
-        others = complement[groups]
         # Every slot of every group holding the user, as one batch of
         # square systems: the user's own row plus one row per non-member.
+        rows = system_rows(K, order)[groups, position]
         slots = offsets[idx] + groups[:, np.newaxis] * n + np.arange(n)
-        rows = np.concatenate([np.full((count, 1), user), others], axis=1) - 1
-        rows = np.repeat(rows, n, axis=0)
-        coefficients = transcript.channels[slots.reshape(-1, 1), rows, :active]
+        coefficients = transcript.channels[slots.reshape(-1, 1), np.repeat(rows, n, axis=0), :active]
         rhs = np.empty((count, n, active), dtype=np.int64)
         rhs[:, :, 0] = own[slots]
         if active > 1:
-            streams = recovered[order][groups[:, np.newaxis], others - 1]
+            streams = recovered[order][groups[:, np.newaxis], rows[:, 1:]]
             rhs[:, :, 1:] = streams.transpose(0, 2, 1)
         solved = solve(coefficients, rhs.reshape(-1, active), modulus)
         solved = solved.reshape(count, n, active)  # solved[g, slot] = symbols of that slot

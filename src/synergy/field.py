@@ -15,7 +15,6 @@ share one fraction-free forward elimination that forms only the
 trailing block at each step (about n**3 / 3 multiply-reduce steps per
 n x n system): ``is_invertible`` runs it alone, ``solve`` runs it on
 ``[a | b]`` and back-substitutes with one inversion per system.
-``matrix_rank`` is a separate, unbatched elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "inverse",
     "matmul",
     "solve",
-    "matrix_rank",
     "is_invertible",
     "cauchy_combining_matrix",
 ]
@@ -222,30 +220,6 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     if not batched:
         x = x[0]
     return x[..., 0] if single else x
-
-
-def matrix_rank(a: np.ndarray, modulus: int = MODULUS) -> int:
-    """Row rank by elimination over the field."""
-    a = np.array(a, dtype=np.int64) % modulus
-    if a.ndim != 2:
-        raise ValueError("rank needs a matrix")
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivots = np.nonzero(a[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = rank + int(pivots[0])
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, modulus)
-        a[rank] = a[rank] * inv % modulus
-        below = a[rank + 1 :, col].copy()
-        a[rank + 1 :] = (a[rank + 1 :] - np.outer(below, a[rank])) % modulus
-        rank += 1
-    return rank
 
 
 def is_invertible(a: np.ndarray, modulus: int = MODULUS) -> bool | np.ndarray:

@@ -12,15 +12,15 @@ telescope to harmonic(K) - harmonic(replication).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
-from .combinatorics import Subset, binomial, format_rational, group_table, iter_subsets
+from .combinatorics import binomial, format_rational, group_table
 from .field import MODULUS, cauchy_combining_matrix, solve
 from .placement import SystemConfig
 
@@ -47,8 +47,9 @@ class PhasePlan:
 
     ``combining`` is None in the first phase (blocks are raw folded
     messages) and a (order-1) x order matrix over GF(``modulus``)
-    afterwards.  Groups are iterated lazily so plans stay cheap for
-    large K.
+    afterwards.  Groups are not listed, so plans stay cheap for large K;
+    the group of rank r is row r of
+    :func:`~synergy.combinatorics.group_table` (universe, order).
     """
 
     order: int
@@ -62,9 +63,6 @@ class PhasePlan:
     @property
     def group_count(self) -> int:
         return binomial(self.universe, self.order)
-
-    def iter_groups(self) -> Iterator[Subset]:
-        return iter_subsets(self.universe, self.order)
 
     @cached_property
     def combining_inverses(self) -> np.ndarray | None:
@@ -88,7 +86,12 @@ class PhasePlan:
 @dataclass(frozen=True, eq=False)
 class DeliveryPlan:
     """Per-phase schedule plus, optionally, the folded-message payloads
-    (see :func:`build_xors`)."""
+    (see :func:`build_xors`).
+
+    Phase i occupies channel uses ``offsets[i]`` up to ``offsets[i + 1]``,
+    and within it the group of rank r the ``uses_per_group`` uses from
+    ``offsets[i] + r * uses_per_group``.
+    """
 
     config: SystemConfig
     demand: tuple[int, ...] | None
@@ -103,9 +106,18 @@ class DeliveryPlan:
     def total_duration(self) -> Fraction:
         return sum(self.durations, Fraction(0))
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """The first use of each phase, then the total use count."""
+        return tuple(
+            itertools.accumulate(
+                (phase.group_count * phase.uses_per_group for phase in self.phases), initial=0
+            )
+        )
+
     @property
     def total_uses(self) -> int:
-        return sum(phase.group_count * phase.uses_per_group for phase in self.phases)
+        return self.offsets[-1]
 
 
 def minimal_granularity(K: int, replication: int) -> int:
@@ -220,7 +232,7 @@ def plan_to_json(plan: DeliveryPlan, include_groups: bool = True) -> dict:
             "combining": None if phase.combining is None else phase.combining.tolist(),
         }
         if include_groups:
-            entry["groups"] = [list(group.elements) for group in phase.iter_groups()]
+            entry["groups"] = group_table(phase.universe, phase.order)[0].tolist()
         phases.append(entry)
     return {
         "format": "synergy-plan",

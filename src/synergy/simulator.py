@@ -15,30 +15,33 @@ loader hands back the sidecar buffer reshaped, and decoders index it
 directly.
 
 Delivery walks phases, not groups.  Each phase is a fixed table of
-groups (:func:`~synergy.combinatorics.group_table`), and the group of
-rank r occupies uses ``phase_offset + r * uses_per_group`` onward.  So
-a phase costs one gather of its streams (in later phases one index into
-the ledger's observation array, then one batched product with the
-combining matrix) and one forward walk over the channel stream.  The
+groups (:func:`~synergy.combinatorics.group_table`); phase i starts at
+use ``plan.offsets[i]``, the one place use offsets are computed, and its
+group of rank r occupies uses ``plan.offsets[i] + r * uses_per_group``
+onward.  So a phase costs one gather of its streams (in later phases one
+index into the ledger's observation array, then one batched product with
+the combining matrix) and one forward walk over the channel stream.  The
 walk fills the phase's slice of the preallocated channel log in windows
 of at most ``_WINDOW`` uses, each drawn and checked for decodability in
-one batch, and never rewinds the stream: a degenerate draw is consumed
-as a failed draw of its use.  The received symbols are formed and logged
-window by window too.  Only those buffers (each window's draw,
+one batch against the systems of
+:func:`~synergy.combinatorics.system_rows`, which decoding solves, and
+never rewinds the stream: a degenerate draw is consumed as a failed draw
+of its use.  The received symbols are formed and logged window by window
+too.  Only those buffers (each window's draw,
 decodability check and received-symbol product) are bounded by
 ``_WINDOW``; the phase's transmitted symbols are still held whole.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import Subset, format_rational, group_table
+from .combinatorics import Subset, format_rational, group_table, system_rows
 from .field import SeededRng, is_invertible, matmul
 from .placement import LengthMismatchError, SystemConfig, random_library, subpacketize
 from .scheduler import DeliveryPlan, PhasePlan, build_xors, plan_phases
@@ -72,6 +75,8 @@ _SIDECAR_MAGIC = b"SYNTRANS"
 # after a degenerate draw the walk restarts at _RETRY_WINDOW uses.
 _WINDOW = 1024
 _RETRY_WINDOW = 4
+# Draws per use, the degenerate one included, before "resample" gives up.
+_MAX_REDRAWS = 64
 
 
 class DegenerateChannelError(Exception):
@@ -165,28 +170,20 @@ class Transcript:
         channels = channels.view()
         channels.setflags(write=False)
         object.__setattr__(self, "channels", channels)
-        slots = (
-            (phase.order, group, slot)
+        # One Subset per group, built only as far as ``channels`` reaches.
+        groups = (
+            (phase, Subset(members, K))
             for phase in self.plan.phases
-            for group in phase.iter_groups()
-            for slot in range(phase.uses_per_group)
+            for members in itertools.combinations(range(1, K + 1), phase.order)
+        )
+        slots = (
+            (phase.order, group, slot) for phase, group in groups for slot in range(phase.uses_per_group)
         )
         uses = tuple(
             ChannelUse(t, order, group, slot, channel)
             for t, (channel, (order, group, slot)) in enumerate(zip(channels, slots))
         )
         object.__setattr__(self, "uses", uses)
-
-    @cached_property
-    def group_slots(self) -> dict[tuple[int, Subset], tuple[int, int]]:
-        """(order, group) -> (first use index, use count)."""
-        slots: dict[tuple[int, Subset], list[int]] = {}
-        for use in self.uses:
-            key = (use.order, use.group)
-            if key not in slots:
-                slots[key] = [use.t, 0]
-            slots[key][1] += 1
-        return {key: (start, count) for key, (start, count) in slots.items()}
 
     @property
     def total_uses(self) -> int:
@@ -204,16 +201,9 @@ class Transcript:
         )
 
 
-def _phase_symbols(
-    phase: PhasePlan,
-    previous: PhasePlan | None,
-    previous_offset: int,
-    xors,
-    observe,
-    modulus: int,
-) -> np.ndarray:
-    """Transmitted symbols of every use of a phase, as a
-    (group_count * uses_per_group, active_antennas) array in use order.
+def _phase_symbols(plan: DeliveryPlan, index: int, xors, observe) -> np.ndarray:
+    """Transmitted symbols of every use of phase ``index`` of the plan, as
+    a (group_count * uses_per_group, active_antennas) array in use order.
 
     First phase: each group's folded message (row g of ``xors`` for the
     group of rank g), split contiguously across antennas.  Later
@@ -223,22 +213,24 @@ def _phase_symbols(
     rows are flattened row-major (combined row major, time minor) and
     refilled antenna-fastest.
     """
+    phase = plan.phases[index]
     members, _, without_rank = group_table(phase.universe, phase.order)
     active, uses = phase.active_antennas, phase.uses_per_group
     if phase.combining is None:
         blocks = xors.reshape(len(members), active, uses)
         return blocks.transpose(0, 2, 1).reshape(-1, active)
-    width = previous.uses_per_group
-    heard = previous_offset + without_rank[:, :, np.newaxis] * width + np.arange(width)
+    width = plan.phases[index - 1].uses_per_group
+    heard = plan.offsets[index - 1] + without_rank[:, :, np.newaxis] * width + np.arange(width)
     overheard = observe(members[:, :, np.newaxis], heard)  # (groups, order, width)
-    return matmul(phase.combining, overheard, modulus).reshape(-1, active)
+    return matmul(phase.combining, overheard, plan.config.modulus).reshape(-1, active)
 
 
 def _decodable(channels: np.ndarray, rows: np.ndarray, active: int, modulus: int) -> np.ndarray:
     """Per channel of a (uses, K, K) block: whether every system decoding
     will rely on is invertible.  ``rows[u, i]`` lists the channel rows of
-    member i's system at use u, its own row and then every non-member's;
-    each system keeps the active antennas' columns."""
+    member i's system at use u (see
+    :func:`~synergy.combinatorics.system_rows`); each system keeps the
+    active antennas' columns."""
     uses = np.arange(len(channels))[:, np.newaxis, np.newaxis]
     systems = channels[uses, rows, :active]  # (uses, members, active, active)
     invertible = is_invertible(systems.reshape(-1, active, active), modulus)
@@ -250,7 +242,6 @@ def _draw_phase(
     config: SystemConfig,
     phase: PhasePlan,
     on_degenerate: str,
-    max_redraws: int,
     channels: np.ndarray,
     offset: int,
 ) -> None:
@@ -262,16 +253,14 @@ def _draw_phase(
     (n consecutive K x K draws equal one (n * K) x K draw) and checks
     every (use, member) system in one batch.  Every matrix before the
     first degenerate one is kept; the degenerate one is consumed as a
-    failed draw of its use (the first of that use's ``max_redraws``
+    failed draw of its use (the first of that use's ``_MAX_REDRAWS``
     draws), and the matrices after it move up one use and are checked
     again.  The window then restarts at ``_RETRY_WINDOW`` uses and
     doubles while checks come back clean.  The stream is never rewound
     and nothing is drawn past the phase's last use.
     """
     K, modulus, active, width = config.K, config.modulus, phase.active_antennas, phase.uses_per_group
-    members, complement, _ = group_table(K, phase.order)
-    others = np.broadcast_to(complement[:, np.newaxis], (*members.shape, K - phase.order))
-    group_rows = np.concatenate([members[:, :, np.newaxis], others], axis=2) - 1
+    group_rows = system_rows(K, phase.order)
     # channels[:done] are accepted, channels[done:drawn] drawn but unchecked
     # at their current use; `failures` counts the failed draws of use `done`.
     done = drawn = failures = 0
@@ -290,14 +279,14 @@ def _draw_phase(
             continue
         use = done + int(bad[0])
         if on_degenerate == "error":
-            group = tuple(members[use // width].tolist())
+            group = tuple(group_table(K, phase.order)[0][use // width].tolist())
             raise DegenerateChannelError(
                 f"use {offset + use}: singular decoding system for group {group}"
             )
         failures = failures + 1 if use == done else 1
-        if failures >= max_redraws:
+        if failures >= _MAX_REDRAWS:
             raise DegenerateChannelError(
-                f"use {offset + use}: still singular after {max_redraws} redraws"
+                f"use {offset + use}: still singular after {_MAX_REDRAWS} redraws"
             )
         channels[use : drawn - 1] = channels[use + 1 : drawn]
         done, drawn, window = use, drawn - 1, min(_RETRY_WINDOW, _WINDOW)
@@ -309,7 +298,6 @@ def run_delivery(
     seed: int,
     *,
     on_degenerate: str = "error",
-    max_redraws: int = 64,
 ) -> Transcript:
     """Execute the plan over a fresh random channel per use.
 
@@ -317,7 +305,8 @@ def run_delivery(
     carries none.  ``on_degenerate`` picks the reaction when a drawn
     channel makes a decoder-side system singular (probability ~K/modulus
     per use): "error" raises DegenerateChannelError, "resample" redraws
-    that use's coefficients as part of the deterministic stream.
+    that use's coefficients as part of the deterministic stream, at most
+    ``_MAX_REDRAWS`` draws per use in all.
 
     The delivery runs a phase at a time: one stream gather and product
     per phase, then one forward walk over the channel stream
@@ -344,20 +333,16 @@ def run_delivery(
     channels = np.empty((plan.total_uses, K, K), dtype=np.int64)
     observations = np.zeros((K, plan.total_uses), dtype=np.int64)
     ledger = DelayedCsitLedger(observations)
-    previous: PhasePlan | None = None
-    previous_offset = t = 0
-    for phase in plan.phases:
-        sent = _phase_symbols(phase, previous, previous_offset, xors, ledger.observations, modulus)
-        end = t + len(sent)
-        _draw_phase(rng, config, phase, on_degenerate, max_redraws, channels[t:end], t)
-        for start in range(t, end, _WINDOW):
+    for index, phase in enumerate(plan.phases):
+        first, end = plan.offsets[index], plan.offsets[index + 1]
+        sent = _phase_symbols(plan, index, xors, ledger.observations)
+        _draw_phase(rng, config, phase, on_degenerate, channels[first:end], first)
+        for start in range(first, end, _WINDOW):
             # received[u] = channels[u][:, :active] @ sent[u]
             stop = min(start + _WINDOW, end)
             active_columns = channels[start:stop, :, : phase.active_antennas]
-            received = matmul(active_columns, sent[start - t : stop - t, :, np.newaxis], modulus)
+            received = matmul(active_columns, sent[start - first : stop - first, :, np.newaxis], modulus)
             ledger.record(received[:, :, 0].T)
-        previous, previous_offset = phase, t
-        t = end
     return Transcript(
         config=config,
         demand=plan.demand,
@@ -403,13 +388,9 @@ def reconstruct_transmissions(plan: DeliveryPlan, transcript: Transcript) -> np.
     def observe(users, uses):
         return transcript.observations[users - 1, uses]
 
-    previous: PhasePlan | None = None
-    previous_offset = t = 0
-    for phase in plan.phases:
-        symbols = _phase_symbols(phase, previous, previous_offset, plan.xors, observe, config.modulus)
-        sent[t : t + len(symbols), : phase.active_antennas] = symbols
-        previous, previous_offset = phase, t
-        t += len(symbols)
+    for index, phase in enumerate(plan.phases):
+        first, end = plan.offsets[index], plan.offsets[index + 1]
+        sent[first:end, : phase.active_antennas] = _phase_symbols(plan, index, plan.xors, observe)
     return sent
 
 

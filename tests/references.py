@@ -1,0 +1,70 @@
+"""Pure-Python references the tests compare the package against.
+
+Canonical subsets come from ``itertools.combinations`` and their rank
+from the combinatorial number system, one element at a time; row rank
+over a prime field is an unbatched Gaussian elimination.  None of them
+reads the package's own tables or kernels.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from synergy.field import MODULUS
+
+
+def subsets(universe, size):
+    """Every size-``size`` subset of {1, ..., universe} as a sorted
+    tuple, in canonical (lexicographic) order."""
+    return list(itertools.combinations(range(1, universe + 1), size))
+
+
+def rank(elements, universe):
+    """Lexicographic index of a sorted subset among all subsets of its
+    size: for each element, count the subsets that take a smaller
+    element at that position."""
+    index = 0
+    size = len(elements)
+    previous = 0
+    for i, element in enumerate(elements):
+        for skipped in range(previous + 1, element):
+            index += math.comb(universe - skipped, size - i - 1)
+        previous = element
+    return index
+
+
+def without(elements, member):
+    """The subset with one member removed."""
+    if member not in elements:
+        raise ValueError(f"{member} is not a member of {elements}")
+    return tuple(e for e in elements if e != member)
+
+
+def complement(elements, universe):
+    """Ground-set members not in the subset, ascending."""
+    return tuple(e for e in range(1, universe + 1) if e not in elements)
+
+
+def matrix_rank(a, modulus=MODULUS):
+    """Row rank by elimination over the field."""
+    a = np.array(a, dtype=np.int64) % modulus
+    if a.ndim != 2:
+        raise ValueError("rank needs a matrix")
+    rows, cols = a.shape
+    result = 0
+    for col in range(cols):
+        if result == rows:
+            break
+        pivots = np.nonzero(a[result:, col])[0]
+        if pivots.size == 0:
+            continue
+        pivot = result + int(pivots[0])
+        if pivot != result:
+            a[[result, pivot]] = a[[pivot, result]]
+        inv = pow(int(a[result, col]), -1, modulus)
+        a[result] = a[result] * inv % modulus
+        below = a[result + 1 :, col].copy()
+        a[result + 1 :] = (a[result + 1 :] - np.outer(below, a[result])) % modulus
+        result += 1
+    return result

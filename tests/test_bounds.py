@@ -262,9 +262,17 @@ def test_cache_fraction_for_gap_formula_and_decay():
 
 def test_cache_fraction_for_gap_rejects_non_normal_doubles():
     assert cache_fraction_for_gap(708, 1000) >= sys.float_info.min
-    for gap in (709, 745, 746, 10**6, math.inf, math.nan):
+    for gap in (709, 745, 746, 10**6):
         with pytest.raises(ValueError, match="smallest normal double"):
             cache_fraction_for_gap(gap, 1000)
+
+
+@pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function", [cache_fraction_for_gap, min_cache_fraction_for_gap])
+def test_buffer_functions_reject_non_finite_targets(function, gap):
+    # NaN used to pass `gap < 1` and read as "no replication reaches it".
+    with pytest.raises(ValueError, match="must be finite"):
+        function(gap, 10)
 
 
 def test_cache_fraction_formula_vs_exhaustive():

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+from references import complement as reference_complement
+from references import rank, subsets, without
 from synergy.combinatorics import (
     Subset,
     binomial,
@@ -12,7 +15,7 @@ from synergy.combinatorics import (
     format_rational,
     group_table,
     harmonic,
-    iter_subsets,
+    system_rows,
 )
 
 
@@ -114,51 +117,49 @@ def test_format_rational():
 
 
 def test_enumerate_pairs_of_three():
-    assert [s.elements for s in iter_subsets(3, 2)] == [(1, 2), (1, 3), (2, 3)]
+    assert group_table(3, 2)[0].tolist() == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_enumerate_empty_subset():
-    assert [s.elements for s in iter_subsets(5, 0)] == [()]
+    assert group_table(5, 0)[0].tolist() == [[]]
 
 
 def test_enumerate_five_choose_three():
-    subs = list(iter_subsets(5, 3))
-    assert len(subs) == 10
-    assert subs[0].elements == (1, 2, 3)
-    assert subs[-1].elements == (3, 4, 5)
+    members = group_table(5, 3)[0].tolist()
+    assert len(members) == 10
+    assert members[0] == [1, 2, 3]
+    assert members[-1] == [3, 4, 5]
 
 
 def test_enumerate_matches_bitmask_oracle():
     for universe in range(7):
         for size in range(universe + 1):
             expected = bitmask_subsets(universe, size)
-            assert [s.elements for s in iter_subsets(universe, size)] == expected
+            assert [tuple(row) for row in group_table(universe, size)[0].tolist()] == expected
+            assert subsets(universe, size) == expected
 
 
 def test_enumerate_count_matches_binomial():
     for universe in range(17):
         for size in range(universe + 1):
-            assert len(list(iter_subsets(universe, size))) == binomial(universe, size)
+            assert len(group_table(universe, size)[0]) == binomial(universe, size)
 
 
 def test_enumerate_rejects_bad_size():
     with pytest.raises(ValueError):
-        list(iter_subsets(3, 4))
+        group_table(3, 4)
     with pytest.raises(ValueError):
-        list(iter_subsets(3, -1))
-
-
-def test_iter_subsets_is_lazy():
-    it = iter_subsets(40, 20)  # materializing this would be astronomical
-    assert next(it).elements == tuple(range(1, 21))
+        group_table(3, -1)
 
 
 def test_rank_unrank_roundtrip_exhaustive():
+    # Row r of the table is the subset of rank r: rank maps the row back
+    # to r, and unranking r is reading row r.
     for universe in range(9):
         for size in range(universe + 1):
-            for index, sub in enumerate(iter_subsets(universe, size)):
-                assert sub.rank() == index
-                assert Subset.unrank(universe, size, index) == sub
+            for index, sub in enumerate(subsets(universe, size)):
+                assert rank(sub, universe) == index
+                assert tuple(group_table(universe, size)[0][index].tolist()) == sub
 
 
 def test_group_table_matches_subset_exhaustive():
@@ -169,16 +170,29 @@ def test_group_table_matches_subset_exhaustive():
             assert members.shape == (count, size)
             assert complement.shape == (count, universe - size)
             assert without_rank.shape == (count, size)
+            expected = subsets(universe, size)
             for index, row in enumerate(members.tolist()):
-                sub = Subset.unrank(universe, size, index)
-                assert tuple(row) == sub.elements
-                assert Subset(tuple(row), universe).rank() == index
-                assert tuple(complement[index].tolist()) == sub.complement()
+                sub = expected[index]
+                assert tuple(row) == sub
+                assert rank(tuple(row), universe) == index
+                assert tuple(complement[index].tolist()) == reference_complement(sub, universe)
                 for position, member in enumerate(sub):
-                    assert without_rank[index, position] == sub.without(member).rank()
+                    assert without_rank[index, position] == rank(without(sub, member), universe)
     assert not group_table(5, 2)[0].flags.writeable
     with pytest.raises(ValueError):
         group_table(3, 4)
+
+
+def test_system_rows_list_own_row_then_non_members():
+    for universe in range(1, 9):
+        for size in range(1, universe + 1):
+            rows = system_rows(universe, size)
+            assert rows.shape == (binomial(universe, size), size, universe - size + 1)
+            assert rows.dtype == np.int64 and not rows.flags.writeable
+            for index, sub in enumerate(subsets(universe, size)):
+                others = [e - 1 for e in reference_complement(sub, universe)]
+                assert rows[index].tolist() == [[member - 1] + others for member in sub]
+    assert system_rows(4, 2) is system_rows(4, 2)
 
 
 @given(st.data())
@@ -186,13 +200,16 @@ def test_rank_unrank_roundtrip_random(data):
     universe = data.draw(st.integers(min_value=1, max_value=16))
     size = data.draw(st.integers(min_value=0, max_value=universe))
     index = data.draw(st.integers(min_value=0, max_value=binomial(universe, size) - 1))
-    sub = Subset.unrank(universe, size, index)
-    assert sub.rank() == index
+    sub = tuple(group_table(universe, size)[0][index].tolist())
+    assert rank(sub, universe) == index
 
 
 def test_unrank_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        Subset.unrank(4, 2, 6)
+    # C(4, 2) = 6 subsets: the table has no row of rank 6.
+    members = group_table(4, 2)[0]
+    assert len(members) == 6
+    with pytest.raises(IndexError):
+        members[6]
 
 
 def test_subset_validation():
@@ -207,12 +224,12 @@ def test_subset_validation():
 
 
 def test_subset_helpers():
-    sub = Subset((1, 3), 4)
-    assert len(sub) == 2
-    assert 3 in sub and 2 not in sub
-    assert list(sub) == [1, 3]
-    assert sub.without(3).elements == (1,)
-    assert sub.complement() == (2, 4)
-    assert sub.index_of(3) == 1
-    with pytest.raises(ValueError):
-        sub.without(2)
+    # The subset {1, 3} of {1, ..., 4} read off its row of the group tables.
+    members, complement, without_rank = group_table(4, 2)
+    row = members.tolist().index([1, 3])
+    assert members.shape[1] == 2
+    assert 3 in members[row] and 2 not in members[row]
+    assert members[row].tolist() == [1, 3]
+    assert group_table(4, 1)[0][without_rank[row, 1]].tolist() == [1]
+    assert complement[row].tolist() == [2, 4]
+    assert members[row].tolist().index(3) == 1

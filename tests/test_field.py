@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from references import matrix_rank
 from synergy.field import (
     MODULUS,
     SeededRng,
@@ -12,7 +13,6 @@ from synergy.field import (
     is_invertible,
     is_prime,
     matmul,
-    matrix_rank,
     solve,
 )
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import matrix_rank
 from synergy.field import (
     MODULUS,
     SeededRng,
     SingularMatrixError,
     is_invertible,
     matmul,
-    matrix_rank,
     solve,
 )
 

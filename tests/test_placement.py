@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from synergy.combinatorics import binomial, group_table, iter_subsets
+from references import rank, subsets, without
+from synergy.combinatorics import binomial, group_table
 from synergy.field import MODULUS, SeededRng
 from synergy.placement import (
     CacheContents,
@@ -100,7 +101,9 @@ def test_partition_roundtrip():
         config, library = make_setup(K, K, M, granularity=2)
         blocks = subpacketize(config, library)
         for file in range(1, config.N + 1):
-            ordered = [blocks[file - 1, tau.rank()] for tau in iter_subsets(config.K, config.replication)]
+            ordered = [
+                blocks[file - 1, rank(tau, config.K)] for tau in subsets(config.K, config.replication)
+            ]
             assert np.array_equal(np.concatenate(ordered), library[file - 1])
 
 
@@ -237,13 +240,13 @@ def test_cache_contents_symbol_count():
 
 
 def reference_placement(config, library, demand):
-    """Blocks keyed by (file, Subset), caches by membership and folded
-    messages through Subset.without, in pure Python."""
+    """Blocks keyed by (file, subset), caches by membership and folded
+    messages through the subset without each member, in pure Python."""
     size = config.subfile_symbols
     blocks = {
         (file, tau): [int(v) for v in library[file - 1, i * size : (i + 1) * size]]
         for file in range(1, config.N + 1)
-        for i, tau in enumerate(iter_subsets(config.K, config.replication))
+        for i, tau in enumerate(subsets(config.K, config.replication))
     }
     caches = [
         {key: block for key, block in blocks.items() if user in key[1]}
@@ -251,10 +254,10 @@ def reference_placement(config, library, demand):
     ]
     messages = []
     if config.replication < config.K:
-        for group in iter_subsets(config.K, config.replication + 1):
+        for group in subsets(config.K, config.replication + 1):
             payload = [0] * size
             for member in group:
-                block = blocks[(demand[member - 1], group.without(member))]
+                block = blocks[(demand[member - 1], without(group, member))]
                 payload = [(a + b) % config.modulus for a, b in zip(payload, block)]
             messages.append((group, payload))
     return blocks, caches, messages
@@ -267,21 +270,21 @@ def test_placement_tables_match_subset_reference(K):
     for M in range(K + 1):
         config, library = make_setup(K, K, M, granularity=2, seed=K * 10 + M)
         subfiles = subpacketize(config, library)
-        holder_subsets = list(iter_subsets(K, config.replication))
+        holder_subsets = subsets(K, config.replication)
         for demand in (distinct, repeated):
             blocks, caches, messages = reference_placement(config, library, demand)
             assert len(blocks) == subfiles.shape[0] * subfiles.shape[1]
             for (file, tau), block in blocks.items():
-                assert subfiles[file - 1, tau.rank()].tolist() == block
+                assert subfiles[file - 1, rank(tau, K)].tolist() == block
             for cache, expected in zip(fill_caches(config, subfiles), caches):
                 held = {
-                    (file + 1, holder_subsets[rank]): cache.blocks[file, i].tolist()
+                    (file + 1, holder_subsets[r]): cache.blocks[file, i].tolist()
                     for file in range(config.N)
-                    for i, rank in enumerate(cache.holders)
+                    for i, r in enumerate(cache.holders)
                 }
                 assert held == expected
                 assert cache.symbol_count == sum(len(block) for block in expected.values())
             xors = build_xors(config, subfiles, demand)
             assert xors.shape == (len(messages), config.subfile_symbols)
             for group, payload in messages:
-                assert xors[group.rank()].tolist() == payload
+                assert xors[rank(group, K)].tolist() == payload

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from synergy.combinatorics import Subset, binomial, group_table, harmonic
+from references import rank
+from synergy.combinatorics import binomial, group_table, harmonic
 from synergy.field import SeededRng
 from synergy.placement import SystemConfig, random_library, subpacketize
 from synergy.scheduler import (
@@ -86,8 +87,8 @@ def test_build_xors_two_users_by_hand():
     xors = build_xors(config, subfiles, (1, 2))
     assert xors.shape == (1, config.subfile_symbols)
     assert group_table(2, 2)[0].tolist() == [[1, 2]]
-    wanted_by_1 = subfiles[0, Subset((2,), 2).rank()]
-    wanted_by_2 = subfiles[1, Subset((1,), 2).rank()]
+    wanted_by_1 = subfiles[0, rank((2,), 2)]
+    wanted_by_2 = subfiles[1, rank((1,), 2)]
     assert np.array_equal(xors[0], (wanted_by_1 + wanted_by_2) % config.modulus)
 
 
@@ -191,11 +192,22 @@ def test_plan_combining_shapes():
 
 def test_plan_group_iteration_is_canonical():
     plan = plan_phases(default_config(4, 4, 1))
-    groups = list(plan.phases[0].iter_groups())
-    assert [g.elements for g in groups] == [
+    phase = plan.phases[0]
+    groups = group_table(phase.universe, phase.order)[0]
+    assert [tuple(g) for g in groups.tolist()] == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
     ]
     assert plan.phases[0].group_count == 6
+
+
+def test_plan_offsets_delimit_phases():
+    for K, M in ((4, 1), (5, 0), (3, 3), (64, 1)):
+        plan = plan_phases(default_config(K, K, M))
+        sizes = [phase.group_count * phase.uses_per_group for phase in plan.phases]
+        assert plan.offsets[0] == 0
+        assert [b - a for a, b in zip(plan.offsets, plan.offsets[1:])] == sizes
+        assert plan.offsets[-1] == plan.total_uses == sum(sizes)
+        assert len(plan.offsets) == len(plan.phases) + 1
 
 
 def test_plan_with_payloads_requires_demand():

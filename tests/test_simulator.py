@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import complement, matrix_rank, rank, subsets, without
 from synergy import simulator
-from synergy.field import SeededRng, matmul, matrix_rank
+from synergy.field import SeededRng, matmul
 from synergy.placement import random_library, subpacketize
 from synergy.scheduler import default_config, plan_phases
 from synergy.simulator import (
@@ -110,13 +111,13 @@ def test_noiseless_consistency_and_overheard_reencoding():
 
 def test_later_phase_content_uses_only_past_observations():
     config, library, plan, transcript = seeded_run(4, 4, 1, seed=5)
-    for phase in plan.phases[1:]:
-        for group in phase.iter_groups():
-            start, _ = transcript.group_slots[(phase.order, group)]
+    phases, offsets = plan.phases, plan.offsets
+    for index in range(1, len(phases)):
+        for group in subsets(4, phases[index].order):
+            start = offsets[index] + rank(group, 4) * phases[index].uses_per_group
             for member in group:
-                prev_start, prev_count = transcript.group_slots[
-                    (phase.order - 1, group.without(member))
-                ]
+                prev_count = phases[index - 1].uses_per_group
+                prev_start = offsets[index - 1] + rank(without(group, member), 4) * prev_count
                 assert prev_start + prev_count <= start
 
 
@@ -196,19 +197,19 @@ def per_use_channels(plan, seed, max_redraws, on_degenerate="resample", phase_st
     channels = []
     for phase in plan.phases:
         active = phase.active_antennas
-        for group in phase.iter_groups():
-            complement = [member - 1 for member in group.complement()]
+        for group in subsets(K, phase.order):
+            others = [member - 1 for member in complement(group, K)]
             for _ in range(phase.uses_per_group):
                 for _ in range(max_redraws):
                     channel = rng.field_matrix(K, K, modulus, nonzero=True)
                     if all(
-                        matrix_rank(channel[[member - 1] + complement][:, :active], modulus) == active
+                        matrix_rank(channel[[member - 1] + others][:, :active], modulus) == active
                         for member in group
                     ):
                         break
                     if on_degenerate == "error":
                         raise DegenerateChannelError(
-                            f"use {len(channels)}: singular decoding system for group {tuple(group)}"
+                            f"use {len(channels)}: singular decoding system for group {group}"
                         )
                 else:
                     raise DegenerateChannelError(
@@ -222,8 +223,9 @@ def per_use_channels(plan, seed, max_redraws, on_degenerate="resample", phase_st
 
 def check_against_per_use_reference(on_degenerate, max_redraws):
     """Every GF(13) cell with K <= 6, seeds 0-2: the same channels as the
-    per-use reference, or the same error message.  Returns how many
-    cells raised."""
+    per-use reference, or the same error message, with
+    ``simulator._MAX_REDRAWS`` patched to ``max_redraws`` by the caller.
+    Returns how many cells raised."""
     raised = 0
     for K in range(3, 7):
         for replication in range(K):
@@ -236,28 +238,27 @@ def check_against_per_use_reference(on_degenerate, max_redraws):
                 except DegenerateChannelError as exc:
                     raised += 1
                     with pytest.raises(DegenerateChannelError, match=f"^{re.escape(str(exc))}$"):
-                        run_delivery(
-                            plan, library, seed, on_degenerate=on_degenerate, max_redraws=max_redraws
-                        )
+                        run_delivery(plan, library, seed, on_degenerate=on_degenerate)
                     continue
-                transcript = run_delivery(
-                    plan, library, seed, on_degenerate=on_degenerate, max_redraws=max_redraws
-                )
+                transcript = run_delivery(plan, library, seed, on_degenerate=on_degenerate)
                 assert len(transcript.uses) == len(expected)
                 assert all(np.array_equal(use.channel, h) for use, h in zip(transcript.uses, expected))
     return raised
 
 
 @pytest.mark.parametrize("max_redraws", [1, 2, 64])
-def test_resample_draws_match_per_use_reference(max_redraws):
+def test_resample_draws_match_per_use_reference(max_redraws, monkeypatch):
     # Over GF(13) degenerate draws are common, so the phase draws fall
     # back to per-use redraws many times across this grid.
+    monkeypatch.setattr(simulator, "_MAX_REDRAWS", max_redraws)
     check_against_per_use_reference("resample", max_redraws)
 
 
 def test_error_mode_matches_per_use_reference():
     # The first degenerate draw raises, naming its use and group; 13 of
-    # the 54 cells draw no degenerate channel at all.
+    # the 54 cells draw no degenerate channel at all.  The module's own
+    # limit is the README's 64 draws per use.
+    assert simulator._MAX_REDRAWS == 64
     assert check_against_per_use_reference("error", 64) == 41
 
 
@@ -297,14 +298,15 @@ def test_channel_walk_matches_per_use_reference(window, data, K, modulus, max_re
     with pytest.MonkeyPatch.context() as monkeypatch:
         if window is not None:
             monkeypatch.setattr(simulator, "_WINDOW", window)
+        monkeypatch.setattr(simulator, "_MAX_REDRAWS", max_redraws)
         states = delivery_phase_states(monkeypatch)
         try:
             expected = per_use_channels(plan, seed, max_redraws, on_degenerate, expected_states)
         except DegenerateChannelError as exc:
             with pytest.raises(DegenerateChannelError, match=f"^{re.escape(str(exc))}$"):
-                run_delivery(plan, library, seed, on_degenerate=on_degenerate, max_redraws=max_redraws)
+                run_delivery(plan, library, seed, on_degenerate=on_degenerate)
             return
-        transcript = run_delivery(plan, library, seed, on_degenerate=on_degenerate, max_redraws=max_redraws)
+        transcript = run_delivery(plan, library, seed, on_degenerate=on_degenerate)
     assert len(transcript.uses) == len(expected)
     assert all(np.array_equal(use.channel, h) for use, h in zip(transcript.uses, expected))
     assert states == expected_states
@@ -340,12 +342,19 @@ def test_channel_walk_checks_few_uses(monkeypatch):
         assert draws[0] <= 30, (seed, draws[0])
 
 
-def test_transcript_group_slots_cover_every_use():
+def test_plan_offsets_and_group_ranks_cover_every_use():
+    # Use t of phase i, group rank r, slot s sits at offsets[i] + r * n + s,
+    # and those positions tile the transcript exactly once.
     config, library, plan, transcript = seeded_run(4, 4, 1, seed=9)
-    covered = sorted(
-        t for start, count in transcript.group_slots.values() for t in range(start, start + count)
-    )
-    assert covered == list(range(transcript.total_uses))
+    positions = {
+        (phase.order, group, slot): plan.offsets[index] + rank(group, 4) * phase.uses_per_group + slot
+        for index, phase in enumerate(plan.phases)
+        for group in subsets(4, phase.order)
+        for slot in range(phase.uses_per_group)
+    }
+    assert sorted(positions.values()) == list(range(transcript.total_uses))
+    for use in transcript.uses:
+        assert positions[(use.order, use.group.elements, use.slot)] == use.t
 
 
 def test_transcript_roundtrip_through_files(tmp_path):
