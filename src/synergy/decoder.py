@@ -9,9 +9,11 @@ so in phase i the group of rank r occupies uses
 member i" is one lookup in the table's ``without_rank``.
 
 Per phase, a user gathers its groups (the rows holding it) and, with one
-index into the transcript's (T, K, K) channel log, only the channel rows
-and active columns of those groups' uses.  Each slot of a group's block is
-a (K-j+1)-square system, the user's own row plus one row per non-member
+index into the transcript's uint32 (T, K, K) channel log, only the
+channel rows and active columns of those groups' uses; ``solve`` widens
+that block to int64, and the user's own uint32 observations are only
+copied into int64 arrays or widened before any arithmetic.  Each slot
+of a group's block is a (K-j+1)-square system, the user's own row plus one row per non-member
 (:func:`~synergy.combinatorics.system_rows`, the systems delivery
 checked), whose right-hand side is the user's own observation and the
 streams it recovered for the non-members in the phase after; every slot
@@ -138,7 +140,7 @@ def decode_user(transcript: Transcript, user: int, cache: CacheContents) -> Deco
             combining, width = phase.combining, previous.uses_per_group
             combined = solved.reshape(count, order - 1, width)
             start = offsets[idx - 1] + without_user * width
-            own_previous = own[start[:, np.newaxis] + np.arange(width)]
+            own_previous = own[start[:, np.newaxis] + np.arange(width)].astype(np.int64)
             own_part = combining.T[position][:, :, np.newaxis] * own_previous[:, np.newaxis]
             adjusted = (combined - own_part) % modulus
             # Only `order` distinct minors, inverted once per plan, exactly,

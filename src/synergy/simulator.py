@@ -8,11 +8,16 @@ phase.  After delivery ends the full channel log is released to the
 decoders (delayed global receiver-side channel knowledge), while
 received values stay private to each user.
 
-The channel log is one read-only int64 (T, K, K) array,
+The channel log is one read-only uint32 (T, K, K) array,
 ``Transcript.channels``: row t is the matrix of use t.  Delivery fills it
-in place, the sidecar stores it in the same order as uint32 symbols, the
-loader hands back the sidecar buffer reshaped, and decoders index it
-directly.
+in place, the sidecar stores the same bytes in the same order, the
+loader hands back a read-only view of the bytes it read, reshaped, and
+decoders index it directly.  The (K, T) observations are uint32 too.
+Every symbol lies below the modulus, which is below 2**31, so the
+narrow dtype is exact; no code does arithmetic on it: each reader
+gathers a block and widens it to int64 (the field kernels do so at
+entry) or uses it only as an index or an assignment source, since
+uint32 differences wrap silently.
 
 Delivery walks phases, not groups.  Each phase is a fixed table of
 groups (:func:`~synergy.combinatorics.group_table`); phase i starts at
@@ -87,7 +92,7 @@ class CausalityError(Exception):
     """Attempt to read channel state before it is ledger-visible."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ChannelUse:
     """One channel use: global index, phase order, group, within-group
     slot, and the K x K coefficient matrix (row k = user k's channel)."""
@@ -103,8 +108,9 @@ class DelayedCsitLedger:
     """Transmitter-side record of what every user received; reads are
     strictly causal.
 
-    It wraps the (K, total_uses) observation array that the delivery
-    fills in use order; ``visible_uses`` counts the uses logged so far.
+    It wraps the (K, total_uses) uint32 observation array that the
+    delivery fills in use order; ``visible_uses`` counts the uses logged
+    so far.
     A use becomes visible only once :meth:`record` ran for it, i.e.
     strictly after it completed.  The combining is fixed, so the transmitter needs
     the received symbols of past uses but none of their coefficients.
@@ -115,14 +121,16 @@ class DelayedCsitLedger:
         self.visible_uses = 0
 
     def record(self, observations: np.ndarray) -> None:
-        """Log the (K, count) received symbols of the next ``count`` uses."""
+        """Log the (K, count) received symbols of the next ``count`` uses
+        (reduced, so storing them as uint32 is exact)."""
         count = observations.shape[1]
         self._observations[:, self.visible_uses : self.visible_uses + count] = observations
         self.visible_uses += count
 
     def observations(self, users, uses) -> np.ndarray:
         """What ``users`` (1-based) received at ``uses``, index arrays
-        broadcast together; CausalityError if any use is not visible."""
+        broadcast together, as uint32; CausalityError if any use is not
+        visible."""
         uses = np.asarray(uses)
         if uses.size:
             first, last = int(uses.min()), int(uses.max())
@@ -139,14 +147,19 @@ class Transcript:
     """Complete delivery record, reproducible from (config, demand, seed).
 
     ``plan`` is structural (no payloads).  ``channels`` is the channel
-    log, one read-only int64 (total_uses, K, K) array whose row t is the
-    matrix of use t (row k of it is user k's channel); ``observations``
-    has one row per user and one column per channel use.  ``uses`` holds
-    one :class:`ChannelUse` per row of ``channels``, in the plan's
-    phase -> group -> slot order, each channel a read-only view of its
-    row; it stops where ``channels`` does.
+    log, one read-only uint32 (total_uses, K, K) array whose row t is the
+    matrix of use t (row k of it is user k's channel); ``observations``,
+    read-only uint32 too, has one row per user and one column per channel
+    use.  uint32 input is kept as is, without a copy; another integer
+    dtype is narrowed only after checking that every entry lies in
+    [0, modulus).  ``uses`` holds one :class:`ChannelUse` per row of
+    ``channels``, in the plan's phase -> group -> slot order, each
+    channel a read-only view of its row; it stops where ``channels``
+    does.
 
-    Raises ValueError when ``channels`` is not a (T, K, K) array or
+    Raises ValueError when either array does not hold integers, an
+    integer array other than uint32 holds an entry outside
+    [0, modulus), ``channels`` is not a (T, K, K) array or
     ``observations`` does not have K rows.
     """
 
@@ -159,17 +172,15 @@ class Transcript:
     uses: tuple[ChannelUse, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        K = self.config.K
-        channels = np.asarray(self.channels, dtype=np.int64)
+        K, modulus = self.config.K, self.config.modulus
+        channels = _symbols("channels", self.channels, modulus)
+        observations = _symbols("observations", self.observations, modulus)
         if channels.ndim != 3 or channels.shape[1:] != (K, K):
             raise ValueError(f"channels must have shape (uses, {K}, {K}), got {channels.shape}")
-        if np.ndim(self.observations) != 2 or len(self.observations) != K:
-            raise ValueError(
-                f"observations must have {K} rows, got shape {np.shape(self.observations)}"
-            )
-        channels = channels.view()
-        channels.setflags(write=False)
+        if observations.ndim != 2 or len(observations) != K:
+            raise ValueError(f"observations must have {K} rows, got shape {observations.shape}")
         object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "observations", observations)
         # One Subset per group, built only as far as ``channels`` reaches.
         groups = (
             (phase, Subset(members, K))
@@ -201,6 +212,22 @@ class Transcript:
         )
 
 
+def _symbols(name: str, values, modulus: int) -> np.ndarray:
+    """``values`` as a read-only uint32 array: uint32 input as a view of
+    itself, any other integer dtype narrowed only after an exact
+    [0, modulus) range check; ValueError otherwise."""
+    symbols = np.asarray(values)
+    if symbols.dtype != np.uint32:
+        if not np.issubdtype(symbols.dtype, np.integer):
+            raise ValueError(f"{name} must hold integers, got dtype {symbols.dtype}")
+        if symbols.size and (symbols.min() < 0 or symbols.max() >= modulus):
+            raise ValueError(f"{name} hold a symbol outside [0, {modulus})")
+        symbols = symbols.astype(np.uint32)
+    symbols = symbols.view()
+    symbols.setflags(write=False)
+    return symbols
+
+
 def _phase_symbols(plan: DeliveryPlan, index: int, xors, observe) -> np.ndarray:
     """Transmitted symbols of every use of phase ``index`` of the plan, as
     a (group_count * uses_per_group, active_antennas) array in use order.
@@ -208,10 +235,10 @@ def _phase_symbols(plan: DeliveryPlan, index: int, xors, observe) -> np.ndarray:
     First phase: each group's folded message (row g of ``xors`` for the
     group of rank g), split contiguously across antennas.  Later
     phases: every group's members' previous-phase observations, gathered
-    with one index through ``observe(users, uses)``, times
-    ``phase.combining`` in one batched product; each group's combined
-    rows are flattened row-major (combined row major, time minor) and
-    refilled antenna-fastest.
+    with one index through ``observe(users, uses)`` (uint32, widened by
+    ``matmul``), times ``phase.combining`` in one batched product; each
+    group's combined rows are flattened row-major (combined row major,
+    time minor) and refilled antenna-fastest.
     """
     phase = plan.phases[index]
     members, _, without_rank = group_table(phase.universe, phase.order)
@@ -250,9 +277,10 @@ def _draw_phase(
 
     One forward walk over the channel stream, in windows of at most
     ``_WINDOW`` uses.  A window draws only the matrices it still lacks
-    (n consecutive K x K draws equal one (n * K) x K draw) and checks
-    every (use, member) system in one batch.  Every matrix before the
-    first degenerate one is kept; the degenerate one is consumed as a
+    (n consecutive K x K draws equal one (n * K) x K draw), stores them
+    in the uint32 slice (every draw is reduced, so that is exact) and
+    checks every (use, member) system in one batch.  Every matrix before
+    the first degenerate one is kept; the degenerate one is consumed as a
     failed draw of its use (the first of that use's ``_MAX_REDRAWS``
     draws), and the matrices after it move up one use and are checked
     again.  The window then restarts at ``_RETRY_WINDOW`` uses and
@@ -330,8 +358,8 @@ def run_delivery(
         xors = build_xors(config, subpacketize(config, library), plan.demand)
     K, modulus = config.K, config.modulus
     rng = SeededRng(seed).child(CHANNEL_STREAM)
-    channels = np.empty((plan.total_uses, K, K), dtype=np.int64)
-    observations = np.zeros((K, plan.total_uses), dtype=np.int64)
+    channels = np.empty((plan.total_uses, K, K), dtype=np.uint32)
+    observations = np.zeros((K, plan.total_uses), dtype=np.uint32)
     ledger = DelayedCsitLedger(observations)
     for index, phase in enumerate(plan.phases):
         first, end = plan.offsets[index], plan.offsets[index + 1]
@@ -430,7 +458,8 @@ def save_transcript(transcript: Transcript, json_path, sidecar_path=None) -> Non
         fh.write(_SIDECAR_MAGIC)
         fh.write(np.array([_TRANSCRIPT_VERSION, transcript.config.K, total], dtype="<u4").tobytes())
         for symbols in (transcript.channels, transcript.observations):
-            fh.write(symbols.astype("<u4", order="C"))
+            # The uint32 arrays themselves: no copy on a little-endian host.
+            fh.write(np.ascontiguousarray(symbols, dtype="<u4"))
 
 
 def load_transcript(json_path, sidecar_path=None) -> Transcript:
@@ -442,7 +471,8 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     an invalid one (seed, total_uses and every demand entry must be JSON
     integers, not floats or booleans), the sidecar's magic, header or
     size does not match, a channel coefficient is zero or a symbol is not
-    below the modulus.
+    below the modulus.  The transcript's two arrays are read-only views
+    of the sidecar bytes read, reshaped, not copies.
     """
     json_path = Path(json_path)
     try:
@@ -498,7 +528,6 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
         raise ValueError(f"{sidecar_path}: symbol not below the modulus {config.modulus}")
     if total and int(symbols[: total * k * k].min()) == 0:
         raise ValueError(f"{sidecar_path}: zero channel coefficient")
-    symbols = symbols.astype(np.int64)
     return Transcript(
         config=config,
         demand=plan.demand,

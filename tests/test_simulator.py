@@ -1,6 +1,7 @@
 import json
 import re
-from dataclasses import replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -371,7 +372,7 @@ def test_uses_are_read_only_views_of_the_channel_log(tmp_path):
     save_transcript(transcript, tmp_path / "run.json")
     for record in (transcript, load_transcript(tmp_path / "run.json")):
         channels = record.channels
-        assert channels.shape == (plan.total_uses, 4, 4) and channels.dtype == np.int64
+        assert channels.shape == (plan.total_uses, 4, 4) and channels.dtype == np.uint32
         assert not channels.flags.writeable
         assert len(record.uses) == record.total_uses
         for t, use in enumerate(record.uses):
@@ -379,6 +380,94 @@ def test_uses_are_read_only_views_of_the_channel_log(tmp_path):
             assert not use.channel.flags.writeable
             assert np.shares_memory(use.channel, channels[t])
             assert np.array_equal(use.channel, channels[t])
+
+
+def test_channel_use_is_slotted_and_frozen():
+    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
+    use = transcript.uses[0]
+    assert not hasattr(use, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        use.t = 5
+
+
+def _base_owner(array):
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_delivered_and_loaded_arrays_are_read_only_uint32(tmp_path):
+    config, library, plan, transcript = seeded_run(4, 4, 1, seed=6)
+    save_transcript(transcript, tmp_path / "run.json")
+    loaded = load_transcript(tmp_path / "run.json")
+    for record in (transcript, loaded):
+        for symbols in (record.channels, record.observations):
+            assert symbols.dtype == np.uint32 and not symbols.flags.writeable
+    # The loaded arrays are views of the one bytes object read from the
+    # sidecar, not copies.
+    owner = _base_owner(loaded.channels)
+    assert isinstance(owner, bytes) and len(owner) == (tmp_path / "run.bin").stat().st_size
+    assert _base_owner(loaded.observations) is owner
+
+
+def test_transcript_io_allocates_no_copy_of_the_log(tmp_path):
+    # K=9 replication 0: 7,129 uses, a 2.6 MB sidecar.  Loading holds the
+    # bytes read plus one ChannelUse and one row view per use; saving
+    # writes the two arrays themselves.
+    transcript = simulate(default_config(9, 9, 0), tuple(range(1, 10)), 1)
+
+    def peak_above_start(call):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        _, save_peak = peak_above_start(lambda: save_transcript(transcript, tmp_path / "run.json"))
+        loaded, load_peak = peak_above_start(lambda: load_transcript(tmp_path / "run.json"))
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "run.bin").stat().st_size
+    assert loaded == transcript
+    assert save_peak <= 0.25 * size, save_peak / size
+    assert load_peak <= 2.5 * size, load_peak / size
+
+
+@pytest.mark.parametrize("name", ["channels", "observations"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (lambda modulus: -1, "outside"),
+        (lambda modulus: modulus, "outside"),
+        (lambda modulus: 1 << 32, "outside"),
+        (lambda modulus: 1.0, "integers"),
+    ],
+    ids=["negative", "modulus", "2**32", "float"],
+)
+def test_transcript_never_narrows_silently(name, entry, message):
+    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
+    value = entry(config.modulus)
+    symbols = getattr(transcript, name).astype(type(value))
+    symbols.flat[1] = value
+    with pytest.raises(ValueError, match=f"{name} .*{message}"):
+        replace(transcript, **{name: symbols})
+
+
+def test_transcript_keeps_uint32_and_narrows_checked_integers():
+    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
+    channels, observations = transcript.channels.copy(), transcript.observations.copy()
+    kept = replace(transcript, channels=channels, observations=observations)
+    assert np.shares_memory(kept.channels, channels)
+    assert np.shares_memory(kept.observations, observations)
+    assert channels.flags.writeable and not kept.channels.flags.writeable
+    assert not kept.observations.flags.writeable
+    narrowed = replace(
+        transcript, channels=channels.astype(np.int64), observations=observations.astype(np.uint64)
+    )
+    assert narrowed == transcript
+    for symbols in (narrowed.channels, narrowed.observations):
+        assert symbols.dtype == np.uint32 and not symbols.flags.writeable
 
 
 def test_transcript_equality_compares_channels_observations_and_seed(tmp_path):
