@@ -94,8 +94,10 @@ def matmul(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64)
     single = b.ndim == 1
     rhs = b[:, np.newaxis] if single else b
-    products = (a[..., :, :, np.newaxis] * rhs[..., np.newaxis, :, :]) % modulus
-    out = products.sum(axis=-2) % modulus
+    products = a[..., :, :, np.newaxis] * rhs[..., np.newaxis, :, :]
+    products %= modulus
+    out = products.sum(axis=-2)
+    out %= modulus
     return out[..., 0] if single else out
 
 
@@ -120,7 +122,7 @@ def _eliminate(block: np.ndarray, modulus: int, keep_rows: bool) -> tuple[np.nda
     """
     ok = np.ones(block.shape[0], dtype=bool)
     pivot_rows = []
-    for _ in range(block.shape[1]):
+    for step in range(block.shape[1]):
         top = block[:, 0]
         pivot_row, swapped = top, None
         if not top[:, 0].all():
@@ -142,31 +144,36 @@ def _eliminate(block: np.ndarray, modulus: int, keep_rows: bool) -> tuple[np.nda
                 old[:, 1:] * new[:, :1] - old[:, :1] * new[:, 1:]
             ) % modulus
         if keep_rows:
-            pivot_rows.append(pivot_row)
+            # Past the input block a copy, so each step's block is freed
+            # once the next one is formed.
+            pivot_rows.append(pivot_row.copy() if step and pivot_row is top else pivot_row)
         block = trailing
     return ok, pivot_rows
 
 
 def _inverse_batch(values: np.ndarray, modulus: int) -> np.ndarray:
-    """Elementwise inverses of nonzero reduced elements.
+    """Elementwise inverses of nonzero reduced elements, exactly.
 
-    Fermat's values ** (modulus - 2), square-and-multiply on the whole
-    array, costs about two array operations per bit of the modulus
-    whatever the size; below that many elements one ``pow`` per element
-    is cheaper.  Both give the same, exact, inverses.
+    Montgomery's trick on a product tree: pad to a power of two with
+    ones, multiply pairs, pairs of pairs and so on up to one root, which
+    a single ``pow`` inverts; walking back down, a node's inverse times
+    its sibling is its own inverse.  That is about four multiply-reduce
+    steps per element in 2 * log2(size) array passes.
     """
-    if values.size < 2 * modulus.bit_length():
-        flat = [pow(int(v), -1, modulus) for v in values.flat]
-        return np.array(flat, dtype=np.int64).reshape(values.shape)
-    result = np.ones_like(values)
-    base = values.copy()
-    exponent = modulus - 2
-    while exponent:
-        if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exponent >>= 1
-    return result
+    flat = values.reshape(-1)
+    level = np.ones(1 << max(flat.size - 1, 0).bit_length(), dtype=np.int64)
+    level[: flat.size] = flat
+    levels = []
+    while level.size > 1:
+        levels.append(level)
+        level = level[0::2] * level[1::2] % modulus
+    inverse = np.array([pow(int(level[0]), -1, modulus)], dtype=np.int64)
+    for level in reversed(levels):
+        children = np.empty_like(level)
+        children[0::2] = inverse * level[1::2] % modulus
+        children[1::2] = inverse * level[0::2] % modulus
+        inverse = children
+    return inverse[: flat.size].reshape(values.shape)
 
 
 def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
@@ -182,7 +189,7 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     (Montgomery's trick).  Raises SingularMatrixError when any ``a`` is
     not invertible.
     """
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("coefficient matrix must be square")
     batched = a.ndim == 3
@@ -193,7 +200,11 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
         raise ValueError("right-hand side does not match the matrix")
     if not batched:
         a, rhs = a[np.newaxis], rhs[np.newaxis]
-    augmented = np.concatenate([a, rhs], axis=-1)
+    # [a | rhs] widened to int64 in one array, without an int64 copy of a.
+    n = a.shape[-1]
+    augmented = np.empty((*a.shape[:-1], n + rhs.shape[-1]), dtype=np.int64)
+    augmented[..., :n] = a
+    augmented[..., n:] = rhs
     augmented %= modulus
     ok, pivot_rows = _eliminate(augmented, modulus, keep_rows=True)
     if not ok.all():
@@ -201,7 +212,6 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     # Row k of the triangular factor is [d_k, u_k(k+1), ..., u_k(n-1), rhs_k].
     # prefix[k] = d_0 * ... * d_k; one inversion of prefix[n - 1] per
     # system, then 1/d_k = prefix[k - 1] / prefix[k] walking k down.
-    n = a.shape[-1]
     prefix = [pivot_rows[0][:, 0]]
     for row in pivot_rows[1:]:
         prefix.append(prefix[-1] * row[:, 0] % modulus)

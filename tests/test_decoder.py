@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from synergy import decoder
-from references import rank, subsets, without
+from references import complement, rank, subsets, without
 from synergy.combinatorics import group_table
 from synergy.decoder import decode_user, verify_all
 from synergy.field import SeededRng
 from synergy.placement import (
     CacheContents,
+    LengthMismatchError,
     fill_caches,
     random_library,
     subpacketize,
@@ -71,16 +72,35 @@ def test_repeated_demands_decode():
 
 
 def test_recovered_streams_match_ground_truth():
-    # what a user reconstructs of others' observations equals the log
+    # what a user reconstructs of others' observations equals the log,
+    # read level by level from the per-phase step of the decode
     for K, M, seed in ((4, 1, 11), (5, 0, 4)):
         config, library, subfiles, caches, transcript = seeded_case(K, K, M, seed=seed)
         phases = transcript.plan.phases
         offsets = transcript.plan.offsets
         for user in (1, K):
-            outcome = decode_user(transcript, user, caches[user - 1])
-            assert sorted(outcome.recovered) == [phase.order for phase in phases[:-1]]
+            slot = np.full(K + 1, -1)
+            slot[user] = 0
+            levels = {}
+            compact = None
+            for index in range(len(phases) - 1, 0, -1):
+                compact = decoder._decode_phase(transcript, index, slot, compact)
+                phase = phases[index - 1]
+                groups, _, _ = decoder._phase_pairs(K, phase.order, slot)
+                n = phase.uses_per_group
+                assert compact.shape == (len(groups), n, K - phase.order)
+                # Spread the compact streams over (group, observer, slot), -1 elsewhere.
+                streams = np.full((phase.group_count, K, n), -1, dtype=np.int64)
+                for pair, group in enumerate(groups):
+                    observers = complement(subsets(K, phase.order)[group], K)
+                    streams[group, np.array(observers) - 1] = compact[pair].T
+                levels[phase.order] = streams
+            pairs = len(decoder._phase_pairs(K, phases[0].order, slot)[0])
+            payloads = decoder._decode_phase(transcript, 0, slot, compact)
+            assert payloads.shape == (pairs, config.subfile_symbols)
+            assert sorted(levels) == [phase.order for phase in phases[:-1]]
             for phase, start in zip(phases[:-1], offsets):
-                streams = outcome.recovered[phase.order]
+                streams = levels[phase.order]
                 groups, n = phase.group_count, phase.uses_per_group
                 assert streams.shape == (groups, K, n)
                 logged = transcript.observations[:, start : start + groups * n]
@@ -253,3 +273,61 @@ def test_simulate_convenience_matches_manual_pipeline():
     library = random_library(config, SeededRng(17).child(LIBRARY_STREAM))
     report = verify_all(transcript, library)
     assert report.all_pass
+
+
+def test_transcript_longer_than_its_plan_is_rejected():
+    config = default_config(3, 3, 1)
+    transcript = simulate(config, (1, 2, 3), 1)
+    library = random_library(config, SeededRng(1).child(LIBRARY_STREAM))
+    caches = fill_caches(config, subpacketize(config, library))
+    total = transcript.total_uses
+    longer = replace(
+        transcript,
+        channels=np.concatenate([transcript.channels, transcript.channels[:2]]),
+        observations=np.concatenate([transcript.observations, transcript.observations[:, :2]], axis=1),
+    )
+    message = f"transcript holds {total + 2} uses, more than the {total} its plan sends"
+    with pytest.raises(ValueError) as caught:
+        decode_user(longer, 1, caches[0])
+    assert str(caught.value) == message
+    report = verify_all(longer, library)
+    assert not report.all_pass
+    assert [entry.error for entry in report.users] == [f"ValueError: {message}"] * 3
+    extra_observations = replace(
+        transcript,
+        observations=np.concatenate([transcript.observations, transcript.observations[:, :1]], axis=1),
+    )
+    with pytest.raises(ValueError) as caught:
+        decode_user(extra_observations, 2, caches[1])
+    assert str(caught.value) == (
+        f"transcript holds observations of {total + 1} uses, more than the {total} its plan sends"
+    )
+
+
+def test_verify_all_raises_argument_errors_before_any_decode(monkeypatch):
+    config, library, subfiles, caches, transcript = seeded_case(3, 3, 1)
+    calls = []
+    monkeypatch.setattr(decoder, "decode_user", lambda *args: calls.append(args))
+    with pytest.raises(LengthMismatchError):
+        verify_all(transcript, library[:, :-1])
+    with pytest.raises(LengthMismatchError):
+        verify_all(transcript, library[:-1])
+    assert calls == []
+
+
+def test_verify_all_turns_decode_failures_into_entries(monkeypatch):
+    # A batch that raises is decoded user by user, so each entry carries
+    # its own exception and the users that decode still pass.
+    config, library, subfiles, caches, transcript = seeded_case(3, 3, 1, seed=4)
+    original = decoder.decode_user
+
+    def failing(transcript, user, cache):
+        if np.ndim(user) or user == 2:
+            raise RuntimeError(f"cannot decode {user}")
+        return original(transcript, user, cache)
+
+    monkeypatch.setattr(decoder, "decode_user", failing)
+    report = verify_all(transcript, library)
+    assert [entry.match for entry in report.users] == [True, False, True]
+    assert [entry.error for entry in report.users] == [None, "RuntimeError: cannot decode 2", None]
+    assert report.users[1].solves == report.users[1].max_system_dim == 0

@@ -11,6 +11,7 @@ from synergy.field import (
     MODULUS,
     SeededRng,
     SingularMatrixError,
+    _inverse_batch,
     is_invertible,
     matmul,
     solve,
@@ -151,7 +152,7 @@ def test_field_matrix_blocks_equal_one_tall_draw():
 
 @pytest.mark.parametrize("modulus", [101, MODULUS])
 def test_large_batch_solve_matches_single_solves(modulus):
-    # Large enough that the batched pivot inverses run as one vector pass.
+    # One batch of 40 systems against one solve per system.
     rng = SeededRng(9)
     a = np.stack([rng.field_matrix(5, 5, modulus, nonzero=True) for _ in range(40)])
     keep = is_invertible(a, modulus)
@@ -245,3 +246,13 @@ def test_solve_on_swap_heavy_batches_matches_reference(seed, n, count, rhs_cols,
     singular[-1] = shape(rng, 1, n, modulus, np.ones(1, dtype=bool))[0]
     with pytest.raises(SingularMatrixError, match=f"system {count - 1}$"):
         solve(singular, b, modulus)
+
+
+@pytest.mark.parametrize("modulus", [13, 101, MODULUS])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 8, 63, 64, 65, 1000])
+def test_batched_inverses_match_pow(modulus, size):
+    # sizes around powers of two exercise the product tree's padding
+    values = np.random.default_rng(size).integers(1, modulus, size=size)
+    expected = [pow(int(v), -1, modulus) for v in values]
+    assert _inverse_batch(values, modulus).tolist() == expected
+    assert _inverse_batch(values.reshape(-1, 1), modulus).tolist() == [[v] for v in expected]
