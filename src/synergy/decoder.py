@@ -14,25 +14,24 @@ batch of users is one list of (group, member) pairs: each pair whose
 member is in the batch, group-major.  Each slot of a pair's block is a
 (K-j+1)-square system, the member's own channel row plus one row per
 non-member (:func:`~synergy.combinatorics.system_rows`, the systems
-delivery checked), whose right-hand side is the member's own
-observation and the streams that member recovered for the non-members
-in the phase after.  The pairs are solved in windows of whole pairs, one
-``solve`` per window, each window at most ``_SYSTEM_ENTRIES`` int64
-entries of augmented systems or combining products (but at least one
-pair); a window gathers,
-with one index into the transcript's uint32 (T, K, K) channel log, only
-the channel rows and active columns of its pairs' uses, and ``solve``
-widens that block to int64.  The uint32 observations are only copied
-into int64 arrays or widened before any arithmetic.  In phases past the
-first, each member then removes its own previous-phase observation from
-the combined rows and applies the inverse of the combining matrix with
-its column deleted.  There are only j such minors per phase; the plan
-inverts them once (``PhasePlan.combining_inverses``) and each window
-applies them as one batched product, which yields what the other
-members saw in the previous phase.  At the first phase each pair's
-solved block is the folded message itself; each user then subtracts the
-blocks it caches for the other members, found by subset rank in its
-cache's ``holders``, and keeps its own missing block.
+delivery checked), whose right-hand side is the member's own observation
+and the streams that member recovered for the non-members in the phase
+after.  The pairs are solved in windows of whole pairs, one ``solve``
+per window, each window at most ``_SYSTEM_ENTRIES`` int64 entries of
+augmented systems or combining products (but at least one pair).  A
+window gathers, with one index into the transcript's uint32 (T, K, K)
+channel log, only the channel rows and active columns of its pairs'
+uses, and ``solve`` widens that block to int64.  The uint32 observations
+are only copied into int64 arrays or widened before any arithmetic.  In
+phases past the first, each member then removes its own previous-phase
+observation from the combined rows and applies the inverse of the
+combining matrix with its column deleted.  There are only j such minors
+per phase; the plan inverts them once (``PhasePlan.combining_inverses``)
+and each window applies them as one batched product, which yields what
+the other members saw in the previous phase.  At the first phase each
+pair's solved block is the folded message itself; each user then
+subtracts the blocks it caches for the other members, found by subset
+rank in its cache's ``holders``, and keeps its own missing block.
 
 The recovered streams are held one level at a time, and only the
 entries some member reconstructs: the streams phase i reads are a

@@ -36,7 +36,9 @@ def user_by_user(transcript, library, caches):
 
 
 def report_rows(report):
-    return [(entry.match, entry.solves, entry.max_system_dim, entry.error) for entry in report.users]
+    return [
+        (entry.match, entry.solves, entry.max_system_dim, entry.error) for entry in report.users
+    ]
 
 
 def case(K, replication, seed, modulus=None):
@@ -49,7 +51,9 @@ def case(K, replication, seed, modulus=None):
     return transcript, library, fill_caches(config, subpacketize(config, library))
 
 
-CLEAN = [(*cell, None) for cell in sorted(GOLDEN)] + [(*cell, 13) for cell in sorted(GOLDEN_RESAMPLE_13)]
+CLEAN = [(*cell, None) for cell in sorted(GOLDEN)] + [
+    (*cell, 13) for cell in sorted(GOLDEN_RESAMPLE_13)
+]
 
 
 @pytest.mark.parametrize("K, replication, seed, modulus", CLEAN)

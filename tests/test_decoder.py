@@ -281,10 +281,11 @@ def test_transcript_longer_than_its_plan_is_rejected():
     library = random_library(config, SeededRng(1).child(LIBRARY_STREAM))
     caches = fill_caches(config, subpacketize(config, library))
     total = transcript.total_uses
+    channels, observations = transcript.channels, transcript.observations
     longer = replace(
         transcript,
-        channels=np.concatenate([transcript.channels, transcript.channels[:2]]),
-        observations=np.concatenate([transcript.observations, transcript.observations[:, :2]], axis=1),
+        channels=np.concatenate([channels, channels[:2]]),
+        observations=np.concatenate([observations, observations[:, :2]], axis=1),
     )
     message = f"transcript holds {total + 2} uses, more than the {total} its plan sends"
     with pytest.raises(ValueError) as caught:
@@ -294,8 +295,7 @@ def test_transcript_longer_than_its_plan_is_rejected():
     assert not report.all_pass
     assert [entry.error for entry in report.users] == [f"ValueError: {message}"] * 3
     extra_observations = replace(
-        transcript,
-        observations=np.concatenate([transcript.observations, transcript.observations[:, :1]], axis=1),
+        transcript, observations=np.concatenate([observations, observations[:, :1]], axis=1)
     )
     with pytest.raises(ValueError) as caught:
         decode_user(extra_observations, 2, caches[1])
