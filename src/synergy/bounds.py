@@ -59,11 +59,15 @@ class EnvelopeCheckError(Exception):
 
 
 def _split(M) -> tuple[int, int]:
-    """Numerator and positive denominator of a cache size (int or rational)."""
+    """Numerator and positive denominator of a cache size (int or rational);
+    ValueError for an infinite or NaN one."""
     if type(M) is int:
         return M, 1
     if not isinstance(M, Fraction):
-        M = Fraction(M)
+        try:
+            M = Fraction(M)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"cache size must be a finite number, got {M!r}") from exc
     return M.numerator, M.denominator
 
 
@@ -422,16 +426,24 @@ class SynergyReport:
 def synergy_report(K: int, replication: int) -> SynergyReport:
     """DoF of the combined scheme vs. the sum of the individual gains.
 
-    The floats are int / int divisions of exact pairs, which Python
-    rounds correctly, so they equal ``float`` of the reduced Fraction.
+    ``dof`` and ``dof_cache_only`` are int / int divisions of exact
+    pairs, which Python rounds correctly, so they equal ``float`` of the
+    reduced Fraction; ``dof_feedback_only`` is ``1.0 / float(harmonic(K))``.
+    Both harmonic numbers are read once each.
     """
     if not 1 <= replication <= K - 1:
         raise ValueError(f"replication must lie in [1, K-1], got {replication}")
-    joint_num, joint_den = _dof_pair(K, replication, 1, _achievable_pair(K, replication))
-    joint = joint_num / joint_den
-    # (1 - gamma) / single_stream_time with gamma = replication / K
+    whole, head = harmonic(K), harmonic(replication)
+    whole_num, whole_den = whole.numerator, whole.denominator
+    head_num, head_den = head.numerator, head.denominator
+    # (1 - gamma) / (harmonic(K) - harmonic(replication)), gamma = replication / K
+    joint = (K - replication) * whole_den * head_den / (
+        K * (whole_num * head_den - head_num * whole_den)
+    )
+    # (1 - gamma) / single_stream_time
     cache_only = (1 + replication) / K
-    feedback_only = 1.0 / float(harmonic(K))
+    # 1.0 / float(harmonic(K)), rounded twice: the pinned sweep CSVs hold this value
+    feedback_only = 1.0 / (whole_num / whole_den)
     return SynergyReport(
         K=K,
         replication=replication,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,9 +48,20 @@ def _harmonic_span(lo: int, hi: int) -> tuple[int, int]:
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-@lru_cache(maxsize=None)
+def _as_int(n, name: str) -> int:
+    """``n`` as an int; ValueError for a float, a string or any other
+    non-integer, whose sums would never reach their end."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} is defined for integer n, got {n!r}") from None
+
+
+# typed, so a float equal to a cached int is checked rather than served
+@lru_cache(maxsize=None, typed=True)
 def harmonic(n: int) -> Fraction:
     """n-th harmonic number 1 + 1/2 + ... + 1/n, exact; harmonic(0) == 0."""
+    n = _as_int(n, "harmonic")
     if n < 0:
         raise ValueError("harmonic is defined for non-negative n")
     if n == 0:
@@ -57,7 +69,7 @@ def harmonic(n: int) -> Fraction:
     return Fraction(*_harmonic_span(1, n))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def epsilon(n: int) -> float:
     """harmonic(n) - ln(n) as a double, memoized on n.
 
@@ -65,6 +77,7 @@ def epsilon(n: int) -> float:
     harmonic numbers are used while they stay small; bigger n switches to
     math.fsum, which keeps the result within a few ulp of exact.
     """
+    n = _as_int(n, "epsilon")
     if n < 1:
         raise ValueError("epsilon is defined for n >= 1")
     if n <= _EXACT_EPSILON_LIMIT:

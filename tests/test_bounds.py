@@ -275,6 +275,20 @@ def test_buffer_functions_reject_non_finite_targets(function, gap):
         function(gap, 10)
 
 
+@pytest.mark.parametrize("M", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("function", [outer_bound, bound_report, dof])
+def test_cache_size_must_be_finite(function, M):
+    # infinite M used to raise OverflowError from Fraction(inf)
+    with pytest.raises(ValueError, match=rf"^cache size must be a finite number, got {M}$"):
+        function(4, 4, M)
+
+
+def test_achievable_time_rejects_a_non_integer_replication():
+    # harmonic(1.5) used to recurse until RecursionError
+    with pytest.raises(ValueError, match="integer n"):
+        achievable_time(3, 1.5)
+
+
 def test_cache_fraction_formula_vs_exhaustive():
     formula = cache_fraction_for_gap(7, 1000)
     exhaustive = min_cache_fraction_for_gap(7, 1000)

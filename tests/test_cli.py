@@ -73,6 +73,17 @@ def test_simulate_invalid_replication_exits_2(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("K", ["0", "-2"])
+def test_simulate_rejects_fewer_than_one_user(capsys, K):
+    # -K 0 with --replication used to take `% K` and exit 1 with a
+    # ZeroDivisionError traceback.
+    for cache in (("--replication", "0"), ("-M", "0")):
+        code, out, err = run(capsys, "simulate", "-K", K, "-N", "3", *cache)
+        assert code == 2
+        assert err == f"error: -K must be at least 1, got {K}\n"
+        assert out == ""
+
+
 def test_simulate_missing_size_flags_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "-K", "3", "-N", "3")
     assert code == 2

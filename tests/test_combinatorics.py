@@ -81,6 +81,29 @@ def test_harmonic_rejects_negative():
         harmonic(-1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, -0.5, "3", Fraction(3), None])
+@pytest.mark.parametrize("function", [harmonic, epsilon])
+def test_harmonic_and_epsilon_reject_non_integers(function, n):
+    # 2.5 used to recurse until RecursionError; 3.0 must not be served
+    # from a cached harmonic(3) or harmonic(np.int64(3)).
+    function(3)
+    function(np.int64(3))
+    with pytest.raises(ValueError, match=f"^{function.__name__} is defined for integer n"):
+        function(n)
+
+
+def test_epsilon_rejects_a_non_integer_above_the_exact_limit():
+    with pytest.raises(ValueError, match="integer n"):
+        epsilon(10**5 + 0.5)
+
+
+def test_harmonic_accepts_integer_likes():
+    assert harmonic(np.int64(4)) == Fraction(25, 12)
+    assert harmonic(True) == 1
+    assert type(harmonic(np.int64(40)).numerator) is int
+    assert epsilon(np.int64(36)) == epsilon(36)
+
+
 @given(st.integers(min_value=1, max_value=10_000))
 def test_harmonic_difference_is_reciprocal(n):
     assert harmonic(n) - harmonic(n - 1) == Fraction(1, n)

@@ -133,6 +133,13 @@ SWEEP_64_CSV = {
     "dof": "76706b6589fe86ea2a6c2c20a7d3040d0262762ad072e6600542c687dd8f05c6",
 }
 
+# The same at the sweep limit, ``--kmax 256``, taken from the parent of
+# the block CSV writer: every exact cell and DoF float up to K = 256.
+SWEEP_256_CSV = {
+    "gap": "22efedb20022ba65c86e695fa034e251e55be09f32a7eee1ff5226bc3c4f4dd6",
+    "dof": "556098bdaf9b89af9b6aab213d77265b665f7407adab00073554043233473e9c",
+}
+
 # SHA-256 of ``sweep --mode buffer --kmax 20000 --gap-range 1..10``: K
 # above the exact-harmonic limit of 10**4, so epsilon(K) takes the fsum
 # branch, and every target up to the default range's end.
@@ -195,6 +202,13 @@ def test_golden_sweep_csv(tmp_path, capsys, mode):
     path = tmp_path / f"{mode}.csv"
     assert main(["sweep", "--mode", mode, "--kmax", "64", "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_64_CSV[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(SWEEP_256_CSV))
+def test_golden_sweep_csv_at_the_limit(tmp_path, capsys, mode):
+    path = tmp_path / f"{mode}.csv"
+    assert main(["sweep", "--mode", mode, "--kmax", "256", "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_256_CSV[mode]
 
 
 def test_golden_buffer_sweep_csv(tmp_path):
