@@ -7,150 +7,28 @@ rational schedule analytics (delivery time, converse lower bound,
 optimality-gap certification below a factor of 4, per-user DoF metrics)
 and a symbol-exact prime-field simulation with per-user backward
 decoding to verify end-to-end decodability.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all.
 """
 
-from .bounds import (
-    EULER_MASCHERONI,
-    BoundReport,
-    CertificateViolationError,
-    EnvelopeCheckError,
-    EnvelopeReport,
-    GapCertificate,
-    OuterBound,
-    SynergyReport,
-    achievable_time,
-    bound_report,
-    cache_fraction_for_gap,
-    check_midrange_gap_envelope,
-    dof,
-    gap_certificate,
-    min_cache_fraction_for_gap,
-    outer_bound,
-    synergy_report,
-)
-from .combinatorics import (
-    Subset,
-    binomial,
-    epsilon,
-    format_rational,
-    harmonic,
-)
-from .decoder import (
-    DecodeOutcome,
-    DeliveryReport,
-    UserReport,
-    decode_user,
-    verify_all,
-)
-from .field import (
-    MODULUS,
-    SeededRng,
-    SingularMatrixError,
-    cauchy_combining_matrix,
-    inverse,
-    is_invertible,
-    is_prime,
-    matmul,
-    solve,
-)
-from .placement import (
-    CacheContents,
-    LengthMismatchError,
-    SystemConfig,
-    fill_caches,
-    load_library,
-    random_library,
-    save_library,
-    subpacketize,
-)
-from .scheduler import (
-    DeliveryPlan,
-    GranularityError,
-    PhasePlan,
-    build_xors,
-    default_config,
-    minimal_granularity,
-    plan_phases,
-    plan_to_json,
-    validate_demand,
-)
-from .simulator import (
-    CausalityError,
-    ChannelUse,
-    DegenerateChannelError,
-    DelayedCsitLedger,
-    Transcript,
-    load_transcript,
-    reconstruct_transmissions,
-    run_delivery,
-    save_transcript,
-    simulate,
-)
+from . import bounds, combinatorics, decoder, field, placement, scheduler, simulator
+from .bounds import *
+from .combinatorics import *
+from .decoder import *
+from .field import *
+from .placement import *
+from .scheduler import *
+from .simulator import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
-    "CacheContents",
-    "CausalityError",
-    "CertificateViolationError",
-    "ChannelUse",
-    "DecodeOutcome",
-    "DegenerateChannelError",
-    "DelayedCsitLedger",
-    "DeliveryPlan",
-    "DeliveryReport",
-    "EnvelopeCheckError",
-    "EnvelopeReport",
-    "EULER_MASCHERONI",
-    "GapCertificate",
-    "GranularityError",
-    "LengthMismatchError",
-    "MODULUS",
-    "OuterBound",
-    "PhasePlan",
-    "SeededRng",
-    "SingularMatrixError",
-    "Subset",
-    "SynergyReport",
-    "SystemConfig",
-    "Transcript",
-    "UserReport",
-    "achievable_time",
-    "binomial",
-    "bound_report",
-    "build_xors",
-    "cache_fraction_for_gap",
-    "cauchy_combining_matrix",
-    "check_midrange_gap_envelope",
-    "decode_user",
-    "default_config",
-    "dof",
-    "epsilon",
-    "fill_caches",
-    "format_rational",
-    "gap_certificate",
-    "harmonic",
-    "inverse",
-    "is_invertible",
-    "is_prime",
-    "load_library",
-    "load_transcript",
-    "matmul",
-    "min_cache_fraction_for_gap",
-    "minimal_granularity",
-    "outer_bound",
-    "plan_phases",
-    "plan_to_json",
-    "random_library",
-    "reconstruct_transmissions",
-    "run_delivery",
-    "save_library",
-    "save_transcript",
-    "simulate",
-    "solve",
-    "subpacketize",
-    "synergy_report",
-    "validate_demand",
-    "verify_all",
+    *bounds.__all__,
+    *combinatorics.__all__,
+    *decoder.__all__,
+    *field.__all__,
+    *placement.__all__,
+    *scheduler.__all__,
+    *simulator.__all__,
 ]

@@ -25,7 +25,7 @@ from typing import ClassVar, Iterator
 
 import numpy as np
 
-from .combinatorics import epsilon, format_rational, harmonic
+from .combinatorics import _as_int, epsilon, format_rational, harmonic
 
 __all__ = [
     "EULER_MASCHERONI",
@@ -71,11 +71,17 @@ def _split(M) -> tuple[int, int]:
     return M.numerator, M.denominator
 
 
-def _replication(K: int, N: int, mn: int, md: int) -> int:
-    """K*M/N for M = mn/md; ValueError unless 1 <= K <= N and it is an
-    integer."""
+def _sizes(K, N) -> tuple[int, int]:
+    """K and N as ints; ValueError naming the argument that is not an
+    integer, or unless 1 <= K <= N."""
+    K, N = _as_int(K, "K must be an integer"), _as_int(N, "N must be an integer")
     if K < 1 or N < K:
         raise ValueError("need 1 <= K <= N")
+    return K, N
+
+
+def _replication(K: int, N: int, mn: int, md: int) -> int:
+    """K*M/N for M = mn/md; ValueError unless it is an integer."""
     replication, rest = divmod(K * mn, N * md)
     if rest:
         raise ValueError(f"K*M/N must be an integer, got {Fraction(K * mn, N * md)}")
@@ -122,6 +128,7 @@ def _dof_pair(N: int, mn: int, md: int, achievable: tuple[int, int]) -> tuple[in
 
 def achievable_time(K: int, replication: int) -> Fraction:
     """Delivery time of the scheme: harmonic(K) - harmonic(replication)."""
+    K = _as_int(K, "K must be an integer")
     return Fraction(*_achievable_pair(K, replication))
 
 
@@ -147,8 +154,7 @@ def outer_bound(K: int, N: int, M) -> OuterBound:
     integer pair over a positive denominator, compared by
     cross-multiplying.
     """
-    if K < 1 or N < K:
-        raise ValueError("need 1 <= K <= N")
+    K, N = _sizes(K, N)
     mn, md = _split(M)
     if not 0 <= mn <= N * md:
         raise ValueError(f"cache size must lie in [0, {N}] files, got {Fraction(mn, md)}")
@@ -175,6 +181,7 @@ def dof(K: int, N: int, M) -> Fraction:
     Requires replication K*M/N integral and below K (an all-cached system
     has no delivery to measure).
     """
+    K, N = _sizes(K, N)
     mn, md = _split(M)
     replication = _replication(K, N, mn, md)
     if replication >= K:
@@ -258,6 +265,7 @@ def bound_report(K: int, N: int, M) -> BoundReport:
     ``gap`` is None when the raw lower bound is non-positive (nothing to
     divide by); that never happens on the certification sweep.
     """
+    K, N = _sizes(K, N)
     mn, md = _split(M)
     replication = _replication(K, N, mn, md)
     achievable = _achievable_pair(K, replication)
@@ -347,6 +355,7 @@ def gap_certificate(K_max: int) -> GapCertificate:
     Raises CertificateViolationError the moment any exact ratio reaches
     4 (which would falsify the implementation, not the guarantee).
     """
+    K_max = _as_int(K_max, "K_max must be an integer")
     if K_max < 2:
         raise ValueError("the sweep needs K_max >= 2")
     table = _harmonics(K_max)
@@ -431,6 +440,7 @@ def synergy_report(K: int, replication: int) -> SynergyReport:
     reduced Fraction; ``dof_feedback_only`` is ``1.0 / float(harmonic(K))``.
     Both harmonic numbers are read once each.
     """
+    K = _as_int(K, "K must be an integer")
     if not 1 <= replication <= K - 1:
         raise ValueError(f"replication must lie in [1, K-1], got {replication}")
     whole, head = harmonic(K), harmonic(replication)
@@ -456,14 +466,17 @@ def synergy_report(K: int, replication: int) -> SynergyReport:
     )
 
 
-def _check_gap_target(gap: float, K: int) -> None:
+def _check_gap_target(gap: float, K) -> int:
+    """K as an int, once the target and K are checked."""
     # NaN fails every comparison, so it is rejected by name, not by `gap < 1`.
     if not math.isfinite(gap):
         raise ValueError(f"the target factor must be finite, got {gap}")
     if gap < 1:
         raise ValueError("the target factor must be at least 1")
+    K = _as_int(K, "K must be an integer")
     if K < 2:
         raise ValueError("need at least two users")
+    return K
 
 
 def cache_fraction_for_gap(gap: float, K: int) -> float:
@@ -476,7 +489,7 @@ def cache_fraction_for_gap(gap: float, K: int) -> float:
     ValueError for a target that is not finite and where the value is not
     a normal double (targets above about 709).
     """
-    _check_gap_target(gap, K)
+    K = _check_gap_target(gap, K)
     value = math.exp(-(gap - epsilon(K) + EULER_MASCHERONI))
     # the true value is positive: a subnormal or zero double would be a
     # silently wrong answer
@@ -504,7 +517,7 @@ def min_cache_fraction_for_gap(gap: float, K: int) -> Fraction | None:
     replication = K-1 falls short.  Raises ValueError for a target that is
     not finite or below 1, or fewer than two users, as
     :func:`cache_fraction_for_gap` does."""
-    _check_gap_target(gap, K)
+    K = _check_gap_target(gap, K)
     target = 1.0 / gap
     cumulative = _cumulative_harmonics(K)
     replication = np.arange(1, K)

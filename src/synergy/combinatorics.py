@@ -1,5 +1,5 @@
-"""Exact combinatorial primitives: binomials, harmonic numbers, and
-integer tables of the canonical subsets of {1, ..., universe}.
+"""Exact combinatorial primitives: harmonic numbers and integer tables
+of the canonical subsets of {1, ..., universe}.
 
 Schedule durations, bounds and gap ratios throughout the package are
 exact `fractions.Fraction` values built on these helpers.  Floats appear
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Subset",
-    "binomial",
     "harmonic",
     "epsilon",
     "format_rational",
@@ -29,13 +28,6 @@ __all__ = [
 # Exact harmonic values stay cheap up to ~1e4 terms; past that epsilon()
 # falls back to a correctly rounded float sum (fsum), good to a few ulp.
 _EXACT_EPSILON_LIMIT = 10_000
-
-
-def binomial(n: int, k: int) -> int:
-    """n-choose-k; zero when k exceeds n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    return math.comb(n, k)
 
 
 def _harmonic_span(lo: int, hi: int) -> tuple[int, int]:
@@ -48,20 +40,22 @@ def _harmonic_span(lo: int, hi: int) -> tuple[int, int]:
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-def _as_int(n, name: str) -> int:
-    """``n`` as an int; ValueError for a float, a string or any other
-    non-integer, whose sums would never reach their end."""
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int (``operator.index``, so numpy integers
+    pass); ValueError "<what>, got <value>" for a float, a string or any
+    other non-integer, which would otherwise be truncated or fail later
+    with an undefined error."""
     try:
-        return operator.index(n)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} is defined for integer n, got {n!r}") from None
+        raise ValueError(f"{what}, got {value!r}") from None
 
 
 # typed, so a float equal to a cached int is checked rather than served
 @lru_cache(maxsize=None, typed=True)
 def harmonic(n: int) -> Fraction:
     """n-th harmonic number 1 + 1/2 + ... + 1/n, exact; harmonic(0) == 0."""
-    n = _as_int(n, "harmonic")
+    n = _as_int(n, "harmonic is defined for integer n")
     if n < 0:
         raise ValueError("harmonic is defined for non-negative n")
     if n == 0:
@@ -77,7 +71,7 @@ def epsilon(n: int) -> float:
     harmonic numbers are used while they stay small; bigger n switches to
     math.fsum, which keeps the result within a few ulp of exact.
     """
-    n = _as_int(n, "epsilon")
+    n = _as_int(n, "epsilon is defined for integer n")
     if n < 1:
         raise ValueError("epsilon is defined for n >= 1")
     if n <= _EXACT_EPSILON_LIMIT:

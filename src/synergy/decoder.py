@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import group_table, system_rows
+from .combinatorics import _as_int, group_table, system_rows
 from .field import matmul, solve
 from .placement import CacheContents, fill_caches, subpacketize
 from .simulator import Transcript
@@ -181,18 +181,18 @@ def decode_user(
     order.  The batch is decoded in one pass per phase; one user is the
     batch of one.
 
-    Raises ValueError when a user lies outside [1, K] or appears twice,
-    the users and caches differ in number, a cache does not hold exactly
-    the blocks of the subsets containing its user (another user's
-    cache, for one), or the transcript holds fewer or more channel uses,
-    or observation columns, than the plan sends.
+    Raises ValueError when a user is not an integer, lies outside
+    [1, K] or appears twice, the users and caches differ in number, a
+    cache does not hold exactly the blocks of the subsets containing its
+    user (another user's cache, for one), or the transcript holds fewer
+    or more channel uses, or observation columns, than the plan sends.
     """
     config = transcript.config
     plan = transcript.plan
     demand = transcript.demand
     K, modulus = config.K, config.modulus
     single = np.ndim(user) == 0
-    users = [user] if single else list(user)
+    users = [_as_int(entry, "user must be an integer") for entry in ([user] if single else user)]
     caches = [cache] if single else list(cache)
     if len(users) != len(caches):
         raise ValueError(f"{len(users)} users but {len(caches)} caches")

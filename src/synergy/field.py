@@ -28,7 +28,6 @@ __all__ = [
     "SingularMatrixError",
     "SeededRng",
     "is_prime",
-    "inverse",
     "matmul",
     "solve",
     "is_invertible",
@@ -71,14 +70,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def inverse(a: int, modulus: int = MODULUS) -> int:
-    """Multiplicative inverse of a nonzero element."""
-    a = int(a) % modulus
-    if a == 0:
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    return pow(a, -1, modulus)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
@@ -258,7 +249,7 @@ def _cauchy(size: int, modulus: int) -> np.ndarray:
     row_points = range(size - 1)
     col_points = range(size - 1, 2 * size - 1)
     matrix = np.array(
-        [[inverse((x - y) % modulus, modulus) for y in col_points] for x in row_points],
+        [[pow(x - y, -1, modulus) for y in col_points] for x in row_points],
         dtype=np.int64,
     )
     matrix.setflags(write=False)

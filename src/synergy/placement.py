@@ -15,13 +15,14 @@ multiplier keeps every later phase's re-chunking integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import binomial, group_table
+from .combinatorics import _as_int, group_table
 from .field import MODULUS, SeededRng, is_prime
 
 __all__ = [
@@ -52,6 +53,8 @@ class SystemConfig:
     ``replication`` = K*M/N must be an integer: the number of users that
     cache each block.  The modulus is a prime above 2K and below 2**31,
     the widest field whose products the int64 kernels hold exactly.
+    Every field is stored as a Python int; ValueError names a field that
+    is not an integer.
     """
 
     K: int
@@ -61,6 +64,9 @@ class SystemConfig:
     modulus: int = MODULUS
 
     def __post_init__(self) -> None:
+        for key in ("K", "N", "M", "granularity", "modulus"):
+            value = _as_int(getattr(self, key), f"config field {key} must be an integer")
+            object.__setattr__(self, key, value)
         if self.K < 1:
             raise ValueError("need at least one user")
         if self.N < self.K:
@@ -90,7 +96,7 @@ class SystemConfig:
 
     @property
     def subfiles_per_file(self) -> int:
-        return binomial(self.K, self.replication)
+        return math.comb(self.K, self.replication)
 
     @property
     def subfile_symbols(self) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import binomial, format_rational, group_table
+from .combinatorics import _as_int, format_rational, group_table
 from .field import MODULUS, cauchy_combining_matrix, solve
 from .placement import SystemConfig
 
@@ -62,7 +62,7 @@ class PhasePlan:
 
     @property
     def group_count(self) -> int:
-        return binomial(self.universe, self.order)
+        return math.comb(self.universe, self.order)
 
     @cached_property
     def combining_inverses(self) -> np.ndarray | None:
@@ -145,8 +145,9 @@ def default_config(K: int, N: int, M: int, modulus: int = MODULUS) -> SystemConf
 
 
 def validate_demand(config: SystemConfig, demand) -> tuple[int, ...]:
-    """Demand is one 1-based file index per user; repeats are allowed."""
-    demand = tuple(int(r) for r in demand)
+    """Demand is one 1-based file index per user; repeats are allowed.
+    ValueError for an entry that is not an integer."""
+    demand = tuple(_as_int(r, "demand entries must be integers") for r in demand)
     if len(demand) != config.K:
         raise ValueError(f"demand must list {config.K} file indices, got {len(demand)}")
     if any(not 1 <= r <= config.N for r in demand):
@@ -189,7 +190,7 @@ def plan_phases(
         raise ValueError("payloads need a demand")
     K = config.K
     replication = config.replication
-    slot_symbols = binomial(K, replication) * (K - replication) * config.granularity
+    slot_symbols = math.comb(K, replication) * (K - replication) * config.granularity
     phases = []
     uses = config.granularity
     for order in range(replication + 1, K + 1):
@@ -209,7 +210,7 @@ def plan_phases(
                 universe=K,
                 uses_per_group=uses,
                 active_antennas=K - order + 1,
-                duration=Fraction(binomial(K, order) * uses, slot_symbols),
+                duration=Fraction(math.comb(K, order) * uses, slot_symbols),
                 combining=combining,
                 modulus=config.modulus,
             )

@@ -46,19 +46,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import Subset, format_rational, group_table, system_rows
+from .combinatorics import Subset, _as_int, format_rational, group_table, system_rows
 from .field import SeededRng, is_invertible, matmul
 from .placement import LengthMismatchError, SystemConfig, random_library, subpacketize
 from .scheduler import DeliveryPlan, PhasePlan, build_xors, plan_phases
 
 __all__ = [
-    "LIBRARY_STREAM",
-    "CHANNEL_STREAM",
-    "DEMAND_STREAM",
     "DegenerateChannelError",
     "CausalityError",
     "ChannelUse",
-    "DelayedCsitLedger",
     "Transcript",
     "run_delivery",
     "simulate",
@@ -104,7 +100,7 @@ class ChannelUse:
     channel: np.ndarray
 
 
-class DelayedCsitLedger:
+class _DelayedCsitLedger:
     """Transmitter-side record of what every user received; reads are
     strictly causal.
 
@@ -334,7 +330,8 @@ def run_delivery(
     channel makes a decoder-side system singular (probability ~K/modulus
     per use): "error" raises DegenerateChannelError, "resample" redraws
     that use's coefficients as part of the deterministic stream, at most
-    ``_MAX_REDRAWS`` draws per use in all.
+    ``_MAX_REDRAWS`` draws per use in all.  ValueError for a seed that
+    is not an integer; the transcript stores it as a Python int.
 
     The delivery runs a phase at a time: one stream gather and product
     per phase, then one forward walk over the channel stream
@@ -344,6 +341,7 @@ def run_delivery(
     """
     if on_degenerate not in ("error", "resample"):
         raise ValueError('on_degenerate must be "error" or "resample"')
+    seed = _as_int(seed, "seed must be an integer")
     config = plan.config
     if plan.demand is None:
         raise ValueError("plan has no demand; build it with plan_phases(config, demand, ...)")
@@ -360,7 +358,7 @@ def run_delivery(
     rng = SeededRng(seed).child(CHANNEL_STREAM)
     channels = np.empty((plan.total_uses, K, K), dtype=np.uint32)
     observations = np.zeros((K, plan.total_uses), dtype=np.uint32)
-    ledger = DelayedCsitLedger(observations)
+    ledger = _DelayedCsitLedger(observations)
     for index, phase in enumerate(plan.phases):
         first, end = plan.offsets[index], plan.offsets[index + 1]
         sent = _phase_symbols(plan, index, xors, ledger.observations)
@@ -392,7 +390,9 @@ def simulate(
 
     The library and the channel consume independent child streams of the
     seed, so the transcript is a pure function of (config, demand, seed).
+    ValueError for a seed that is not an integer.
     """
+    seed = _as_int(seed, "seed must be an integer")
     library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
     subfiles = subpacketize(config, library)
     plan = plan_phases(config, demand, subfiles=subfiles)

@@ -283,6 +283,25 @@ def test_cache_size_must_be_finite(function, M):
         function(4, 4, M)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each used to raise AttributeError (bit_length) or TypeError
+        (lambda: outer_bound(3.5, 4, 1), "K must be an integer, got 3.5"),
+        (lambda: gap_certificate(3.0), "K_max must be an integer, got 3.0"),
+        (lambda: outer_bound("3", 6, 2), "K must be an integer, got '3'"),
+        (lambda: gap_certificate("4"), "K_max must be an integer, got '4'"),
+        (lambda: dof(3, 3.5, 1), "N must be an integer, got 3.5"),
+        (lambda: min_cache_fraction_for_gap(3, 10.0), "K must be an integer, got 10.0"),
+        # used to name harmonic, not N
+        (lambda: dof(3, 6.0, 2), "N must be an integer, got 6.0"),
+    ],
+)
+def test_non_integer_sizes_are_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_achievable_time_rejects_a_non_integer_replication():
     # harmonic(1.5) used to recurse until RecursionError
     with pytest.raises(ValueError, match="integer n"):

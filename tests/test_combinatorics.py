@@ -10,22 +10,12 @@ from references import complement as reference_complement
 from references import rank, subsets, without
 from synergy.combinatorics import (
     Subset,
-    binomial,
     epsilon,
     format_rational,
     group_table,
     harmonic,
     system_rows,
 )
-
-
-def pascal_triangle(rows):
-    """Independent oracle: binomials by the addition rule only."""
-    triangle = [[1]]
-    for n in range(1, rows + 1):
-        prev = triangle[-1]
-        triangle.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    return triangle
 
 
 def bitmask_subsets(universe, size):
@@ -36,32 +26,6 @@ def bitmask_subsets(universe, size):
         if len(elems) == size:
             found.append(elems)
     return sorted(found)
-
-
-def test_binomial_small_cases():
-    assert binomial(4, 2) == 6
-    for n in range(9):
-        assert binomial(n, 0) == 1
-    assert binomial(8, 3) == 56
-
-
-def test_binomial_matches_pascal_triangle():
-    triangle = pascal_triangle(12)
-    for n in range(13):
-        for k in range(n + 1):
-            assert binomial(n, k) == triangle[n][k]
-
-
-def test_binomial_above_diagonal_is_zero():
-    assert binomial(3, 5) == 0
-    assert binomial(0, 1) == 0
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 def test_harmonic_small_values():
@@ -165,7 +129,7 @@ def test_enumerate_matches_bitmask_oracle():
 def test_enumerate_count_matches_binomial():
     for universe in range(17):
         for size in range(universe + 1):
-            assert len(group_table(universe, size)[0]) == binomial(universe, size)
+            assert len(group_table(universe, size)[0]) == math.comb(universe, size)
 
 
 def test_enumerate_rejects_bad_size():
@@ -189,7 +153,7 @@ def test_group_table_matches_subset_exhaustive():
     for universe in range(11):
         for size in range(universe + 1):
             members, complement, without_rank = group_table(universe, size)
-            count = binomial(universe, size)
+            count = math.comb(universe, size)
             assert members.shape == (count, size)
             assert complement.shape == (count, universe - size)
             assert without_rank.shape == (count, size)
@@ -210,7 +174,7 @@ def test_system_rows_list_own_row_then_non_members():
     for universe in range(1, 9):
         for size in range(1, universe + 1):
             rows = system_rows(universe, size)
-            assert rows.shape == (binomial(universe, size), size, universe - size + 1)
+            assert rows.shape == (math.comb(universe, size), size, universe - size + 1)
             assert rows.dtype == np.int64 and not rows.flags.writeable
             for index, sub in enumerate(subsets(universe, size)):
                 others = [e - 1 for e in reference_complement(sub, universe)]
@@ -222,7 +186,7 @@ def test_system_rows_list_own_row_then_non_members():
 def test_rank_unrank_roundtrip_random(data):
     universe = data.draw(st.integers(min_value=1, max_value=16))
     size = data.draw(st.integers(min_value=0, max_value=universe))
-    index = data.draw(st.integers(min_value=0, max_value=binomial(universe, size) - 1))
+    index = data.draw(st.integers(min_value=0, max_value=math.comb(universe, size) - 1))
     sub = tuple(group_table(universe, size)[0][index].tolist())
     assert rank(sub, universe) == index
 

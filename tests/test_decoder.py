@@ -228,6 +228,17 @@ def test_decode_rejects_bad_user():
         decode_user(transcript, 0, caches[0])
 
 
+def test_decode_rejects_a_non_integer_user():
+    # 2.0 used to raise a numpy IndexError
+    config, library, subfiles, caches, transcript = seeded_case(3, 3, 1)
+    with pytest.raises(ValueError, match=r"^user must be an integer, got 2.0$"):
+        decode_user(transcript, 2.0, caches[1])
+    with pytest.raises(ValueError, match="user must be an integer"):
+        decode_user(transcript, [1, 2.0], caches[:2])
+    outcome = decode_user(transcript, np.int64(2), caches[1])
+    assert np.array_equal(outcome.file, library[transcript.demand[1] - 1])
+
+
 def test_foreign_cache_fails_decoding(monkeypatch):
     config, library, subfiles, caches, transcript = seeded_case(4, 4, 2, seed=2)
     own = caches[0]

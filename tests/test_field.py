@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from references import matrix_rank
 from synergy.field import (
@@ -9,7 +7,6 @@ from synergy.field import (
     SeededRng,
     SingularMatrixError,
     cauchy_combining_matrix,
-    inverse,
     is_invertible,
     is_prime,
     matmul,
@@ -47,18 +44,6 @@ def test_is_prime_matches_sieve():
     flags = sieve(2000)
     for n in range(2001):
         assert is_prime(n) == flags[n]
-
-
-@given(st.integers(min_value=1, max_value=MODULUS - 1))
-def test_inverse_property(a):
-    assert a * inverse(a) % MODULUS == 1
-
-
-def test_inverse_of_zero_fails():
-    with pytest.raises(ZeroDivisionError):
-        inverse(0)
-    with pytest.raises(ZeroDivisionError):
-        inverse(MODULUS)
 
 
 def test_matmul_matches_python_ints():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from references import rank, subsets, without
-from synergy.combinatorics import binomial, group_table
+from synergy.combinatorics import group_table
 from synergy.field import MODULUS, SeededRng
 from synergy.placement import (
     CacheContents,
@@ -38,6 +40,25 @@ def test_config_validation():
         SystemConfig(2, 2, 1, modulus=9)  # not prime
     with pytest.raises(ValueError):
         SystemConfig(4, 4, 1, modulus=7)  # prime but <= 2K
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # both used to construct, then fail with a TypeError inside simulate
+        ({"K": 3, "N": 3, "M": 1, "granularity": 2.5}, "config field granularity must be an integer, got 2.5"),
+        ({"K": 3.0, "N": 3, "M": 1}, "config field K must be an integer, got 3.0"),
+    ],
+)
+def test_config_rejects_non_integer_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SystemConfig(**fields)
+
+
+def test_config_stores_python_ints():
+    config = SystemConfig(*(np.int64(value) for value in (3, 3, 1, 2, 101)))
+    assert config == SystemConfig(3, 3, 1, granularity=2, modulus=101)
+    assert all(type(value) is int for value in config.to_json().values())
 
 
 def test_config_modulus_below_two_to_the_31():
@@ -128,7 +149,7 @@ def test_fill_caches_membership_counts():
 def test_fill_caches_counts_k4():
     config, library = make_setup(4, 4, 2)
     caches = fill_caches(config, subpacketize(config, library))
-    assert all(cache.blocks.shape[0] * len(cache.holders) == 4 * binomial(3, 1) for cache in caches)
+    assert all(cache.blocks.shape[0] * len(cache.holders) == 4 * math.comb(3, 1) for cache in caches)
 
 
 def test_fill_caches_empty_when_no_cache():

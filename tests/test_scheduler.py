@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from references import rank
-from synergy.combinatorics import binomial, group_table, harmonic
+from synergy.combinatorics import group_table, harmonic
 from synergy.field import SeededRng
 from synergy.placement import SystemConfig, random_library, subpacketize
 from synergy.scheduler import (
@@ -82,6 +82,15 @@ def test_validate_demand():
         validate_demand(config, [0, 1, 2])
 
 
+def test_validate_demand_rejects_non_integer_entries():
+    # 2.9999 used to be truncated, so user 1 silently got file 2
+    config = SystemConfig(3, 3, 1)
+    with pytest.raises(ValueError, match=r"^demand entries must be integers, got 2.9999$"):
+        validate_demand(config, (2.9999, 1, 3))
+    demand = validate_demand(config, (np.int64(2), 1, 3))
+    assert demand == (2, 1, 3) and all(type(entry) is int for entry in demand)
+
+
 def test_build_xors_two_users_by_hand():
     config, library, subfiles = seeded_setup(2, 2, 1)
     xors = build_xors(config, subfiles, (1, 2))
@@ -113,7 +122,7 @@ def test_build_xors_count_matches_binomial():
         for M in range(0, K):
             config, library, subfiles = seeded_setup(K, K, M)
             xors = build_xors(config, subfiles, tuple(range(1, K + 1)))
-            assert len(xors) == binomial(K, config.replication + 1)
+            assert len(xors) == math.comb(K, config.replication + 1)
 
 
 def test_build_xors_fully_cached_is_empty():
@@ -237,4 +246,4 @@ def test_plan_structural_avoids_group_materialization():
     plan = plan_phases(default_config(64, 64, 1))
     assert plan.total_duration == harmonic(64) - 1
     widest = next(phase for phase in plan.phases if phase.order == 32)
-    assert widest.group_count == binomial(64, 32)
+    assert widest.group_count == math.comb(64, 32)

@@ -19,7 +19,6 @@ from synergy.simulator import (
     LIBRARY_STREAM,
     CausalityError,
     DegenerateChannelError,
-    DelayedCsitLedger,
     Transcript,
     load_transcript,
     reconstruct_transmissions,
@@ -123,7 +122,7 @@ def test_later_phase_content_uses_only_past_observations():
 
 
 def test_ledger_guards_future_reads():
-    ledger = DelayedCsitLedger(np.zeros((2, 3), dtype=np.int64))
+    ledger = simulator._DelayedCsitLedger(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(CausalityError):
         ledger.observations(1, [0])
     ledger.record(np.array([[1], [2]]))
@@ -365,6 +364,25 @@ def test_transcript_roundtrip_through_files(tmp_path):
     assert loaded == transcript
     assert loaded.plan.total_duration == transcript.plan.total_duration
     assert not any(use.channel.flags.writeable for use in loaded.uses)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7"])
+def test_simulate_rejects_a_non_integer_seed(seed):
+    # used to run with a truncated or parsed seed but store the raw one,
+    # which load_transcript then rejected
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        simulate(default_config(3, 3, 1), (1, 2, 3), seed)
+
+
+def test_integer_like_inputs_survive_save_and_load(tmp_path):
+    # an int64 seed used to make save_transcript raise TypeError (not JSON serializable)
+    config = default_config(3, 3, 1)
+    transcript = simulate(config, tuple(np.arange(1, 4)), np.int64(4))
+    assert type(transcript.seed) is int
+    assert all(type(entry) is int for entry in transcript.demand)
+    assert transcript == simulate(config, (1, 2, 3), 4)
+    save_transcript(transcript, tmp_path / "run.json")
+    assert load_transcript(tmp_path / "run.json") == transcript
 
 
 def test_uses_are_read_only_views_of_the_channel_log(tmp_path):
