@@ -129,6 +129,7 @@ def _dof_pair(N: int, mn: int, md: int, achievable: tuple[int, int]) -> tuple[in
 def achievable_time(K: int, replication: int) -> Fraction:
     """Delivery time of the scheme: harmonic(K) - harmonic(replication)."""
     K = _as_int(K, "K must be an integer")
+    replication = _as_int(replication, "replication must be an integer")
     return Fraction(*_achievable_pair(K, replication))
 
 
@@ -259,17 +260,10 @@ class BoundReport:
         return dict(zip(self.CSV_FIELDS, values))
 
 
-def bound_report(K: int, N: int, M) -> BoundReport:
-    """Achievable time vs. lower bound for one configuration.
-
-    ``gap`` is None when the raw lower bound is non-positive (nothing to
-    divide by); that never happens on the certification sweep.
-    """
-    K, N = _sizes(K, N)
-    mn, md = _split(M)
-    replication = _replication(K, N, mn, md)
-    achievable = _achievable_pair(K, replication)
-    lower = outer_bound(K, N, M)
+def _bound_row(
+    K: int, N: int, mn: int, md: int, replication: int, achievable: tuple[int, int], lower: OuterBound
+) -> BoundReport:
+    """The report of M = mn/md from its achievable-time pair and its bound."""
     gap = None
     if not lower.clamped:
         time_num, time_den = achievable
@@ -285,6 +279,20 @@ def bound_report(K: int, N: int, M) -> BoundReport:
         gap=gap,
         dof=Fraction(*_dof_pair(N, mn, md, achievable)) if replication < K else Fraction(0),
         argmax_s=lower.argmax_s,
+    )
+
+
+def bound_report(K: int, N: int, M) -> BoundReport:
+    """Achievable time vs. lower bound for one configuration.
+
+    ``gap`` is None when the raw lower bound is non-positive (nothing to
+    divide by); that never happens on the certification sweep.
+    """
+    K, N = _sizes(K, N)
+    mn, md = _split(M)
+    replication = _replication(K, N, mn, md)
+    return _bound_row(
+        K, N, mn, md, replication, _achievable_pair(K, replication), outer_bound(K, N, M)
     )
 
 
@@ -306,23 +314,13 @@ class GapCertificate:
 
     @cached_property
     def rows(self) -> tuple[BoundReport, ...]:
-        rows = []
-        for K, replication, time_num, time_den, low_num, low_den, argmax_s in self.cells:
-            rows.append(
-                BoundReport(
-                    K=K,
-                    N=K,
-                    M=Fraction(replication),
-                    replication=replication,
-                    cache_fraction=Fraction(replication, K),
-                    achievable=Fraction(time_num, time_den),
-                    lower_bound=Fraction(low_num, low_den),
-                    gap=Fraction(time_num * low_den, time_den * low_num),
-                    dof=Fraction(*_dof_pair(K, replication, 1, (time_num, time_den))),
-                    argmax_s=argmax_s,
-                )
+        return tuple(
+            _bound_row(
+                K, K, replication, 1, replication, (time_num, time_den),
+                OuterBound(Fraction(low_num, low_den), argmax_s, clamped=False),
             )
-        return tuple(rows)
+            for K, replication, time_num, time_den, low_num, low_den, argmax_s in self.cells
+        )
 
     def csv_rows(self) -> Iterator[tuple]:
         """The CSV values of every cell, as ``row.csv_row()`` would give
@@ -441,6 +439,7 @@ def synergy_report(K: int, replication: int) -> SynergyReport:
     Both harmonic numbers are read once each.
     """
     K = _as_int(K, "K must be an integer")
+    replication = _as_int(replication, "replication must be an integer")
     if not 1 <= replication <= K - 1:
         raise ValueError(f"replication must lie in [1, K-1], got {replication}")
     whole, head = harmonic(K), harmonic(replication)

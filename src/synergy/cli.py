@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -254,74 +253,75 @@ def _require(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _check_schedule_identities(kmax: int) -> None:
-    for K in range(1, kmax + 1):
-        for replication in range(0, K):
-            plan = plan_phases(default_config(K, K, replication))
-            expected = harmonic(K) - harmonic(replication)
-            _require(plan.total_duration == expected, f"duration off at K={K}, g={replication}")
-            first = plan.phases[0]
-            for phase in plan.phases:
-                _require(
-                    phase.duration * phase.order == first.duration * first.order,
-                    f"ratio law off at K={K}, g={replication}, phase {phase.order}",
-                )
-            if replication < K:
-                denom = (
-                    plan.config.subfiles_per_file
-                    * (K - replication)
-                    * plan.config.granularity
-                )
-                _require(
-                    Fraction(plan.total_uses, denom) == expected,
-                    f"use accounting off at K={K}, g={replication}",
-                )
+def _check_schedule_identities(kmax: int) -> int:
+    """Check the plan of every K <= kmax and replication < K; return how many."""
+    cases = [(K, replication) for K in range(1, kmax + 1) for replication in range(K)]
+    for K, replication in cases:
+        plan = plan_phases(default_config(K, K, replication))
+        expected = harmonic(K) - harmonic(replication)
+        _require(plan.total_duration == expected, f"duration off at K={K}, g={replication}")
+        first = plan.phases[0]
+        for phase in plan.phases:
+            _require(
+                phase.duration * phase.order == first.duration * first.order,
+                f"ratio law off at K={K}, g={replication}, phase {phase.order}",
+            )
+        denom = plan.config.subfiles_per_file * (K - replication) * plan.config.granularity
+        _require(plan.total_uses == expected * denom, f"use accounting off at K={K}, g={replication}")
+    return len(cases)
 
 
-def _check_cache_identity(kmax: int) -> None:
-    for K in range(1, kmax + 1):
-        for replication in range(0, K + 1):
-            config = SystemConfig(K, K, replication, granularity=1)
-            library = random_library(config, SeededRng(7).child(LIBRARY_STREAM))
-            caches = fill_caches(config, subpacketize(config, library))
-            expected = config.cache_fraction * config.library_symbols
-            _require(expected.denominator == 1, f"fractional cache size at K={K}")
-            for cache in caches:
-                _require(cache.symbol_count == expected, f"cache identity off at K={K}")
-
-
-def _check_decodes(kmax: int, seeds: int) -> None:
-    for K in range(2, kmax + 1):
-        for replication in range(0, K + 1):
+def _check_cache_identity(users: range, granularity: int | None) -> int:
+    """Check the caches of every K in ``users`` and replication in [0, K]
+    at ``granularity`` (None: the minimal one); return how many."""
+    cases = [(K, replication) for K in users for replication in range(K + 1)]
+    for K, replication in cases:
+        if granularity is None:
             config = default_config(K, K, replication)
-            demand = tuple(range(1, K + 1))
-            for seed in range(seeds):
-                transcript = simulate(config, demand, seed)
-                library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
-                report = verify_all(transcript, library)
-                _require(
-                    report.all_pass,
-                    f"decode failed at K={K}, replication={replication}, seed={seed}: "
-                    + json.dumps(report.to_json()),
-                )
-                if replication == K:
-                    _require(transcript.total_uses == 0, f"uses sent with everything cached at K={K}")
-                else:
-                    denom = config.subfiles_per_file * (K - replication) * config.granularity
-                    _require(
-                        Fraction(transcript.total_uses, denom) == transcript.plan.total_duration,
-                        f"use count off at K={K}, replication={replication}, seed={seed}",
-                    )
+        else:
+            config = SystemConfig(K, K, replication, granularity=granularity)
+        library = random_library(config, SeededRng(7).child(LIBRARY_STREAM))
+        caches = fill_caches(config, subpacketize(config, library))
+        expected = config.cache_fraction * config.library_symbols
+        _require(expected.denominator == 1, f"fractional cache size at K={K}")
+        for cache in caches:
+            _require(cache.symbol_count == expected, f"cache identity off at K={K}")
+    return len(cases)
+
+
+def _check_decodes(users: range, seeds: int) -> int:
+    """Simulate and decode every K in ``users``, replication in [0, K] and
+    seed below ``seeds``; return how many runs."""
+    cases = [(K, replication) for K in users for replication in range(K + 1)]
+    for K, replication in cases:
+        config = default_config(K, K, replication)
+        denom = config.subfiles_per_file * (K - replication) * config.granularity
+        for seed in range(seeds):
+            transcript = simulate(config, tuple(range(1, K + 1)), seed)
+            library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
+            report = verify_all(transcript, library)
+            _require(
+                report.all_pass,
+                f"decode failed at K={K}, replication={replication}, seed={seed}: "
+                + json.dumps(report.to_json()),
+            )
+            duration = transcript.plan.total_duration
+            _require(
+                duration == harmonic(K) - harmonic(replication)
+                and transcript.total_uses == duration * denom,
+                f"duration or use count off at K={K}, replication={replication}, seed={seed}",
+            )
+    return len(cases) * seeds
 
 
 def _cmd_verify(args) -> int:
     quick = args.quick
     checks = [
         ("schedule duration + ratio identities", lambda: _check_schedule_identities(16 if quick else 64)),
-        ("cache-size identity", lambda: _check_cache_identity(6 if quick else 10)),
+        ("cache-size identity", lambda: _check_cache_identity(range(1, 7 if quick else 11), 1)),
         ("gap certificate", lambda: gap_certificate(16 if quick else 64)),
         ("mid-range gap envelope", check_midrange_gap_envelope),
-        ("end-to-end decode", lambda: _check_decodes(4 if quick else 6, 1 if quick else 2)),
+        ("end-to-end decode", lambda: _check_decodes(range(2, 5 if quick else 7), 1 if quick else 2)),
     ]
     for name, check in checks:
         try:
@@ -379,10 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

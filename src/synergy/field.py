@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .combinatorics import _as_int
+
 __all__ = [
     "MODULUS",
     "SingularMatrixError",
@@ -281,7 +283,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = _as_int(seed, "seed must be an integer") & _MASK64
         self._state = self.seed
 
     @staticmethod

@@ -123,6 +123,8 @@ class DeliveryPlan:
 def minimal_granularity(K: int, replication: int) -> int:
     """Smallest granularity making every phase's per-group use count an
     integer; always divides (K - replication - 1)!."""
+    K = _as_int(K, "K must be an integer")
+    replication = _as_int(replication, "replication must be an integer")
     if not 0 <= replication <= K - 1:
         raise ValueError(f"replication must lie in [0, K-1], got {replication}")
     scale = 1

@@ -392,7 +392,6 @@ def simulate(
     seed, so the transcript is a pure function of (config, demand, seed).
     ValueError for a seed that is not an integer.
     """
-    seed = _as_int(seed, "seed must be an integer")
     library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
     subfiles = subpacketize(config, library)
     plan = plan_phases(config, demand, subfiles=subfiles)

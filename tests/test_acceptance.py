@@ -3,13 +3,14 @@ single PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Exact guarantees are compared as Fractions with zero tolerance; the two
 logarithmic-approximation checks state their numeric slack inline.
+Tests 1, 2 and 4-6 run the self-checks of ``synergy verify`` on larger
+ranges, so the CLI and the battery check each guarantee with one copy
+of the code.
 """
 
 import math
 import time
 from fractions import Fraction
-
-import pytest
 
 from synergy.bounds import (
     check_midrange_gap_envelope,
@@ -17,83 +18,54 @@ from synergy.bounds import (
     gap_certificate,
     synergy_report,
 )
-from synergy.combinatorics import harmonic
-from synergy.decoder import verify_all
-from synergy.field import SeededRng
-from synergy.placement import fill_caches, random_library, subpacketize
-from synergy.scheduler import default_config, plan_phases
-from synergy.simulator import LIBRARY_STREAM, simulate
+from synergy.cli import _check_cache_identity, _check_decodes, _check_schedule_identities
 
 SCHEDULE_KMAX = 64
 SIM_KS = range(2, 7)
-SIM_SEEDS = range(10)
+SIM_SEEDS = 10
 
 
-def _report(number, passed, detail):
+def _report(number, passed, detail, failures=()):
+    """Print the PASS/FAIL line; a failed self-check fails it, and its
+    message replaces the detail."""
+    passed = passed and not failures
+    detail = failures[0] if failures else detail
     print(f"ACCEPTANCE {number}/9 {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, detail
 
 
-@pytest.fixture(scope="module")
-def schedule_plans():
+def _run(check, *args):
+    """Run one of ``synergy verify``'s self-checks on the battery's sizes:
+    (cases checked, seconds, failures), where failures is empty when
+    every case held and else holds the message of the first that failed."""
     started = time.perf_counter()
-    plans = {}
-    for K in range(1, SCHEDULE_KMAX + 1):
-        for replication in range(K):
-            plans[(K, replication)] = plan_phases(default_config(K, K, replication))
-    return plans, time.perf_counter() - started
+    try:
+        count, failures = check(*args), []
+    except AssertionError as exc:
+        count, failures = 0, [str(exc)]
+    return count, time.perf_counter() - started, failures
 
 
-@pytest.fixture(scope="module")
-def delivery_runs():
-    started = time.perf_counter()
-    runs = []
-    for K in SIM_KS:
-        for replication in range(K + 1):
-            config = default_config(K, K, replication)
-            demand = tuple(range(1, K + 1))
-            library = random_library(config, SeededRng(0).child(LIBRARY_STREAM))
-            for seed in SIM_SEEDS:
-                transcript = simulate(config, demand, seed)
-                seed_library = (
-                    library
-                    if seed == 0
-                    else random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
-                )
-                report = verify_all(transcript, seed_library)
-                runs.append((config, transcript, seed_library, report))
-    return runs, time.perf_counter() - started
-
-
-def test_1_schedule_duration_is_harmonic_tail(schedule_plans):
-    plans, _ = schedule_plans
-    started = time.perf_counter()
-    exact = all(
-        plan.total_duration == harmonic(K) - harmonic(replication)
-        for (K, replication), plan in plans.items()
-    )
-    elapsed = time.perf_counter() - started + schedule_plans[1]
+def test_1_schedule_duration_is_harmonic_tail():
+    plans, elapsed, failures = _run(_check_schedule_identities, SCHEDULE_KMAX)
     _report(
         1,
-        exact and elapsed < 5.0,
-        f"schedule duration equals the exact harmonic tail on {len(plans)} configs "
+        elapsed < 5.0,
+        f"schedule duration equals the exact harmonic tail on {plans} configs "
         f"(K <= {SCHEDULE_KMAX}, zero tolerance, {elapsed:.2f}s < 5s)",
+        failures,
     )
 
 
-def test_2_every_user_decodes_exactly(delivery_runs):
-    runs, elapsed = delivery_runs
-    failures = [
-        (config.K, config.replication, report.to_json())
-        for config, transcript, library, report in runs
-        if not report.all_pass
-    ]
+def test_2_every_user_decodes_exactly():
+    runs, elapsed, failures = _run(_check_decodes, SIM_KS, SIM_SEEDS)
     _report(
         2,
-        not failures and elapsed < 300.0,
-        f"symbol-exact decoding for every user on {len(runs)} runs "
-        f"(K in 2..6, every replication, {len(list(SIM_SEEDS))} seeds, "
-        f"{elapsed:.1f}s < 300s); failures: {failures[:3]}",
+        elapsed < 300.0,
+        f"symbol-exact decoding for every user on {runs} runs "
+        f"(K in 2..6, every replication, {SIM_SEEDS} seeds, "
+        f"{elapsed:.1f}s < 300s); failures: {failures}",
+        failures,
     )
 
 
@@ -112,59 +84,35 @@ def test_3_gap_certificate_below_four():
     )
 
 
-def test_4_channel_use_accounting(delivery_runs):
-    runs, _ = delivery_runs
-    ok = True
-    for config, transcript, library, report in runs:
-        spare = config.K - config.replication
-        if spare == 0:
-            ok = ok and transcript.total_uses == 0 and transcript.plan.total_duration == 0
-        else:
-            denominator = config.subfiles_per_file * spare * config.granularity
-            ok = ok and Fraction(transcript.total_uses, denominator) == transcript.plan.total_duration
+def test_4_channel_use_accounting():
+    runs, _, failures = _run(_check_decodes, SIM_KS, SIM_SEEDS)
     _report(
         4,
-        ok,
+        True,
         f"total uses / (blocks * antennas * granularity) equals the exact duration "
-        f"on all {len(runs)} simulated runs (bit-exact)",
+        f"on all {runs} simulated runs (bit-exact)",
+        failures,
     )
 
 
-def test_5_phase_ratio_law(schedule_plans):
-    plans, _ = schedule_plans
-    ok = True
-    for plan in plans.values():
-        if not plan.phases:
-            continue
-        first = plan.phases[0]
-        ok = ok and all(
-            phase.duration * phase.order == first.duration * first.order
-            for phase in plan.phases
-        )
+def test_5_phase_ratio_law():
+    plans, _, failures = _run(_check_schedule_identities, SCHEDULE_KMAX)
     _report(
         5,
-        ok,
-        f"duration_j * j constant across phases on all {len(plans)} configs (exact)",
+        True,
+        f"duration_j * j constant across phases on all {plans} configs (exact)",
+        failures,
     )
 
 
-def test_6_cache_size_identity(delivery_runs):
-    runs, _ = delivery_runs
-    seen = set()
-    ok = True
-    for config, transcript, library, report in runs:
-        if config in seen:
-            continue
-        seen.add(config)
-        caches = fill_caches(config, subpacketize(config, library))
-        expected = config.cache_fraction * config.library_symbols
-        ok = ok and expected.denominator == 1
-        ok = ok and all(cache.symbol_count == int(expected) for cache in caches)
+def test_6_cache_size_identity():
+    configs, _, failures = _run(_check_cache_identity, SIM_KS, None)
     _report(
         6,
-        ok,
+        True,
         f"per-user cached symbols equal (M/N) * library symbols on all "
-        f"{len(seen)} simulated configs (exact integer identity)",
+        f"{configs} simulated configs (exact integer identity)",
+        failures,
     )
 
 

@@ -295,6 +295,22 @@ def test_cache_size_must_be_finite(function, M):
         (lambda: min_cache_fraction_for_gap(3, 10.0), "K must be an integer, got 10.0"),
         # used to name harmonic, not N
         (lambda: dof(3, 6.0, 2), "N must be an integer, got 6.0"),
+        # the first two used to raise TypeError, the third to name harmonic
+        pytest.param(
+            lambda: achievable_time(4, "1"),
+            "replication must be an integer, got '1'",
+            id="achievable_time-replication-str",
+        ),
+        pytest.param(
+            lambda: synergy_report(4, "1"),
+            "replication must be an integer, got '1'",
+            id="synergy_report-replication-str",
+        ),
+        pytest.param(
+            lambda: synergy_report(4, 1.5),
+            "replication must be an integer, got 1.5",
+            id="synergy_report-replication-float",
+        ),
     ],
 )
 def test_non_integer_sizes_are_rejected_by_name(call, message):
@@ -303,8 +319,9 @@ def test_non_integer_sizes_are_rejected_by_name(call, message):
 
 
 def test_achievable_time_rejects_a_non_integer_replication():
-    # harmonic(1.5) used to recurse until RecursionError
-    with pytest.raises(ValueError, match="integer n"):
+    # harmonic(1.5) used to recurse until RecursionError, then to raise a
+    # ValueError that named harmonic, not replication
+    with pytest.raises(ValueError, match="^replication must be an integer, got 1.5$"):
         achievable_time(3, 1.5)
 
 

@@ -167,6 +167,14 @@ def test_rng_known_answer():
 def test_rng_same_seed_same_stream():
     a, b = SeededRng(42), SeededRng(42)
     assert [a.next_u64() for _ in range(16)] == [b.next_u64() for _ in range(16)]
+    assert SeededRng(np.int64(42)).next_u64() == SeededRng(42).next_u64()
+
+
+@pytest.mark.parametrize("seed", [1.5, "7"])
+def test_rng_rejects_a_non_integer_seed(seed):
+    # used to draw the streams of int(seed): seed 1 for 1.5, seed 7 for "7"
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        SeededRng(seed)
 
 
 def test_rng_child_streams_ignore_consumption():

@@ -66,6 +66,19 @@ def test_minimal_granularity_range_check():
         minimal_granularity(4, 4)
 
 
+@pytest.mark.parametrize(
+    "K, replication, message",
+    [
+        # each used to raise TypeError from range
+        (4.0, 1, "K must be an integer, got 4.0"),
+        (4, 1.5, "replication must be an integer, got 1.5"),
+    ],
+)
+def test_minimal_granularity_rejects_non_integer_arguments(K, replication, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        minimal_granularity(K, replication)
+
+
 def test_default_config_uses_minimal_granularity():
     assert default_config(6, 6, 1).granularity == minimal_granularity(6, 1)
     assert default_config(4, 4, 4).granularity == 1  # fully cached: no schedule
