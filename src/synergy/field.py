@@ -341,5 +341,6 @@ class SeededRng:
         return values.astype(np.int64).reshape(rows, cols)
 
     def child(self, index: int) -> "SeededRng":
-        """Independent stream derived from the original seed and an index."""
+        """Independent stream derived from the original seed and an integer index."""
+        index = _as_int(index, "child index must be an integer")
         return SeededRng(self._mix(self.seed ^ self._mix((index + 1) & _MASK64)))

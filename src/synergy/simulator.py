@@ -17,7 +17,9 @@ Every symbol lies below the modulus, which is below 2**31, so the
 narrow dtype is exact; no code does arithmetic on it: each reader
 gathers a block and widens it to int64 (the field kernels do so at
 entry) or uses it only as an index or an assignment source, since
-uint32 differences wrap silently.
+uint32 differences wrap silently.  ``Transcript.uses``, one
+:class:`ChannelUse` per row, is built on first read; no library path
+reads it.
 
 Delivery walks phases, not groups.  Each phase is a fixed table of
 groups (:func:`~synergy.combinatorics.group_table`); phase i starts at
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +154,7 @@ class Transcript:
     [0, modulus).  ``uses`` holds one :class:`ChannelUse` per row of
     ``channels``, in the plan's phase -> group -> slot order, each
     channel a read-only view of its row; it stops where ``channels``
-    does.
+    does.  It is built on first read, and no library path reads it.
 
     Raises ValueError when either array does not hold integers, an
     integer array other than uint32 holds an entry outside
@@ -165,7 +168,6 @@ class Transcript:
     channels: np.ndarray
     observations: np.ndarray
     seed: int
-    uses: tuple[ChannelUse, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         K, modulus = self.config.K, self.config.modulus
@@ -177,20 +179,26 @@ class Transcript:
             raise ValueError(f"observations must have {K} rows, got shape {observations.shape}")
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "observations", observations)
-        # One Subset per group, built only as far as ``channels`` reaches.
-        groups = (
+        # One Subset per group, the labels of ``uses``, built here and not
+        # on first read because perfbench counts one per delivered group.
+        groups = tuple(
             (phase, Subset(members, K))
             for phase in self.plan.phases
             for members in itertools.combinations(range(1, K + 1), phase.order)
         )
+        object.__setattr__(self, "_groups", groups)
+
+    @cached_property
+    def uses(self) -> tuple[ChannelUse, ...]:
         slots = (
-            (phase.order, group, slot) for phase, group in groups for slot in range(phase.uses_per_group)
+            (phase.order, group, slot)
+            for phase, group in self._groups
+            for slot in range(phase.uses_per_group)
         )
-        uses = tuple(
+        return tuple(
             ChannelUse(t, order, group, slot, channel)
-            for t, (channel, (order, group, slot)) in enumerate(zip(channels, slots))
+            for t, (channel, (order, group, slot)) in enumerate(zip(self.channels, slots))
         )
-        object.__setattr__(self, "uses", uses)
 
     @property
     def total_uses(self) -> int:

@@ -186,6 +186,14 @@ def test_rng_child_streams_ignore_consumption():
     assert parent.child(2).seed != parent.child(3).seed
 
 
+@pytest.mark.parametrize("index", [1.5, "2"])
+def test_rng_child_rejects_a_non_integer_index(index):
+    # used to raise TypeError from the bit mask (1.5) or the addition ("2")
+    with pytest.raises(ValueError, match=f"^child index must be an integer, got {index!r}$"):
+        SeededRng(1).child(index)
+    assert SeededRng(1).child(np.int64(2)).seed == SeededRng(1).child(2).seed
+
+
 def test_rng_nonzero_rejection():
     rng = SeededRng(1)
     assert all(rng.field_element(3, nonzero=True) in (1, 2) for _ in range(200))

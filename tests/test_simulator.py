@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import complement, matrix_rank, rank, subsets, without
-from synergy import simulator
+from synergy import cli, simulator
+from synergy.decoder import verify_all
 from synergy.field import SeededRng, matmul
 from synergy.placement import random_library, subpacketize
 from synergy.scheduler import default_config, plan_phases
@@ -450,6 +451,57 @@ def test_transcript_io_allocates_no_copy_of_the_log(tmp_path):
     assert loaded == transcript
     assert save_peak <= 0.25 * size, save_peak / size
     assert load_peak <= 2.5 * size, load_peak / size
+
+
+def test_no_library_path_builds_the_per_use_records(tmp_path):
+    config, library, plan, delivered = seeded_run(4, 4, 1, seed=3)
+    simulated = simulate(config, (1, 2, 3, 4), 3)
+    save_transcript(delivered, tmp_path / "run.json")
+    loaded = load_transcript(tmp_path / "run.json")
+    assert simulated == delivered == loaded
+    for transcript in (delivered, simulated, loaded):
+        assert "uses" not in vars(transcript)
+        assert verify_all(transcript, library).all_pass
+        assert "uses" not in vars(transcript)
+
+
+def test_cli_run_never_reads_the_per_use_records(tmp_path, monkeypatch):
+    def unread(transcript):
+        raise AssertionError("Transcript.uses was read")
+
+    monkeypatch.setattr(Transcript, "uses", property(unread))
+    argv = ["simulate", "-K", "4", "-N", "4", "-M", "1", "--seed", "2", "--output", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+
+
+def test_transcript_load_holds_little_beyond_the_sidecar_bytes(tmp_path):
+    # K=9 replication 0: 7,129 uses.  Building a ChannelUse and a row view
+    # per use on load made the peak 1.69x the sidecar.
+    save_transcript(simulate(default_config(9, 9, 0), tuple(range(1, 10)), 1), tmp_path / "run.json")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_transcript(tmp_path / "run.json")
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "run.bin").stat().st_size
+    assert loaded.total_uses == 7129
+    assert peak <= 1.2 * size, peak / size
+
+
+def test_replace_rebuilds_the_uses_of_a_truncated_log():
+    config, library, plan, transcript = seeded_run(4, 4, 1, seed=6)
+    assert len(transcript.uses) == transcript.total_uses
+    short = replace(transcript, channels=transcript.channels[:5])
+    assert "uses" not in vars(short)
+    assert [use.t for use in short.uses] == list(range(5))
+    assert all(np.shares_memory(use.channel, transcript.channels[use.t]) for use in short.uses)
+
+    def labels(uses):
+        return [(use.order, use.group.elements, use.slot) for use in uses]
+
+    assert labels(short.uses) == labels(transcript.uses[:5])
 
 
 @pytest.mark.parametrize("name", ["channels", "observations"])
