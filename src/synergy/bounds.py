@@ -4,23 +4,29 @@ metrics quantifying what caching and delayed feedback deliver jointly.
 
 Delivery time is measured in normalized slots (one slot = serving one
 file to one user interference-free).  Exact intermediate values are
-integer numerator/denominator pairs (the sweeps read one memoized table
-of reduced harmonic pairs), and the converse-bound candidates and the
-gap checks are compared by cross-multiplying over positive denominators.
-Each exact value a report returns is built once, as a reduced Fraction;
-the gap certificate keeps integer pairs per cell and builds its reports
-only when ``rows`` is read.  The floats are int / int divisions, which
-Python rounds correctly.  The logarithmic-approximation metrics
+integer numerator/denominator pairs.  The converse bound and the gap
+certificate scan one memoized table of harmonic numerators over a
+common denominator lcm(1, ..., n): the bound's candidates share that
+denominator up to a small factor, so they compare by cross-multiplying
+small integers, and only the winner is reduced.  The single-point
+functions read ``combinatorics.harmonic``.  Each exact value a function
+returns is built once, as a reduced Fraction; the sweeps write each CSV
+line straight from the integer pairs (``GapCertificate.csv_lines``,
+``SynergyReport.csv_line``), and the certificate builds its reports only
+when ``rows`` is read.  The floats are int / int divisions, which Python
+rounds correctly.  The logarithmic-approximation metrics
 (cache_fraction_for_gap, the mid-range gap envelope) use doubles.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -66,7 +72,7 @@ def _split(M) -> tuple[int, int]:
     if not isinstance(M, Fraction):
         try:
             M = Fraction(M)
-        except (OverflowError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"cache size must be a finite number, got {M!r}") from exc
     return M.numerator, M.denominator
 
@@ -89,22 +95,18 @@ def _replication(K: int, N: int, mn: int, md: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _harmonic_table(size: int) -> tuple[tuple[int, int], ...]:
-    """harmonic(0), ..., harmonic(size - 1) as reduced (numerator,
-    denominator) pairs, each the previous plus 1/n."""
-    table = [(0, 1)]
-    num, den = 0, 1
-    for n in range(1, size):
-        num, den = num * n + den, den * n
-        common = math.gcd(num, den)
-        num, den = num // common, den // common
-        table.append((num, den))
-    return tuple(table)
+def _harmonic_table(size: int) -> tuple[int, tuple[int, ...]]:
+    """L = lcm(1, ..., size - 1) and the numerators of harmonic(0), ...,
+    harmonic(size - 1) over L, unreduced: each the previous plus L / n."""
+    # every n below size // 2 divides one of its doublings in the upper half
+    common = math.lcm(*range(size // 2, size))
+    return common, tuple(accumulate((common // n for n in range(1, size)), initial=0))
 
 
-def _harmonics(n: int) -> tuple[tuple[int, int], ...]:
-    """A pair table whose entry s is harmonic(s) for every s in [0, n];
-    sizes are powers of two, so a sweep over n builds few tables."""
+def _harmonics(n: int) -> tuple[int, tuple[int, ...]]:
+    """A common denominator and a numerator table whose entry s is
+    harmonic(s) over it for every s in [0, n]; sizes are powers of two,
+    so a sweep over n builds few tables."""
     return _harmonic_table(1 << n.bit_length())
 
 
@@ -151,28 +153,37 @@ def outer_bound(K: int, N: int, M) -> OuterBound:
     max over s in {1, ..., min(floor(N/M), K)} of
     harmonic(s) - s*M / floor(N/s).
 
-    M may be rational; all arithmetic is exact.  Each candidate is an
-    integer pair over a positive denominator, compared by
-    cross-multiplying.
+    M = mn/md may be rational; all arithmetic is exact.  With the
+    harmonic table's common denominator L and q = md*floor(N/s), the
+    candidate of s is (L*harmonic(s)*q - L*mn*s) / (L*q): candidates
+    compare by cross-multiplying the small q's, and only the maximum is
+    reduced.
     """
     K, N = _sizes(K, N)
     mn, md = _split(M)
     if not 0 <= mn <= N * md:
         raise ValueError(f"cache size must lie in [0, {N}] files, got {Fraction(mn, md)}")
-    s_hi = K if mn == 0 else min(N * md // mn, K)
-    table = _harmonics(s_hi)
-    best_num, best_den, best_s = 0, 1, 0
-    for s in range(1, s_hi + 1):
-        h_num, h_den = table[s]
+    n_md = N * md
+    s_hi = K if mn == 0 else min(n_md // mn, K)
+    common, table = _harmonics(s_hi)
+    scaled = common * mn
+    best_num, best_q, best_s = common * n_md - scaled, n_md, 1
+    for s in range(2, s_hi + 1):
+        head = table[s]
+        # harmonic(s) - s*s*M/N bounds candidate s from above, and its steps
+        # 1/(s+1) - (2s+1)*M/N shrink: once it is below the best it has
+        # passed its peak, so no later candidate can win
+        if best_q * (head * n_md - scaled * s * s) < best_num * n_md:
+            break
         q = md * (N // s)
-        num = h_num * q - h_den * s * mn
-        den = h_den * q
+        num = head * q - scaled * s
         # strict, so the smallest maximizer is kept
-        if best_s == 0 or num * best_den > best_num * den:
-            best_num, best_den, best_s = num, den, s
+        if num * best_q > best_num * q:
+            best_num, best_q, best_s = num, q, s
+    # positional: keywords cost a fifth of this call on the sweeps' path
     if best_num <= 0:
-        return OuterBound(value=Fraction(0), argmax_s=best_s, clamped=True)
-    return OuterBound(value=Fraction(best_num, best_den), argmax_s=best_s, clamped=False)
+        return OuterBound(Fraction(0), best_s, True)
+    return OuterBound(Fraction(best_num, common * best_q), best_s, False)
 
 
 def dof(K: int, N: int, M) -> Fraction:
@@ -188,36 +199,6 @@ def dof(K: int, N: int, M) -> Fraction:
     if replication >= K:
         raise ValueError("dof is undefined when everything is cached (replication = K)")
     return Fraction(*_dof_pair(N, mn, md, _achievable_pair(K, replication)))
-
-
-def _bound_csv_values(
-    K: int,
-    replication: int,
-    cache_fraction: tuple[int, int],
-    achievable: tuple[int, int],
-    lower_bound: tuple[int, int],
-    gap: tuple[int, int] | None,
-    argmax_s: int,
-) -> tuple:
-    """One gap-sweep CSV row.  ``cache_fraction``, ``achievable`` and
-    ``lower_bound`` are reduced (numerator, denominator) pairs, printed as
-    ``num/den``; ``gap`` is any pair of its value (only its double is
-    printed), or None for an empty cell."""
-    return (
-        K,
-        replication,
-        f"{cache_fraction[0]}/{cache_fraction[1]}",
-        f"{achievable[0]}/{achievable[1]}",
-        achievable[0] / achievable[1],
-        f"{lower_bound[0]}/{lower_bound[1]}",
-        lower_bound[0] / lower_bound[1],
-        "" if gap is None else gap[0] / gap[1],
-        argmax_s,
-    )
-
-
-def _pair(value: Fraction) -> tuple[int, int]:
-    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -248,13 +229,15 @@ class BoundReport:
     argmax_s: int
 
     def csv_row(self) -> dict:
-        values = _bound_csv_values(
+        values = (
             self.K,
             self.replication,
-            _pair(self.cache_fraction),
-            _pair(self.achievable),
-            _pair(self.lower_bound),
-            None if self.gap is None else _pair(self.gap),
+            format_rational(self.cache_fraction),
+            format_rational(self.achievable),
+            float(self.achievable),
+            format_rational(self.lower_bound),
+            float(self.lower_bound),
+            "" if self.gap is None else float(self.gap),
             self.argmax_s,
         )
         return dict(zip(self.CSV_FIELDS, values))
@@ -322,19 +305,17 @@ class GapCertificate:
             for K, replication, time_num, time_den, low_num, low_den, argmax_s in self.cells
         )
 
-    def csv_rows(self) -> Iterator[tuple]:
-        """The CSV values of every cell, as ``row.csv_row()`` would give
-        them for each of ``rows``, without building the rows."""
+    def csv_lines(self) -> Iterator[str]:
+        """Every cell's gap-sweep CSV line, without its line ending: the
+        values of ``row.csv_row()`` for each of ``rows``, as ``csv.writer``
+        writes them, formatted from the cells without building the rows."""
         for K, replication, time_num, time_den, low_num, low_den, argmax_s in self.cells:
             common = math.gcd(replication, K)
-            yield _bound_csv_values(
-                K,
-                replication,
-                (replication // common, K // common),
-                (time_num, time_den),
-                (low_num, low_den),
-                (time_num * low_den, time_den * low_num),
-                argmax_s,
+            yield (
+                f"{K},{replication},{replication // common}/{K // common},"
+                f"{time_num}/{time_den},{time_num / time_den!r},"
+                f"{low_num}/{low_den},{low_num / low_den!r},"
+                f"{time_num * low_den / (time_den * low_num)!r},{argmax_s}"
             )
 
     def to_json(self) -> dict:
@@ -356,20 +337,18 @@ def gap_certificate(K_max: int) -> GapCertificate:
     K_max = _as_int(K_max, "K_max must be an integer")
     if K_max < 2:
         raise ValueError("the sweep needs K_max >= 2")
-    table = _harmonics(K_max)
     cells = []
     # every certified gap is positive, so the first cell replaces 0/1
     best_num, best_den, argmax = 0, 1, (0, 0)
     for K in range(2, K_max + 1):
-        whole_num, whole_den = table[K]
+        common, table = _harmonics(K)
+        whole = table[K]
         for replication in range(1, K):
-            head_num, head_den = table[replication]
-            time_num = whole_num * head_den - head_num * whole_den
-            time_den = whole_den * head_den
-            common = math.gcd(time_num, time_den)
-            time_num, time_den = time_num // common, time_den // common
+            time_num = whole - table[replication]
+            shared = math.gcd(time_num, common)
+            time_num, time_den = time_num // shared, common // shared
             lower = outer_bound(K, K, replication)
-            low_num, low_den = lower.value.numerator, lower.value.denominator
+            low_num, low_den = lower.value.as_integer_ratio()
             gap_num, gap_den = time_num * low_den, time_den * low_num
             if lower.clamped or gap_num >= 4 * gap_den:
                 gap = None if lower.clamped else Fraction(gap_num, gap_den)
@@ -413,9 +392,8 @@ class SynergyReport:
     margin: float
     single_stream_time: Fraction
 
-    def csv_values(self) -> tuple:
-        """The DoF-sweep CSV row, in ``CSV_FIELDS`` order."""
-        return (
+    def csv_row(self) -> dict:
+        values = (
             self.K,
             self.replication,
             format_rational(self.cache_fraction),
@@ -425,9 +403,18 @@ class SynergyReport:
             self.margin,
             format_rational(self.single_stream_time),
         )
+        return dict(zip(self.CSV_FIELDS, values))
 
-    def csv_row(self) -> dict:
-        return dict(zip(self.CSV_FIELDS, self.csv_values()))
+    def csv_line(self) -> str:
+        """The DoF-sweep CSV line of ``csv_row()``, as ``csv.writer``
+        writes it, without its line ending."""
+        cache_num, cache_den = self.cache_fraction.as_integer_ratio()
+        time_num, time_den = self.single_stream_time.as_integer_ratio()
+        return (
+            f"{self.K},{self.replication},{cache_num}/{cache_den},{self.dof!r},"
+            f"{self.dof_cache_only!r},{self.dof_feedback_only!r},{self.margin!r},"
+            f"{time_num}/{time_den}"
+        )
 
 
 def synergy_report(K: int, replication: int) -> SynergyReport:
@@ -442,9 +429,8 @@ def synergy_report(K: int, replication: int) -> SynergyReport:
     replication = _as_int(replication, "replication must be an integer")
     if not 1 <= replication <= K - 1:
         raise ValueError(f"replication must lie in [1, K-1], got {replication}")
-    whole, head = harmonic(K), harmonic(replication)
-    whole_num, whole_den = whole.numerator, whole.denominator
-    head_num, head_den = head.numerator, head.denominator
+    whole_num, whole_den = harmonic(K).as_integer_ratio()
+    head_num, head_den = harmonic(replication).as_integer_ratio()
     # (1 - gamma) / (harmonic(K) - harmonic(replication)), gamma = replication / K
     joint = (K - replication) * whole_den * head_den / (
         K * (whole_num * head_den - head_num * whole_den)
@@ -453,20 +439,23 @@ def synergy_report(K: int, replication: int) -> SynergyReport:
     cache_only = (1 + replication) / K
     # 1.0 / float(harmonic(K)), rounded twice: the pinned sweep CSVs hold this value
     feedback_only = 1.0 / (whole_num / whole_den)
+    # in field order, positional as in outer_bound
     return SynergyReport(
-        K=K,
-        replication=replication,
-        cache_fraction=Fraction(replication, K),
-        dof=joint,
-        dof_cache_only=cache_only,
-        dof_feedback_only=feedback_only,
-        margin=joint - (cache_only + feedback_only),
-        single_stream_time=Fraction(K - replication, 1 + replication),
+        K,
+        replication,
+        Fraction(replication, K),
+        joint,
+        cache_only,
+        feedback_only,
+        joint - (cache_only + feedback_only),
+        Fraction(K - replication, 1 + replication),
     )
 
 
 def _check_gap_target(gap: float, K) -> int:
     """K as an int, once the target and K are checked."""
+    if not isinstance(gap, numbers.Real):
+        raise ValueError(f"the target factor gap must be a real number, got {gap!r}")
     # NaN fails every comparison, so it is rejected by name, not by `gap < 1`.
     if not math.isfinite(gap):
         raise ValueError(f"the target factor must be finite, got {gap}")
@@ -556,6 +545,7 @@ def check_midrange_gap_envelope(grid_points: int = 10_000) -> EnvelopeReport:
     endpoint; the grid scan checks that conclusion numerically.  Raises
     EnvelopeCheckError with the offending cache fraction otherwise.
     """
+    grid_points = _as_int(grid_points, "grid_points must be an integer")
     if grid_points < 2:
         raise ValueError("need at least the two endpoints")
     shift = epsilon(2) - EULER_MASCHERONI

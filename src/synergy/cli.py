@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -163,24 +164,22 @@ def _cmd_simulate(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _write_csv(header: tuple[str, ...], rows: Iterable[tuple], output: str | None) -> None:
-    """Write a header and then the rows as they are produced, at most
-    ``_CSV_BLOCK`` lines per ``write`` call.
+def _csv_line(values: Iterable) -> str:
+    """One CSV line of ``values``, without its line ending, as
+    ``csv.writer`` writes it for the values the sweeps emit: ints, floats
+    (``str`` of a float is its ``repr``), None as an empty field, and
+    strings that need no quoting (``num/den`` and empty)."""
+    return ",".join(["" if value is None else str(value) for value in values])
 
-    The bytes are those of ``csv.writer``, for the values the sweeps emit:
-    ints, floats (``str`` of a float is its ``repr``), None as an empty
-    field, and strings that need no quoting (``num/den`` and empty);
-    every line ends in ``\r\n``.
-    """
+
+def _write_csv(header: tuple[str, ...], lines: Iterable[str], output: str | None) -> None:
+    """Write a header and then the finished ``lines`` as they are
+    produced, at most ``_CSV_BLOCK`` lines per ``write`` call, each ending
+    in ``\r\n`` as ``csv.writer`` ends them."""
+    lines = itertools.chain([",".join(header)], lines)
     target = open(output, "w", newline="") if output else sys.stdout
     try:
-        block = [",".join(header)]
-        for row in rows:
-            block.append(",".join(["" if value is None else str(value) for value in row]))
-            if len(block) == _CSV_BLOCK:
-                target.write("\r\n".join(block) + "\r\n")
-                block.clear()
-        if block:
+        while block := list(itertools.islice(lines, _CSV_BLOCK)):
             target.write("\r\n".join(block) + "\r\n")
     finally:
         if output:
@@ -208,7 +207,7 @@ def _cmd_sweep(args) -> int:
         except CertificateViolationError as exc:
             print(f"gap certificate violated: {exc}", file=sys.stderr)
             return 1
-        _write_csv(BoundReport.CSV_FIELDS, certificate.csv_rows(), args.output)
+        _write_csv(BoundReport.CSV_FIELDS, certificate.csv_lines(), args.output)
         print(
             f"max gap {format_rational(certificate.max_gap)} "
             f"({float(certificate.max_gap):.6f}) at K={certificate.argmax[0]}, "
@@ -217,12 +216,12 @@ def _cmd_sweep(args) -> int:
         )
         return 0
     if args.mode == "dof":
-        rows = (
-            synergy_report(K, replication).csv_values()
+        lines = (
+            synergy_report(K, replication).csv_line()
             for K in range(2, args.kmax + 1)
             for replication in range(1, K)
         )
-        _write_csv(SynergyReport.CSV_FIELDS, rows, args.output)
+        _write_csv(SynergyReport.CSV_FIELDS, lines, args.output)
         return 0
     # buffer mode: closed-form vs. exhaustive minimum cache fraction per target
     if not 2 <= args.kmax <= _BUFFER_KMAX_LIMIT:
@@ -231,19 +230,14 @@ def _cmd_sweep(args) -> int:
     # the closed form decreases in the target: reject an unrepresentable
     # largest target before any exhaustive search runs
     cache_fraction_for_gap(gaps[-1], args.kmax)
-    rows = []
+    lines = []
     for gap in gaps:
         exhaustive = min_cache_fraction_for_gap(gap, args.kmax)
-        rows.append(
-            (
-                gap,
-                args.kmax,
-                cache_fraction_for_gap(gap, args.kmax),
-                "" if exhaustive is None else float(exhaustive),
-            )
-        )
+        formula = cache_fraction_for_gap(gap, args.kmax)
+        exhaustive = None if exhaustive is None else float(exhaustive)
+        lines.append(_csv_line((gap, args.kmax, formula, exhaustive)))
     header = ("gap_target", "users", "cache_fraction_formula", "cache_fraction_exhaustive")
-    _write_csv(header, rows, args.output)
+    _write_csv(header, lines, args.output)
     return 0
 
 

@@ -266,7 +266,8 @@ def cauchy_combining_matrix(size: int, modulus: int = MODULUS) -> np.ndarray:
     each minor is itself a Cauchy matrix and hence nonsingular.  The
     result is deterministic in (size, modulus) and read-only.
     """
-    return _cauchy(int(size), int(modulus))
+    size = _as_int(size, "size must be an integer")
+    return _cauchy(size, _as_int(modulus, "modulus must be an integer"))
 
 
 class SeededRng:
@@ -298,6 +299,7 @@ class SeededRng:
 
     def uniform_int(self, bound: int) -> int:
         """Uniform draw from [0, bound)."""
+        bound = _as_int(bound, "bound must be an integer")
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound

@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import io
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from synergy.bounds import (
     EULER_MASCHERONI,
     CertificateViolationError,
     OuterBound,
+    SynergyReport,
     achievable_time,
     bound_report,
     cache_fraction_for_gap,
@@ -71,6 +75,21 @@ def test_outer_bound_matches_brute_force():
             assert result.value == max(brute(K, K, M), 0)
 
 
+@pytest.mark.parametrize(
+    "K, N, M",
+    [(128, 128, 1), (300, 300, 2), (257, 400, Fraction(1, 3)), (200, 200, Fraction(7, 2)), (150, 150, 0)],
+)
+def test_outer_bound_matches_the_full_scan_past_its_early_stop(K, N, M):
+    # the scan stops once an upper bound of every later candidate is below
+    # the best; the full scan must agree on the value and the smallest argmax
+    M = Fraction(M)
+    s_hi = K if M == 0 else min(math.floor(N / M), K)
+    candidates = [harmonic(s) - s * M / (N // s) for s in range(1, s_hi + 1)]
+    best = max(candidates)
+    result = outer_bound(K, N, M)
+    assert (result.value, result.argmax_s) == (max(best, 0), candidates.index(best) + 1)
+
+
 def test_outer_bound_rational_cache_size():
     result = outer_bound(4, 4, Fraction(3, 2))
     assert result.value == Fraction(5, 8)
@@ -129,12 +148,35 @@ def test_gap_certificate_rows_equal_bound_reports_field_by_field():
             assert type(getattr(row, name)) is type(getattr(expected, name)), (row.K, name)
 
 
-def test_gap_certificate_csv_rows_match_the_reports_without_building_them():
+def _csv_writer_line(row: dict) -> str:
+    """``csv.writer``'s line for the values of a report's ``csv_row()``,
+    without its line ending."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerow(row.values())
+    line = buffer.getvalue()
+    assert line.endswith("\r\n")
+    return line[:-2]
+
+
+def test_gap_certificate_csv_lines_match_the_reports_without_building_them():
     certificate = gap_certificate(24)
-    tuples = list(certificate.csv_rows())
-    assert certificate.to_json()["cells"] == len(tuples) == 23 * 24 // 2
+    lines = list(certificate.csv_lines())
+    assert certificate.to_json()["cells"] == len(lines) == 23 * 24 // 2
     assert "rows" not in vars(certificate)  # built on first read only
-    assert tuples == [tuple(row.csv_row().values()) for row in certificate.rows]
+    assert lines == [_csv_writer_line(row.csv_row()) for row in certificate.rows]
+
+
+def test_every_dof_sweep_line_is_the_csv_writer_line_of_its_report(tmp_path):
+    path = tmp_path / "dof.csv"
+    assert main(["sweep", "--mode", "dof", "--kmax", "64", "--output", str(path)]) == 0
+    header, *lines = path.read_bytes().decode().split("\r\n")
+    assert lines.pop() == ""  # the last line ends in \r\n as well
+    assert header == ",".join(SynergyReport.CSV_FIELDS)
+    cells = [(K, replication) for K in range(2, 65) for replication in range(1, K)]
+    assert len(lines) == len(cells)
+    for line, (K, replication) in zip(lines, cells):
+        report = synergy_report(K, replication)
+        assert line == report.csv_line() == _csv_writer_line(report.csv_row()), (K, replication)
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -315,6 +357,59 @@ def test_cache_size_must_be_finite(function, M):
 )
 def test_non_integer_sizes_are_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each used to raise TypeError
+        pytest.param(
+            lambda: outer_bound(4, 4, None), "cache size must be a finite number, got None",
+            id="outer_bound-M-None",
+        ),
+        pytest.param(
+            lambda: outer_bound(4, 4, [1]), "cache size must be a finite number, got [1]",
+            id="outer_bound-M-list",
+        ),
+        pytest.param(
+            lambda: bound_report(4, 4, None), "cache size must be a finite number, got None",
+            id="bound_report-M-None",
+        ),
+        pytest.param(
+            lambda: bound_report(4, 4, [1]), "cache size must be a finite number, got [1]",
+            id="bound_report-M-list",
+        ),
+        pytest.param(
+            lambda: dof(4, 4, None), "cache size must be a finite number, got None", id="dof-M-None"
+        ),
+        pytest.param(
+            lambda: dof(4, 4, [1]), "cache size must be a finite number, got [1]", id="dof-M-list"
+        ),
+        pytest.param(
+            lambda: cache_fraction_for_gap("3", 4),
+            "the target factor gap must be a real number, got '3'",
+            id="cache_fraction_for_gap-gap-str",
+        ),
+        pytest.param(
+            lambda: min_cache_fraction_for_gap(None, 4),
+            "the target factor gap must be a real number, got None",
+            id="min_cache_fraction_for_gap-gap-None",
+        ),
+        pytest.param(
+            lambda: check_midrange_gap_envelope(2.5),
+            "grid_points must be an integer, got 2.5",
+            id="check_midrange_gap_envelope-float",
+        ),
+        pytest.param(
+            lambda: check_midrange_gap_envelope("9"),
+            "grid_points must be an integer, got '9'",
+            id="check_midrange_gap_envelope-str",
+        ),
+    ],
+)
+def test_arguments_of_the_wrong_type_raise_a_value_error_that_names_them(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

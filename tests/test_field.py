@@ -148,6 +148,14 @@ def test_combining_small_field():
         assert is_invertible(np.delete(m, drop, axis=1), 11)
 
 
+@pytest.mark.parametrize("size", [2.5, "3"])
+def test_combining_rejects_a_non_integer_size(size):
+    # 2.5 used to be truncated to the size-2 matrix
+    with pytest.raises(ValueError, match=f"^size must be an integer, got {size!r}$"):
+        cauchy_combining_matrix(size)
+    assert np.array_equal(cauchy_combining_matrix(np.int64(3)), cauchy_combining_matrix(3))
+
+
 def test_combining_deterministic_and_readonly():
     assert np.array_equal(cauchy_combining_matrix(5), cauchy_combining_matrix(5))
     with pytest.raises(ValueError):
@@ -192,6 +200,15 @@ def test_rng_child_rejects_a_non_integer_index(index):
     with pytest.raises(ValueError, match=f"^child index must be an integer, got {index!r}$"):
         SeededRng(1).child(index)
     assert SeededRng(1).child(np.int64(2)).seed == SeededRng(1).child(2).seed
+
+
+@pytest.mark.parametrize("bound", [2.5, "10"])
+def test_rng_uniform_int_rejects_a_non_integer_bound(bound):
+    # 2.5 used to return the float 1.0, "10" to raise TypeError
+    with pytest.raises(ValueError, match=f"^bound must be an integer, got {bound!r}$"):
+        SeededRng(1).uniform_int(bound)
+    draws = [SeededRng(1).uniform_int(b) for b in (np.int64(10), 10)]
+    assert draws[0] == draws[1] and type(draws[0]) is int
 
 
 def test_rng_nonzero_rejection():
