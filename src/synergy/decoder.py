@@ -5,9 +5,9 @@ reassemble the requested files.
 
 Decoding walks integer group tables.  Phase order j has one row per
 j-subset in canonical order (:func:`~synergy.combinatorics.group_table`),
-so in phase i the group of rank r occupies uses
-``plan.offsets[i] + r * uses_per_group`` onward, and "the group without
-member i" is one lookup in the table's ``without_rank``.
+the plan maps a group rank to its uses
+(:meth:`~synergy.scheduler.DeliveryPlan.block_uses`), and "the group
+without member i" is one lookup in the table's ``without_rank``.
 
 Every member of a group decodes the same uses, so a phase's work for a
 batch of users is one list of (group, member) pairs: each pair whose
@@ -52,7 +52,7 @@ import numpy as np
 
 from .combinatorics import _as_int, group_table, system_rows
 from .field import matmul, solve
-from .placement import CacheContents, fill_caches, subpacketize
+from .placement import CacheContents, _holders, fill_caches, subpacketize
 from .simulator import Transcript
 
 __all__ = [
@@ -135,7 +135,7 @@ def _decode_phase(
         member = members[group, position]
         # Every slot of every pair of the window, as one batch of square
         # systems: the member's own row plus one row per non-member.
-        uses = plan.offsets[index] + group[:, np.newaxis] * n + np.arange(n)
+        uses = plan.block_uses(index, group)
         rows = np.repeat(rows_table[group, position], n, axis=0)
         coefficients = transcript.channels[uses.reshape(-1, 1), rows, :active]
         rhs = np.empty((count, n, active), dtype=np.int64)
@@ -147,8 +147,7 @@ def _decode_phase(
             payload = solved.reshape(count, n, active).transpose(0, 2, 1)  # antenna-major, as split
             out[lo : lo + step] = payload.reshape(count, -1)
             continue
-        start = plan.offsets[index - 1] + without_rank[group, position] * width
-        heard = start[:, np.newaxis] + np.arange(width)
+        heard = plan.block_uses(index - 1, without_rank[group, position])
         own_previous = observations[member[:, np.newaxis] - 1, heard].astype(np.int64)
         own_part = phase.combining.T[position][:, :, np.newaxis] * own_previous[:, np.newaxis]
         adjusted = solved.reshape(count, order - 1, width) - own_part
@@ -200,9 +199,8 @@ def decode_user(
         raise ValueError(f"user must lie in [1, {K}]")
     _check_length(transcript.total_uses, plan.total_uses, "")
     _check_length(transcript.observations.shape[1], plan.total_uses, "observations of ")
-    holding = group_table(K, config.replication)[0]
     for entry, contents in zip(users, caches):
-        holders = np.flatnonzero((holding == entry).any(axis=1))
+        holders = _holders(config, entry)
         blocks_shape = (config.N, len(holders), config.subfile_symbols)
         if not np.array_equal(contents.holders, holders) or contents.blocks.shape != blocks_shape:
             raise ValueError(

@@ -51,7 +51,9 @@ class SingularMatrixError(Exception):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for anything below 3.3e24."""
+    """Deterministic Miller-Rabin; exact for anything below 3.3e24.
+    ValueError for an ``n`` that is not an integer."""
+    n = _as_int(n, "n must be an integer")
     if n < 2:
         return False
     for base in _MR_BASES:
@@ -74,6 +76,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as an array of an integer dtype; ValueError naming the
+    argument for float, bool, object, string or any other dtype, which
+    would otherwise be truncated or cast into a wrong answer."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+    return values
+
+
 def matmul(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     """Matrix (or matrix-vector) product over the field.
 
@@ -81,10 +93,10 @@ def matmul(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     shape ``(..., k, n)`` broadcast against them; a one-dimensional ``b``
     is a single vector.  Each scalar product is reduced before summation,
     so the inner dimension may grow to ~2**32 terms without overflowing
-    int64.
+    int64.  Both operands must have an integer dtype (ValueError).
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = _integers("a", a).astype(np.int64, copy=False)
+    b = _integers("b", b).astype(np.int64, copy=False)
     single = b.ndim == 1
     rhs = b[:, np.newaxis] if single else b
     products = a[..., :, :, np.newaxis] * rhs[..., np.newaxis, :, :]
@@ -180,13 +192,14 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     system inverts only the product of its diagonal; the back-substitution
     recovers every pivot's inverse from prefix products of the diagonal
     (Montgomery's trick).  Raises SingularMatrixError when any ``a`` is
-    not invertible.
+    not invertible, and ValueError when ``a`` or ``b`` does not have an
+    integer dtype.
     """
-    a = np.asarray(a)
+    a = _integers("a", a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("coefficient matrix must be square")
     batched = a.ndim == 3
-    b = np.asarray(b, dtype=np.int64)
+    b = _integers("b", b).astype(np.int64, copy=False)
     single = b.ndim == a.ndim - 1
     rhs = b[..., np.newaxis] if single else b
     if rhs.ndim != a.ndim or rhs.shape[:-1] != a.shape[:-1]:
@@ -230,9 +243,10 @@ def is_invertible(a: np.ndarray, modulus: int = MODULUS) -> bool | np.ndarray:
     ``(B, n, n)``, a boolean array with one entry per matrix.
 
     Runs the forward elimination alone.  Reduced int64 input is read in
-    place, without a copy.
+    place, without a copy.  ValueError when ``a`` does not have an
+    integer dtype.
     """
-    a = np.asarray(a)
+    a = _integers("a", a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         return np.zeros(a.shape[0], dtype=bool) if a.ndim == 3 else False
     batch = np.asarray(a, dtype=np.int64).reshape(-1, *a.shape[-2:])
@@ -270,6 +284,13 @@ def cauchy_combining_matrix(size: int, modulus: int = MODULUS) -> np.ndarray:
     return _cauchy(size, _as_int(modulus, "modulus must be an integer"))
 
 
+def _check_nonzero(modulus: int, nonzero: bool) -> None:
+    """ValueError when ``nonzero`` draws are asked for below a modulus of
+    2, where every draw reduces to 0 and rejection would never end."""
+    if nonzero and modulus < 2:
+        raise ValueError(f"nonzero draws need a modulus of at least 2, got {modulus!r}")
+
+
 class SeededRng:
     """Deterministic 64-bit stream (splitmix64); identical seeds yield
     identical streams on any platform.
@@ -305,6 +326,9 @@ class SeededRng:
         return self.next_u64() % bound
 
     def field_element(self, modulus: int = MODULUS, nonzero: bool = False) -> int:
+        """One draw below ``modulus``; with ``nonzero``, zeros are
+        rejected, and a modulus below 2 raises ValueError."""
+        _check_nonzero(modulus, nonzero)
         value = self.next_u64() % modulus
         while nonzero and value == 0:
             value = self.next_u64() % modulus
@@ -332,7 +356,12 @@ class SeededRng:
         Equal to ``rows * cols`` calls of :meth:`field_element`, stream
         and final state included.  Rejected zeros are replaced by drawing
         exactly the shortfall again, so every output drawn is consumed.
+        ValueError for rows or cols that are not integers, and for a
+        modulus below 2 with ``nonzero``.
         """
+        rows = _as_int(rows, "rows must be an integer")
+        cols = _as_int(cols, "cols must be an integer")
+        _check_nonzero(modulus, nonzero)
         count = rows * cols
         values = self._outputs(count) % np.uint64(modulus)
         if nonzero:

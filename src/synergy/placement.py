@@ -180,12 +180,18 @@ def subpacketize(config: SystemConfig, library: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def _holders(config: SystemConfig, user: int) -> np.ndarray:
+    """Ranks, ascending, of the replication-sized subsets that contain
+    ``user``: the blocks of every file that its cache holds."""
+    members = group_table(config.K, config.replication)[0]
+    return np.flatnonzero((members == user).any(axis=1))
+
+
 def fill_caches(config: SystemConfig, subfiles: np.ndarray) -> list[CacheContents]:
     """User k caches exactly the blocks whose subset contains k."""
-    members, _, _ = group_table(config.K, config.replication)
     caches = []
     for user in range(1, config.K + 1):
-        holders = np.flatnonzero((members == user).any(axis=1))
+        holders = _holders(config, user)
         caches.append(CacheContents(user, holders, subfiles[:, holders]))
     return caches
 

@@ -90,7 +90,7 @@ class DeliveryPlan:
 
     Phase i occupies channel uses ``offsets[i]`` up to ``offsets[i + 1]``,
     and within it the group of rank r the ``uses_per_group`` uses from
-    ``offsets[i] + r * uses_per_group``.
+    ``offsets[i] + r * uses_per_group`` (:meth:`block_uses`).
     """
 
     config: SystemConfig
@@ -118,6 +118,18 @@ class DeliveryPlan:
     @property
     def total_uses(self) -> int:
         return self.offsets[-1]
+
+    def block_uses(self, index: int, ranks) -> np.ndarray:
+        """Channel uses of the blocks that phase ``index`` sends for the
+        groups of rank ``ranks``: an int64 array of shape
+        ``(*ranks.shape, uses_per_group)``, slot s of group rank r at
+        ``offsets[index] + r * uses_per_group + s``.
+
+        The one place a (phase, group rank, slot) becomes a use index;
+        delivery and decoding both read it.
+        """
+        width = self.phases[index].uses_per_group
+        return self.offsets[index] + np.asarray(ranks)[..., np.newaxis] * width + np.arange(width)
 
 
 def minimal_granularity(K: int, replication: int) -> int:

@@ -17,26 +17,24 @@ Every symbol lies below the modulus, which is below 2**31, so the
 narrow dtype is exact; no code does arithmetic on it: each reader
 gathers a block and widens it to int64 (the field kernels do so at
 entry) or uses it only as an index or an assignment source, since
-uint32 differences wrap silently.  ``Transcript.uses``, one
-:class:`ChannelUse` per row, is built on first read; no library path
-reads it.
+uint32 differences wrap silently.  No object is built per use.
 
 Delivery walks phases, not groups.  Each phase is a fixed table of
-groups (:func:`~synergy.combinatorics.group_table`); phase i starts at
-use ``plan.offsets[i]``, the one place use offsets are computed, and its
-group of rank r occupies uses ``plan.offsets[i] + r * uses_per_group``
-onward.  So a phase costs one gather of its streams (in later phases one
-index into the ledger's observation array, then one batched product with
-the combining matrix) and one forward walk over the channel stream.  The
-walk fills the phase's slice of the preallocated channel log in windows
-of at most ``_WINDOW`` uses, each drawn and checked for decodability in
-one batch against the systems of
+groups (:func:`~synergy.combinatorics.group_table`), and the plan lays
+out their uses: ``DeliveryPlan.offsets`` per phase and
+``DeliveryPlan.block_uses``, the one place a (phase, group rank, slot)
+becomes a use index.  So a phase costs one gather of its streams (in
+later phases one index into the ledger's observation array, then one
+batched product with the combining matrix) and one forward walk over the
+channel stream.  The walk fills the phase's slice of the preallocated
+channel log in windows of at most ``_WINDOW`` uses, each drawn and
+checked for decodability in one batch against the systems of
 :func:`~synergy.combinatorics.system_rows`, which decoding solves, and
 never rewinds the stream: a degenerate draw is consumed as a failed draw
 of its use.  The received symbols are formed and logged window by window
-too.  Only those buffers (each window's draw,
-decodability check and received-symbol product) are bounded by
-``_WINDOW``; the phase's transmitted symbols are still held whole.
+too.  Only those buffers (each window's draw, decodability check and
+received-symbol product) are bounded by ``_WINDOW``; the phase's
+transmitted symbols are still held whole.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +54,6 @@ from .scheduler import DeliveryPlan, PhasePlan, build_xors, plan_phases
 __all__ = [
     "DegenerateChannelError",
     "CausalityError",
-    "ChannelUse",
     "Transcript",
     "run_delivery",
     "simulate",
@@ -89,18 +85,6 @@ class DegenerateChannelError(Exception):
 
 class CausalityError(Exception):
     """Attempt to read channel state before it is ledger-visible."""
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class ChannelUse:
-    """One channel use: global index, phase order, group, within-group
-    slot, and the K x K coefficient matrix (row k = user k's channel)."""
-
-    t: int
-    order: int
-    group: Subset
-    slot: int
-    channel: np.ndarray
 
 
 class _DelayedCsitLedger:
@@ -151,10 +135,8 @@ class Transcript:
     read-only uint32 too, has one row per user and one column per channel
     use.  uint32 input is kept as is, without a copy; another integer
     dtype is narrowed only after checking that every entry lies in
-    [0, modulus).  ``uses`` holds one :class:`ChannelUse` per row of
-    ``channels``, in the plan's phase -> group -> slot order, each
-    channel a read-only view of its row; it stops where ``channels``
-    does.  It is built on first read, and no library path reads it.
+    [0, modulus).  Which phase, group and slot a row belongs to is the
+    plan's layout (:meth:`DeliveryPlan.block_uses`).
 
     Raises ValueError when either array does not hold integers, an
     integer array other than uint32 holds an entry outside
@@ -179,26 +161,12 @@ class Transcript:
             raise ValueError(f"observations must have {K} rows, got shape {observations.shape}")
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "observations", observations)
-        # One Subset per group, the labels of ``uses``, built here and not
-        # on first read because perfbench counts one per delivered group.
-        groups = tuple(
-            (phase, Subset(members, K))
-            for phase in self.plan.phases
-            for members in itertools.combinations(range(1, K + 1), phase.order)
-        )
-        object.__setattr__(self, "_groups", groups)
-
-    @cached_property
-    def uses(self) -> tuple[ChannelUse, ...]:
-        slots = (
-            (phase.order, group, slot)
-            for phase, group in self._groups
-            for slot in range(phase.uses_per_group)
-        )
-        return tuple(
-            ChannelUse(t, order, group, slot, channel)
-            for t, (channel, (order, group, slot)) in enumerate(zip(self.channels, slots))
-        )
+        # One Subset per group, built and dropped, for this reason alone:
+        # perfbench counts Subset constructions as the delivered groups.
+        # ROADMAP item 1 replaces that counter and retires this loop.
+        for phase in self.plan.phases:
+            for members in itertools.combinations(range(1, K + 1), phase.order):
+                Subset(members, K)
 
     @property
     def total_uses(self) -> int:
@@ -250,8 +218,7 @@ def _phase_symbols(plan: DeliveryPlan, index: int, xors, observe) -> np.ndarray:
     if phase.combining is None:
         blocks = xors.reshape(len(members), active, uses)
         return blocks.transpose(0, 2, 1).reshape(-1, active)
-    width = plan.phases[index - 1].uses_per_group
-    heard = plan.offsets[index - 1] + without_rank[:, :, np.newaxis] * width + np.arange(width)
+    heard = plan.block_uses(index - 1, without_rank)
     overheard = observe(members[:, :, np.newaxis], heard)  # (groups, order, width)
     return matmul(phase.combining, overheard, plan.config.modulus).reshape(-1, active)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,40 @@ def test_is_prime_matches_sieve():
     flags = sieve(2000)
     for n in range(2001):
         assert is_prime(n) == flags[n]
+
+
+@pytest.mark.parametrize("n", ["7", 7.0])
+def test_is_prime_rejects_a_non_integer(n):
+    # "7" used to raise TypeError from the comparison; 7.0 passed as 7
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        is_prime(n)
+    assert is_prime(np.int64(7)) and not is_prime(np.int64(9))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([[1.5]]), np.array([[True]]), np.array([[1]], dtype=object), np.array([["1"]])],
+    ids=["float", "bool", "object", "str"],
+)
+def test_array_kernels_take_integer_dtypes_only(bad):
+    # solve([[1.5]], [2.0]) used to return 2, and matmul truncated floats
+    good = np.array([[3]])
+    calls = {
+        "a": [lambda: matmul(bad, good), lambda: solve(bad, good), lambda: is_invertible(bad)],
+        "b": [lambda: matmul(good, bad), lambda: solve(good, bad)],
+    }
+    for name, kernels in calls.items():
+        message = f"^{name} must hold integers, got dtype {re.escape(str(bad.dtype))}$"
+        for kernel in kernels:
+            with pytest.raises(ValueError, match=message):
+                kernel()
+    with pytest.raises(ValueError, match="^a must hold integers, got dtype float64$"):
+        solve([[1.5]], [2.0])
+    # int64, uint32 and lists of Python ints are read as before
+    for values in (good, good.astype(np.uint32), [[3]]):
+        assert matmul(values, values).tolist() == [[9]]
+        assert solve(values, [6]).tolist() == [2]
+        assert is_invertible(values)
 
 
 def test_matmul_matches_python_ints():
@@ -209,6 +245,28 @@ def test_rng_uniform_int_rejects_a_non_integer_bound(bound):
         SeededRng(1).uniform_int(bound)
     draws = [SeededRng(1).uniform_int(b) for b in (np.int64(10), 10)]
     assert draws[0] == draws[1] and type(draws[0]) is int
+
+
+@pytest.mark.parametrize("rows, cols, name", [(2.5, 2, "rows"), (2, 2.5, "cols"), ("2", 2, "rows")])
+def test_rng_field_matrix_rejects_non_integer_sizes(rows, cols, name):
+    # used to raise TypeError from the stream's index arithmetic
+    value = rows if name == "rows" else cols
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        SeededRng(1).field_matrix(rows, cols)
+    drawn = SeededRng(1).field_matrix(np.int64(2), np.int64(3))
+    assert np.array_equal(drawn, SeededRng(1).field_matrix(2, 3))
+
+
+@pytest.mark.parametrize("modulus", [1, 0, -1])
+def test_rng_nonzero_draws_reject_a_modulus_below_two(modulus):
+    # Every draw reduces to 0 there, so rejecting zeros never ended.
+    rng = SeededRng(1)
+    message = f"^nonzero draws need a modulus of at least 2, got {modulus}$"
+    with pytest.raises(ValueError, match=message):
+        rng.field_element(modulus, nonzero=True)
+    with pytest.raises(ValueError, match=message):
+        rng.field_matrix(2, 2, modulus, nonzero=True)
+    assert rng.next_u64() == SeededRng(1).next_u64()  # nothing was drawn
 
 
 def test_rng_nonzero_rejection():

@@ -1,7 +1,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import complement, matrix_rank, rank, subsets, without
-from synergy import cli, simulator
+from synergy import simulator
+from synergy.combinatorics import group_table
 from synergy.decoder import verify_all
 from synergy.field import SeededRng, matmul
 from synergy.placement import random_library, subpacketize
@@ -68,32 +69,37 @@ def test_use_count_matches_plan():
 
 def test_uses_walk_phases_in_canonical_contiguous_order():
     config, library, plan, transcript = seeded_run(4, 4, 1)
-    orders = [use.t for use in transcript.uses]
-    assert orders == list(range(transcript.total_uses))
-    # groups appear contiguously, phases ascending
+    # The plan's layout walked phase -> group rank -> slot.
+    walk = [
+        (phase.order, tuple(group), slot, t)
+        for index, phase in enumerate(plan.phases)
+        for group, uses in zip(
+            group_table(4, phase.order)[0].tolist(),
+            plan.block_uses(index, np.arange(phase.group_count)).tolist(),
+        )
+        for slot, t in enumerate(uses)
+    ]
+    # It numbers the rows of the channel log in order, so within each
+    # group the slots count up from zero at consecutive uses.
+    assert [t for *_, t in walk] == list(range(len(transcript.channels)))
+    # groups appear contiguously, in canonical order, phases ascending
     seen = []
-    for use in transcript.uses:
-        key = (use.order, use.group)
-        if not seen or seen[-1] != key:
-            seen.append(key)
+    for order, group, _, _ in walk:
+        if not seen or seen[-1] != (order, group):
+            seen.append((order, group))
     assert [k[0] for k in seen] == sorted(k[0] for k in seen)
     assert len(set(seen)) == len(seen)
-    # within each group slots count up from zero
-    starts = {}
-    for use in transcript.uses:
-        slot = starts.setdefault((use.order, use.group), 0)
-        assert use.slot == slot
-        starts[(use.order, use.group)] += 1
+    assert seen == [(phase.order, group) for phase in plan.phases for group in subsets(4, phase.order)]
 
 
 def test_channel_entries_nonzero_and_fresh():
     config, library, plan, transcript = seeded_run(4, 4, 1, seed=3)
-    for use in transcript.uses:
-        assert use.channel.shape == (4, 4)
-        assert (use.channel != 0).all()
-        assert use.channel.max() < config.modulus
-    pairs = zip(transcript.uses, transcript.uses[1:])
-    assert all(not np.array_equal(a.channel, b.channel) for a, b in pairs)
+    for channel in transcript.channels:
+        assert channel.shape == (4, 4)
+        assert (channel != 0).all()
+        assert channel.max() < config.modulus
+    pairs = zip(transcript.channels, transcript.channels[1:])
+    assert all(not np.array_equal(a, b) for a, b in pairs)
 
 
 def test_noiseless_consistency_and_overheard_reencoding():
@@ -101,13 +107,14 @@ def test_noiseless_consistency_and_overheard_reencoding():
     # transmitted symbols recomputed from payloads + previously logged output
     config, library, plan, transcript = seeded_run(5, 5, 1, seed=2)
     sent = reconstruct_transmissions(plan, transcript)
-    for use in transcript.uses:
-        expected = matmul(use.channel, sent[use.t], config.modulus)
-        assert np.array_equal(expected, transcript.observations[:, use.t])
-    # idle antennas carry zeros
-    for phase in plan.phases:
-        start = min(t for t, use in enumerate(transcript.uses) if use.order == phase.order)
-        assert (sent[start, phase.active_antennas :] == 0).all()
+    for t, channel in enumerate(transcript.channels):
+        expected = matmul(channel, sent[t], config.modulus)
+        assert np.array_equal(expected, transcript.observations[:, t])
+    # idle antennas carry zeros, on every use of each phase
+    for index, phase in enumerate(plan.phases):
+        start, end = plan.offsets[index], plan.offsets[index + 1]
+        assert start < end
+        assert (sent[start:end, phase.active_antennas :] == 0).all()
 
 
 def test_later_phase_content_uses_only_past_observations():
@@ -242,8 +249,8 @@ def check_against_per_use_reference(on_degenerate, max_redraws):
                         run_delivery(plan, library, seed, on_degenerate=on_degenerate)
                     continue
                 transcript = run_delivery(plan, library, seed, on_degenerate=on_degenerate)
-                assert len(transcript.uses) == len(expected)
-                assert all(np.array_equal(use.channel, h) for use, h in zip(transcript.uses, expected))
+                assert len(transcript.channels) == len(expected)
+                assert all(np.array_equal(channel, h) for channel, h in zip(transcript.channels, expected))
     return raised
 
 
@@ -308,8 +315,8 @@ def test_channel_walk_matches_per_use_reference(window, data, K, modulus, max_re
                 run_delivery(plan, library, seed, on_degenerate=on_degenerate)
             return
         transcript = run_delivery(plan, library, seed, on_degenerate=on_degenerate)
-    assert len(transcript.uses) == len(expected)
-    assert all(np.array_equal(use.channel, h) for use, h in zip(transcript.uses, expected))
+    assert len(transcript.channels) == len(expected)
+    assert all(np.array_equal(channel, h) for channel, h in zip(transcript.channels, expected))
     assert states == expected_states
 
 
@@ -354,8 +361,16 @@ def test_plan_offsets_and_group_ranks_cover_every_use():
         for slot in range(phase.uses_per_group)
     }
     assert sorted(positions.values()) == list(range(transcript.total_uses))
-    for use in transcript.uses:
-        assert positions[(use.order, use.group.elements, use.slot)] == use.t
+    for index, phase in enumerate(plan.phases):
+        members = group_table(4, phase.order)[0]
+        table = plan.block_uses(index, np.arange(phase.group_count))
+        assert table.dtype == np.int64
+        assert table.shape == (phase.group_count, phase.uses_per_group)
+        for r, group in enumerate(members.tolist()):
+            # one rank alone, and the rank table, give the same uses
+            assert plan.block_uses(index, r).tolist() == table[r].tolist()
+            for slot, t in enumerate(table[r].tolist()):
+                assert positions[(phase.order, tuple(group), slot)] == t
 
 
 def test_transcript_roundtrip_through_files(tmp_path):
@@ -364,7 +379,7 @@ def test_transcript_roundtrip_through_files(tmp_path):
     loaded = load_transcript(tmp_path / "run.json")
     assert loaded == transcript
     assert loaded.plan.total_duration == transcript.plan.total_duration
-    assert not any(use.channel.flags.writeable for use in loaded.uses)
+    assert not any(channel.flags.writeable for channel in loaded.channels)
 
 
 @pytest.mark.parametrize("seed", [1.5, "7"])
@@ -393,20 +408,11 @@ def test_uses_are_read_only_views_of_the_channel_log(tmp_path):
         channels = record.channels
         assert channels.shape == (plan.total_uses, 4, 4) and channels.dtype == np.uint32
         assert not channels.flags.writeable
-        assert len(record.uses) == record.total_uses
-        for t, use in enumerate(record.uses):
-            assert use.t == t
-            assert not use.channel.flags.writeable
-            assert np.shares_memory(use.channel, channels[t])
-            assert np.array_equal(use.channel, channels[t])
-
-
-def test_channel_use_is_slotted_and_frozen():
-    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
-    use = transcript.uses[0]
-    assert not hasattr(use, "__dict__")
-    with pytest.raises(FrozenInstanceError):
-        use.t = 5
+        assert record.total_uses == len(channels) == record.observations.shape[1]
+        for t, channel in enumerate(channels):
+            assert not channel.flags.writeable
+            assert np.shares_memory(channel, channels)
+            assert np.array_equal(channel, channels[t])
 
 
 def _base_owner(array):
@@ -431,8 +437,8 @@ def test_delivered_and_loaded_arrays_are_read_only_uint32(tmp_path):
 
 def test_transcript_io_allocates_no_copy_of_the_log(tmp_path):
     # K=9 replication 0: 7,129 uses, a 2.6 MB sidecar.  Loading holds the
-    # bytes read plus one ChannelUse and one row view per use; saving
-    # writes the two arrays themselves.
+    # bytes read and two views of them; saving writes the two arrays
+    # themselves.
     transcript = simulate(default_config(9, 9, 0), tuple(range(1, 10)), 1)
 
     def peak_above_start(call):
@@ -459,24 +465,18 @@ def test_no_library_path_builds_the_per_use_records(tmp_path):
     save_transcript(delivered, tmp_path / "run.json")
     loaded = load_transcript(tmp_path / "run.json")
     assert simulated == delivered == loaded
+    # A transcript holds its fields and nothing per use, before and after
+    # a full decode.
+    names = {field.name for field in fields(Transcript)}
     for transcript in (delivered, simulated, loaded):
-        assert "uses" not in vars(transcript)
+        assert set(vars(transcript)) == names
         assert verify_all(transcript, library).all_pass
-        assert "uses" not in vars(transcript)
-
-
-def test_cli_run_never_reads_the_per_use_records(tmp_path, monkeypatch):
-    def unread(transcript):
-        raise AssertionError("Transcript.uses was read")
-
-    monkeypatch.setattr(Transcript, "uses", property(unread))
-    argv = ["simulate", "-K", "4", "-N", "4", "-M", "1", "--seed", "2", "--output", str(tmp_path / "run")]
-    assert cli.main(argv) == 0
+        assert set(vars(transcript)) == names
 
 
 def test_transcript_load_holds_little_beyond_the_sidecar_bytes(tmp_path):
-    # K=9 replication 0: 7,129 uses.  Building a ChannelUse and a row view
-    # per use on load made the peak 1.69x the sidecar.
+    # K=9 replication 0: 7,129 uses.  Building a record object and a row
+    # view per use on load made the peak 1.69x the sidecar.
     save_transcript(simulate(default_config(9, 9, 0), tuple(range(1, 10)), 1), tmp_path / "run.json")
     tracemalloc.start()
     try:
@@ -490,18 +490,13 @@ def test_transcript_load_holds_little_beyond_the_sidecar_bytes(tmp_path):
     assert peak <= 1.2 * size, peak / size
 
 
-def test_replace_rebuilds_the_uses_of_a_truncated_log():
+def test_replace_keeps_a_view_of_a_truncated_log():
     config, library, plan, transcript = seeded_run(4, 4, 1, seed=6)
-    assert len(transcript.uses) == transcript.total_uses
     short = replace(transcript, channels=transcript.channels[:5])
-    assert "uses" not in vars(short)
-    assert [use.t for use in short.uses] == list(range(5))
-    assert all(np.shares_memory(use.channel, transcript.channels[use.t]) for use in short.uses)
-
-    def labels(uses):
-        return [(use.order, use.group.elements, use.slot) for use in uses]
-
-    assert labels(short.uses) == labels(transcript.uses[:5])
+    assert short.total_uses == 5
+    assert short.plan is transcript.plan
+    assert np.shares_memory(short.channels, transcript.channels)
+    assert np.array_equal(short.channels, transcript.channels[:5])
 
 
 @pytest.mark.parametrize("name", ["channels", "observations"])
