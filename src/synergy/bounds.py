@@ -114,11 +114,9 @@ def _achievable_pair(K: int, replication: int) -> tuple[int, int]:
     """harmonic(K) - harmonic(replication) as an unreduced pair."""
     if not 0 <= replication <= K:
         raise ValueError(f"replication must lie in [0, K], got {replication}")
-    whole, head = harmonic(K), harmonic(replication)
-    return (
-        whole.numerator * head.denominator - head.numerator * whole.denominator,
-        whole.denominator * head.denominator,
-    )
+    whole_num, whole_den = harmonic(K).as_integer_ratio()
+    head_num, head_den = harmonic(replication).as_integer_ratio()
+    return whole_num * head_den - head_num * whole_den, whole_den * head_den
 
 
 def _dof_pair(N: int, mn: int, md: int, achievable: tuple[int, int]) -> tuple[int, int]:
@@ -420,24 +418,22 @@ class SynergyReport:
 def synergy_report(K: int, replication: int) -> SynergyReport:
     """DoF of the combined scheme vs. the sum of the individual gains.
 
-    ``dof`` and ``dof_cache_only`` are int / int divisions of exact
-    pairs, which Python rounds correctly, so they equal ``float`` of the
-    reduced Fraction; ``dof_feedback_only`` is ``1.0 / float(harmonic(K))``.
-    Both harmonic numbers are read once each.
+    ``dof`` is :func:`dof`'s exact pair at N = K, M = replication, and
+    ``dof_cache_only`` a pair too; each is an int / int division, which
+    Python rounds correctly, so it equals ``float`` of the reduced
+    Fraction.  ``dof_feedback_only`` is ``1.0 / float(harmonic(K))``.
     """
     K = _as_int(K, "K must be an integer")
     replication = _as_int(replication, "replication must be an integer")
     if not 1 <= replication <= K - 1:
         raise ValueError(f"replication must lie in [1, K-1], got {replication}")
-    whole_num, whole_den = harmonic(K).as_integer_ratio()
-    head_num, head_den = harmonic(replication).as_integer_ratio()
     # (1 - gamma) / (harmonic(K) - harmonic(replication)), gamma = replication / K
-    joint = (K - replication) * whole_den * head_den / (
-        K * (whole_num * head_den - head_num * whole_den)
-    )
+    dof_num, dof_den = _dof_pair(K, replication, 1, _achievable_pair(K, replication))
+    joint = dof_num / dof_den
     # (1 - gamma) / single_stream_time
     cache_only = (1 + replication) / K
     # 1.0 / float(harmonic(K)), rounded twice: the pinned sweep CSVs hold this value
+    whole_num, whole_den = harmonic(K).as_integer_ratio()
     feedback_only = 1.0 / (whole_num / whole_den)
     # in field order, positional as in outer_bound
     return SynergyReport(

@@ -181,10 +181,10 @@ def decode_user(
     batch of one.
 
     Raises ValueError when a user is not an integer, lies outside
-    [1, K] or appears twice, the users and caches differ in number, a
+    [1, K] or appears twice, the users and caches differ in number, or a
     cache does not hold exactly the blocks of the subsets containing its
-    user (another user's cache, for one), or the transcript holds fewer
-    or more channel uses, or observation columns, than the plan sends.
+    user (another user's cache, for one).  The transcript needs no check:
+    its constructor makes it consistent with its plan.
     """
     config = transcript.config
     plan = transcript.plan
@@ -197,8 +197,6 @@ def decode_user(
         raise ValueError(f"{len(users)} users but {len(caches)} caches")
     if not all(1 <= entry <= K for entry in users):
         raise ValueError(f"user must lie in [1, {K}]")
-    _check_length(transcript.total_uses, plan.total_uses, "")
-    _check_length(transcript.observations.shape[1], plan.total_uses, "observations of ")
     for entry, contents in zip(users, caches):
         holders = _holders(config, entry)
         blocks_shape = (config.N, len(holders), config.subfile_symbols)
@@ -249,15 +247,6 @@ def decode_user(
         file[contents.holders] = contents.blocks[demand[entry - 1] - 1]
         outcomes.append(DecodeOutcome(file=file.reshape(-1), solves=solves, max_system_dim=max_dim))
     return outcomes[0] if single else outcomes
-
-
-def _check_length(held: int, sent: int, what: str) -> None:
-    """ValueError unless the transcript holds exactly the ``sent`` uses
-    of its plan."""
-    if held < sent:
-        raise ValueError(f"transcript holds {what}{held} of {sent} uses")
-    if held > sent:
-        raise ValueError(f"transcript holds {what}{held} uses, more than the {sent} its plan sends")
 
 
 @dataclass

@@ -76,13 +76,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _integers(name: str, values) -> np.ndarray:
-    """``values`` as an array of an integer dtype; ValueError naming the
-    argument for float, bool, object, string or any other dtype, which
-    would otherwise be truncated or cast into a wrong answer."""
+def _modulus(modulus, users: str = "field kernels") -> int:
+    """``modulus`` as a Python int of at least 2, the one reading of every
+    modulus the kernels and draws take; ValueError naming it for a
+    non-integer, which would be truncated or leak floats, and for a
+    modulus below 2, which reduces every element to 0."""
+    modulus = _as_int(modulus, "modulus must be an integer")
+    if modulus < 2:
+        raise ValueError(f"{users} need a modulus of at least 2, got {modulus!r}")
+    return modulus
+
+
+def _integers(name: str, values, modulus: int) -> np.ndarray:
+    """``values`` as an array of an integer dtype whose int64 cast is
+    exact: uint64 entries are reduced first, since those at or above
+    2**63 would wrap.  ValueError naming the argument for float, bool,
+    object, string or any other dtype, which would otherwise be truncated
+    or cast into a wrong answer."""
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+    if values.dtype == np.uint64:
+        values = values % np.uint64(modulus)
     return values
 
 
@@ -93,10 +108,12 @@ def matmul(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     shape ``(..., k, n)`` broadcast against them; a one-dimensional ``b``
     is a single vector.  Each scalar product is reduced before summation,
     so the inner dimension may grow to ~2**32 terms without overflowing
-    int64.  Both operands must have an integer dtype (ValueError).
+    int64.  Both operands must have an integer dtype, and the modulus
+    must be an integer of at least 2 (ValueError).
     """
-    a = _integers("a", a).astype(np.int64, copy=False)
-    b = _integers("b", b).astype(np.int64, copy=False)
+    modulus = _modulus(modulus)
+    a = _integers("a", a, modulus).astype(np.int64, copy=False)
+    b = _integers("b", b, modulus).astype(np.int64, copy=False)
     single = b.ndim == 1
     rhs = b[:, np.newaxis] if single else b
     products = a[..., :, :, np.newaxis] * rhs[..., np.newaxis, :, :]
@@ -193,13 +210,14 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     recovers every pivot's inverse from prefix products of the diagonal
     (Montgomery's trick).  Raises SingularMatrixError when any ``a`` is
     not invertible, and ValueError when ``a`` or ``b`` does not have an
-    integer dtype.
+    integer dtype or the modulus is not an integer of at least 2.
     """
-    a = _integers("a", a)
+    modulus = _modulus(modulus)
+    a = _integers("a", a, modulus)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("coefficient matrix must be square")
     batched = a.ndim == 3
-    b = _integers("b", b).astype(np.int64, copy=False)
+    b = _integers("b", b, modulus).astype(np.int64, copy=False)
     single = b.ndim == a.ndim - 1
     rhs = b[..., np.newaxis] if single else b
     if rhs.ndim != a.ndim or rhs.shape[:-1] != a.shape[:-1]:
@@ -244,9 +262,10 @@ def is_invertible(a: np.ndarray, modulus: int = MODULUS) -> bool | np.ndarray:
 
     Runs the forward elimination alone.  Reduced int64 input is read in
     place, without a copy.  ValueError when ``a`` does not have an
-    integer dtype.
+    integer dtype or the modulus is not an integer of at least 2.
     """
-    a = _integers("a", a)
+    modulus = _modulus(modulus)
+    a = _integers("a", a, modulus)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         return np.zeros(a.shape[0], dtype=bool) if a.ndim == 3 else False
     batch = np.asarray(a, dtype=np.int64).reshape(-1, *a.shape[-2:])
@@ -281,14 +300,7 @@ def cauchy_combining_matrix(size: int, modulus: int = MODULUS) -> np.ndarray:
     result is deterministic in (size, modulus) and read-only.
     """
     size = _as_int(size, "size must be an integer")
-    return _cauchy(size, _as_int(modulus, "modulus must be an integer"))
-
-
-def _check_nonzero(modulus: int, nonzero: bool) -> None:
-    """ValueError when ``nonzero`` draws are asked for below a modulus of
-    2, where every draw reduces to 0 and rejection would never end."""
-    if nonzero and modulus < 2:
-        raise ValueError(f"nonzero draws need a modulus of at least 2, got {modulus!r}")
+    return _cauchy(size, _modulus(modulus, "combining matrices"))
 
 
 class SeededRng:
@@ -327,8 +339,9 @@ class SeededRng:
 
     def field_element(self, modulus: int = MODULUS, nonzero: bool = False) -> int:
         """One draw below ``modulus``; with ``nonzero``, zeros are
-        rejected, and a modulus below 2 raises ValueError."""
-        _check_nonzero(modulus, nonzero)
+        rejected.  ValueError for a modulus that is not an integer of at
+        least 2."""
+        modulus = _modulus(modulus, "nonzero draws" if nonzero else "draws")
         value = self.next_u64() % modulus
         while nonzero and value == 0:
             value = self.next_u64() % modulus
@@ -357,11 +370,11 @@ class SeededRng:
         and final state included.  Rejected zeros are replaced by drawing
         exactly the shortfall again, so every output drawn is consumed.
         ValueError for rows or cols that are not integers, and for a
-        modulus below 2 with ``nonzero``.
+        modulus that is not an integer of at least 2.
         """
         rows = _as_int(rows, "rows must be an integer")
         cols = _as_int(cols, "cols must be an integer")
-        _check_nonzero(modulus, nonzero)
+        modulus = _modulus(modulus, "nonzero draws" if nonzero else "draws")
         count = rows * cols
         values = self._outputs(count) % np.uint64(modulus)
         if nonzero:

@@ -129,44 +129,51 @@ class _DelayedCsitLedger:
 class Transcript:
     """Complete delivery record, reproducible from (config, demand, seed).
 
-    ``plan`` is structural (no payloads).  ``channels`` is the channel
-    log, one read-only uint32 (total_uses, K, K) array whose row t is the
-    matrix of use t (row k of it is user k's channel); ``observations``,
-    read-only uint32 too, has one row per user and one column per channel
-    use.  uint32 input is kept as is, without a copy; another integer
-    dtype is narrowed only after checking that every entry lies in
-    [0, modulus).  Which phase, group and slot a row belongs to is the
-    plan's layout (:meth:`DeliveryPlan.block_uses`).
+    ``plan`` is structural (no payloads) and owns the config and the
+    demand, which ``config`` and ``demand`` read.  ``channels`` is the
+    channel log, one read-only uint32 (total_uses, K, K) array whose row
+    t is the matrix of use t (row k of it is user k's channel);
+    ``observations``, read-only uint32 too, has one row per user and one
+    column per channel use.  Which phase, group and slot a row belongs to
+    is the plan's layout (:meth:`DeliveryPlan.block_uses`).
 
-    Raises ValueError when either array does not hold integers, an
-    integer array other than uint32 holds an entry outside
-    [0, modulus), ``channels`` is not a (T, K, K) array or
-    ``observations`` does not have K rows.
+    Every transcript is consistent with its plan: the constructor raises
+    ValueError unless the plan has a demand, ``channels`` has shape
+    (plan.total_uses, K, K) and ``observations`` (K, plan.total_uses),
+    both hold integers, every symbol lies in [0, modulus) and no channel
+    coefficient is zero, and unless ``seed`` is an integer, which it
+    stores as a Python int.  uint32 input is kept as is, without a copy;
+    another integer dtype is narrowed once the checks pass.
     """
 
-    config: SystemConfig
-    demand: tuple[int, ...]
     plan: DeliveryPlan
     channels: np.ndarray
     observations: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
-        K, modulus = self.config.K, self.config.modulus
-        channels = _symbols("channels", self.channels, modulus)
-        observations = _symbols("observations", self.observations, modulus)
-        if channels.ndim != 3 or channels.shape[1:] != (K, K):
-            raise ValueError(f"channels must have shape (uses, {K}, {K}), got {channels.shape}")
-        if observations.ndim != 2 or len(observations) != K:
-            raise ValueError(f"observations must have {K} rows, got shape {observations.shape}")
+        if self.plan.demand is None:
+            raise ValueError("plan has no demand; build it with plan_phases(config, demand, ...)")
+        K, modulus, total = self.config.K, self.config.modulus, self.plan.total_uses
+        channels = _symbols("channels", self.channels, (total, K, K), modulus, nonzero=True)
+        observations = _symbols("observations", self.observations, (K, total), modulus)
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "observations", observations)
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed must be an integer"))
         # One Subset per group, built and dropped, for this reason alone:
         # perfbench counts Subset constructions as the delivered groups.
         # ROADMAP item 1 replaces that counter and retires this loop.
         for phase in self.plan.phases:
             for members in itertools.combinations(range(1, K + 1), phase.order):
                 Subset(members, K)
+
+    @property
+    def config(self) -> SystemConfig:
+        return self.plan.config
+
+    @property
+    def demand(self) -> tuple[int, ...]:
+        return self.plan.demand
 
     @property
     def total_uses(self) -> int:
@@ -184,16 +191,26 @@ class Transcript:
         )
 
 
-def _symbols(name: str, values, modulus: int) -> np.ndarray:
-    """``values`` as a read-only uint32 array: uint32 input as a view of
-    itself, any other integer dtype narrowed only after an exact
-    [0, modulus) range check; ValueError otherwise."""
+def _symbols(name: str, values, shape: tuple, modulus: int, nonzero: bool = False) -> np.ndarray:
+    """``values`` as a read-only uint32 array of ``shape``, every entry in
+    [0, modulus) and, with ``nonzero``, none zero; ValueError otherwise.
+
+    uint32 input is a view of itself.  One max per array, plus one min
+    where the dtype is signed or zeros are rejected, so an unsigned array
+    of symbols is scanned once.
+    """
     symbols = np.asarray(values)
+    if symbols.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {symbols.dtype}")
+    if symbols.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {symbols.shape}")
+    if symbols.size:
+        low = symbols.min() if nonzero or symbols.dtype.kind == "i" else 0
+        if low < 0 or symbols.max() >= modulus:
+            raise ValueError(f"{name} hold a symbol outside [0, modulus) = [0, {modulus})")
+        if nonzero and low == 0:
+            raise ValueError(f"{name} hold a zero channel coefficient")
     if symbols.dtype != np.uint32:
-        if not np.issubdtype(symbols.dtype, np.integer):
-            raise ValueError(f"{name} must hold integers, got dtype {symbols.dtype}")
-        if symbols.size and (symbols.min() < 0 or symbols.max() >= modulus):
-            raise ValueError(f"{name} hold a symbol outside [0, {modulus})")
         symbols = symbols.astype(np.uint32)
     symbols = symbols.view()
     symbols.setflags(write=False)
@@ -316,7 +333,6 @@ def run_delivery(
     """
     if on_degenerate not in ("error", "resample"):
         raise ValueError('on_degenerate must be "error" or "resample"')
-    seed = _as_int(seed, "seed must be an integer")
     config = plan.config
     if plan.demand is None:
         raise ValueError("plan has no demand; build it with plan_phases(config, demand, ...)")
@@ -345,12 +361,7 @@ def run_delivery(
             received = matmul(active_columns, sent[start - first : stop - first, :, np.newaxis], modulus)
             ledger.record(received[:, :, 0].T)
     return Transcript(
-        config=config,
-        demand=plan.demand,
-        plan=replace(plan, xors=None),
-        channels=channels,
-        observations=observations,
-        seed=seed,
+        plan=replace(plan, xors=None), channels=channels, observations=observations, seed=seed
     )
 
 
@@ -400,20 +411,16 @@ def save_transcript(transcript: Transcript, json_path, sidecar_path=None) -> Non
     """Write metadata as JSON plus a binary sidecar with the channel and
     observation symbols (little-endian uint32, versioned header).
 
-    Raises ValueError, before writing anything, when ``observations`` does
-    not have one column per channel use: the header counts the uses from
-    ``channels``, so such a file could not be loaded back.
+    Raises ValueError, before writing anything, when the transcript has
+    2**32 uses or more, which the uint32 header cannot count.  Every
+    transcript is consistent with its plan (see :class:`Transcript`), so
+    the file always loads back.
     """
     json_path = Path(json_path)
     sidecar_path = Path(sidecar_path) if sidecar_path is not None else json_path.with_suffix(".bin")
     total = transcript.total_uses
     if total >= 1 << 32:
         raise ValueError("transcript too large for the sidecar header")
-    if transcript.observations.shape[1] != total:
-        raise ValueError(
-            f"observations hold {transcript.observations.shape[1]} columns "
-            f"for {total} channel uses"
-        )
     meta = {
         "format": _TRANSCRIPT_FORMAT,
         "version": _TRANSCRIPT_VERSION,
@@ -443,10 +450,12 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     Raises ValueError, naming the file, when the metadata is not JSON
     text or not a JSON object, it or its config lacks a field or holds
     an invalid one (seed, total_uses and every demand entry must be JSON
-    integers, not floats or booleans), the sidecar's magic, header or
-    size does not match, a channel coefficient is zero or a symbol is not
-    below the modulus.  The transcript's two arrays are read-only views
-    of the sidecar bytes read, reshaped, not copies.
+    integers, not floats or booleans), or the sidecar's magic, header,
+    use count or size does not match; and, naming the sidecar, whatever
+    the :class:`Transcript` constructor rejects: arrays that do not
+    match the plan, a zero channel coefficient or a symbol not below the
+    modulus.  The transcript's two arrays are read-only views of the
+    sidecar bytes read, reshaped, not copies.
     """
     json_path = Path(json_path)
     try:
@@ -490,23 +499,20 @@ def load_transcript(json_path, sidecar_path=None) -> Transcript:
     version, k, total = (int(v) for v in head)
     if version != _TRANSCRIPT_VERSION or k != config.K:
         raise ValueError(f"{sidecar_path}: sidecar header inconsistent with metadata")
-    if total != plan.total_uses or total != meta["total_uses"]:
-        raise ValueError(f"{sidecar_path}: sidecar use count inconsistent with the plan")
+    if total != meta["total_uses"]:
+        raise ValueError(f"{sidecar_path}: sidecar use count inconsistent with the metadata")
     expected = 4 * (total * k * k + k * total)
     if len(raw) - header != expected:
         raise ValueError(
             f"{sidecar_path}: sidecar body holds {len(raw) - header} bytes, expected {expected}"
         )
     symbols = np.frombuffer(raw, dtype="<u4", offset=header)
-    if total and int(symbols.max()) >= config.modulus:
-        raise ValueError(f"{sidecar_path}: symbol not below the modulus {config.modulus}")
-    if total and int(symbols[: total * k * k].min()) == 0:
-        raise ValueError(f"{sidecar_path}: zero channel coefficient")
-    return Transcript(
-        config=config,
-        demand=plan.demand,
-        plan=plan,
-        channels=symbols[: total * k * k].reshape(total, k, k),
-        observations=symbols[total * k * k :].reshape(k, total),
-        seed=meta["seed"],
-    )
+    try:
+        return Transcript(
+            plan=plan,
+            channels=symbols[: total * k * k].reshape(total, k, k),
+            observations=symbols[total * k * k :].reshape(k, total),
+            seed=meta["seed"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from exc

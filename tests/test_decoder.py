@@ -180,17 +180,17 @@ def test_tampered_combining_matrix_breaks_decoding():
 
 
 def test_truncated_transcript_raises_and_reports():
+    # A transcript shorter than its plan cannot be built, so no decode or
+    # report ever reads one; the error reports the shape the plan needs.
     config, library, subfiles, caches, transcript = seeded_case(3, 3, 1, seed=1)
-    truncated = replace(
-        transcript,
-        channels=transcript.channels[:-1],
-        observations=transcript.observations[:, :-1],
-    )
-    with pytest.raises(ValueError, match="transcript holds"):
-        decode_user(truncated, 1, caches[0])
-    report = verify_all(truncated, library)
-    assert not report.all_pass
-    assert all((entry.error or "").startswith("ValueError: transcript holds") for entry in report.users)
+    total = transcript.total_uses
+    with pytest.raises(ValueError) as caught:
+        replace(
+            transcript,
+            channels=transcript.channels[:-1],
+            observations=transcript.observations[:, :-1],
+        )
+    assert str(caught.value) == f"channels must have shape ({total}, 3, 3), got ({total - 1}, 3, 3)"
 
 
 @pytest.mark.parametrize("short", ["channels", "observations", "both-empty"])
@@ -203,23 +203,19 @@ def test_transcript_shorter_than_its_plan_is_missing_observations(short):
         observations = observations[:, :-1]
     else:
         channels, observations = channels[:0], observations[:, :0]
-    truncated = replace(transcript, channels=channels, observations=observations)
-    for user in range(1, 5):
-        with pytest.raises(ValueError, match=f"of {transcript.total_uses} uses"):
-            decode_user(truncated, user, caches[user - 1])
+    with pytest.raises(ValueError, match=rf"must have shape \(.*{transcript.total_uses}.*\), got"):
+        replace(transcript, channels=channels, observations=observations)
 
 
 def test_missing_observation_message_counts_what_is_short():
     config, library, subfiles, caches, transcript = seeded_case(4, 4, 1, seed=3)
     total = transcript.total_uses
-    short_observations = replace(transcript, observations=transcript.observations[:, :-1])
     with pytest.raises(ValueError) as caught:
-        decode_user(short_observations, 1, caches[0])
-    assert str(caught.value) == f"transcript holds observations of {total - 1} of {total} uses"
-    short_channels = replace(transcript, channels=transcript.channels[:-2])
+        replace(transcript, observations=transcript.observations[:, :-1])
+    assert str(caught.value) == f"observations must have shape (4, {total}), got (4, {total - 1})"
     with pytest.raises(ValueError) as caught:
-        decode_user(short_channels, 1, caches[0])
-    assert str(caught.value) == f"transcript holds {total - 2} of {total} uses"
+        replace(transcript, channels=transcript.channels[:-2])
+    assert str(caught.value) == f"channels must have shape ({total}, 4, 4), got ({total - 2}, 4, 4)"
 
 
 def test_decode_rejects_bad_user():
@@ -289,30 +285,18 @@ def test_simulate_convenience_matches_manual_pipeline():
 def test_transcript_longer_than_its_plan_is_rejected():
     config = default_config(3, 3, 1)
     transcript = simulate(config, (1, 2, 3), 1)
-    library = random_library(config, SeededRng(1).child(LIBRARY_STREAM))
-    caches = fill_caches(config, subpacketize(config, library))
     total = transcript.total_uses
     channels, observations = transcript.channels, transcript.observations
-    longer = replace(
-        transcript,
-        channels=np.concatenate([channels, channels[:2]]),
-        observations=np.concatenate([observations, observations[:, :2]], axis=1),
-    )
-    message = f"transcript holds {total + 2} uses, more than the {total} its plan sends"
     with pytest.raises(ValueError) as caught:
-        decode_user(longer, 1, caches[0])
-    assert str(caught.value) == message
-    report = verify_all(longer, library)
-    assert not report.all_pass
-    assert [entry.error for entry in report.users] == [f"ValueError: {message}"] * 3
-    extra_observations = replace(
-        transcript, observations=np.concatenate([observations, observations[:, :1]], axis=1)
-    )
+        replace(
+            transcript,
+            channels=np.concatenate([channels, channels[:2]]),
+            observations=np.concatenate([observations, observations[:, :2]], axis=1),
+        )
+    assert str(caught.value) == f"channels must have shape ({total}, 3, 3), got ({total + 2}, 3, 3)"
     with pytest.raises(ValueError) as caught:
-        decode_user(extra_observations, 2, caches[1])
-    assert str(caught.value) == (
-        f"transcript holds observations of {total + 1} uses, more than the {total} its plan sends"
-    )
+        replace(transcript, observations=np.concatenate([observations, observations[:, :1]], axis=1))
+    assert str(caught.value) == f"observations must have shape (3, {total}), got (3, {total + 1})"
 
 
 def test_verify_all_raises_argument_errors_before_any_decode(monkeypatch):

@@ -269,6 +269,45 @@ def test_rng_nonzero_draws_reject_a_modulus_below_two(modulus):
     assert rng.next_u64() == SeededRng(1).next_u64()  # nothing was drawn
 
 
+# 2**63 + 5 is 6 mod 7 and 2**63 + 1 is 2; cast to int64 first, they wrap
+# to 4 and 0 mod 7.
+HUGE = np.array([[2**63 + 5]], dtype=np.uint64)
+WRAPS_TO_ZERO = np.array([[2**63 + 1]], dtype=np.uint64)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: SeededRng(1).field_element(11.0), "modulus must be an integer, got 11.0"),
+        (lambda: SeededRng(1).field_matrix(1, 2, 11.5), "modulus must be an integer, got 11.5"),
+        (lambda: SeededRng(1).field_element(1), "draws need a modulus of at least 2, got 1"),
+        (lambda: SeededRng(1).field_matrix(1, 2, 0), "draws need a modulus of at least 2, got 0"),
+        (lambda: matmul([[3]], [[3]], 0), "field kernels need a modulus of at least 2, got 0"),
+        (lambda: solve([[3]], [1], np.int64(1)), "field kernels need a modulus of at least 2, got 1"),
+        (lambda: is_invertible([[3]], "7"), "modulus must be an integer, got '7'"),
+        (lambda: cauchy_combining_matrix(2, 7.0), "modulus must be an integer, got 7.0"),
+        (lambda: matmul(HUGE, [[1]], 7), [[6]]),
+        (lambda: matmul(HUGE, HUGE, 7), [[1]]),
+        (lambda: solve(HUGE, [1], 7), [6]),
+        (lambda: solve(WRAPS_TO_ZERO, np.array([4], dtype=np.uint64), 7), [2]),
+        (lambda: is_invertible(WRAPS_TO_ZERO, 7), True),
+    ],
+    ids=[
+        "float-draw", "fractional-matrix", "draw-mod-1", "matrix-mod-0", "matmul-mod-0",
+        "solve-mod-1", "string-modulus", "float-cauchy", "uint64-matmul", "uint64-square",
+        "uint64-solve", "uint64-solve-wraps", "uint64-invertible",
+    ],
+)
+def test_modulus_is_an_integer_of_at_least_two_and_uint64_is_exact(call, expected):
+    # Each call used to answer: draws modulo 11 or as floats, zeros with a
+    # RuntimeWarning, or uint64 entries wrapped to int64 (4, 2, singular).
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            call()
+    else:
+        assert np.array_equal(call(), expected)
+
+
 def test_rng_nonzero_rejection():
     rng = SeededRng(1)
     assert all(rng.field_element(3, nonzero=True) in (1, 2) for _ in range(200))

@@ -390,6 +390,14 @@ def test_simulate_rejects_a_non_integer_seed(seed):
         simulate(default_config(3, 3, 1), (1, 2, 3), seed)
 
 
+def test_transcript_reads_its_seed_as_an_integer():
+    # a float seed used to be kept and saved, and then the file failed to load
+    config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1.5$"):
+        replace(transcript, seed=1.5)
+    assert type(replace(transcript, seed=np.int64(1)).seed) is int
+
+
 def test_integer_like_inputs_survive_save_and_load(tmp_path):
     # an int64 seed used to make save_transcript raise TypeError (not JSON serializable)
     config = default_config(3, 3, 1)
@@ -491,12 +499,14 @@ def test_transcript_load_holds_little_beyond_the_sidecar_bytes(tmp_path):
 
 
 def test_replace_keeps_a_view_of_a_truncated_log():
+    # A truncated log is rejected; a uint32 view of the whole log is kept.
     config, library, plan, transcript = seeded_run(4, 4, 1, seed=6)
-    short = replace(transcript, channels=transcript.channels[:5])
-    assert short.total_uses == 5
-    assert short.plan is transcript.plan
-    assert np.shares_memory(short.channels, transcript.channels)
-    assert np.array_equal(short.channels, transcript.channels[:5])
+    with pytest.raises(ValueError, match="channels must have shape"):
+        replace(transcript, channels=transcript.channels[:5])
+    same = replace(transcript, channels=transcript.channels[::1])
+    assert same.plan is transcript.plan
+    assert np.shares_memory(same.channels, transcript.channels)
+    assert same == transcript
 
 
 @pytest.mark.parametrize("name", ["channels", "observations"])
@@ -566,7 +576,114 @@ def test_transcript_rejects_misshapen_arrays(arrays, message):
     config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
     channels, observations = arrays(transcript.channels, transcript.observations)
     with pytest.raises(ValueError, match=message):
-        Transcript(config, transcript.demand, transcript.plan, channels, observations, transcript.seed)
+        Transcript(transcript.plan, channels, observations, transcript.seed)
+
+
+# Each inconsistent case and the message the constructor gives for it.
+INCONSISTENT = {
+    "short-channels": "channels must have shape",
+    "long-channels": "channels must have shape",
+    "short-observations": "observations must have shape",
+    "long-observations": "observations must have shape",
+    "channel-at-modulus": r"channels hold a symbol outside \[0, modulus\) = \[0, 101\)",
+    "observation-above-modulus": r"observations hold a symbol outside \[0, modulus\) = \[0, 101\)",
+    "zero-coefficient": "channels hold a zero channel coefficient",
+    "no-demand": "plan has no demand",
+}
+SYMBOL_CASES = {"channel-at-modulus": 101, "observation-above-modulus": 106, "zero-coefficient": 0}
+# run_delivery sizes both arrays from its plan, so only a wrong draw or
+# product or a plan without demand can reach its constructor call; a
+# file rebuilds its plan from a demand it must hold.
+CONSTRUCTOR_PATHS = [
+    (path, case)
+    for path in ("direct", "replace", "load", "run_delivery")
+    for case in INCONSISTENT
+    if (path, case) != ("load", "no-demand")
+    and (path != "run_delivery" or case in SYMBOL_CASES or case == "no-demand")
+]
+
+
+def _inconsistent(transcript, case):
+    """The plan and uint32 arrays of ``transcript`` made inconsistent as
+    ``case`` says."""
+    plan, channels, observations = transcript.plan, transcript.channels, transcript.observations
+    if case == "no-demand":
+        plan = replace(plan, demand=None)
+    elif case == "short-channels":
+        channels = channels[:-1]
+    elif case == "long-channels":
+        channels = np.concatenate([channels, channels[:1]])
+    elif case == "short-observations":
+        observations = observations[:, :-1]
+    elif case == "long-observations":
+        observations = np.concatenate([observations, observations[:, :1]], axis=1)
+    elif case.startswith("observation"):
+        observations = observations.copy()
+        observations[1, 2] = SYMBOL_CASES[case]
+    else:
+        channels = channels.copy()
+        channels[2, 1, 0] = SYMBOL_CASES[case]
+    return plan, channels, observations
+
+
+def _write_inconsistent_file(json_path, transcript, channels, observations, case):
+    """Save ``transcript`` at ``json_path``, then rewrite its files to hold
+    the given arrays.  A sidecar has one use count for both arrays, so a
+    length case becomes a file of more or fewer uses than the plan sends."""
+    count = len(channels) if "channels" in case else observations.shape[1]
+    uses = np.arange(count) % transcript.total_uses
+    save_transcript(transcript, json_path)
+    meta = json.loads(json_path.read_text())
+    json_path.write_text(json.dumps({**meta, "total_uses": count}))
+    header = np.array([1, transcript.config.K, count], dtype="<u4").tobytes()
+    body = channels[uses].astype("<u4").tobytes() + observations[:, uses].astype("<u4").tobytes()
+    json_path.with_suffix(".bin").write_bytes(b"SYNTRANS" + header + body)
+
+
+def _corrupt_delivery(monkeypatch, case):
+    """Make run_delivery log the symbol of ``case``: a channel entry past
+    its decodability check, or a received symbol."""
+    value = SYMBOL_CASES.get(case)
+    if case == "observation-above-modulus":
+        record = simulator._DelayedCsitLedger.record
+
+        def corrupt_record(ledger, received):
+            received = received.copy()
+            received[1, 0] = value
+            record(ledger, received)
+
+        monkeypatch.setattr(simulator._DelayedCsitLedger, "record", corrupt_record)
+    elif value is not None:
+        draw_phase = simulator._draw_phase
+
+        def corrupt_draw(rng, config, phase, on_degenerate, block, offset):
+            draw_phase(rng, config, phase, on_degenerate, block, offset)
+            block[-1, -1, -1] = value
+
+        monkeypatch.setattr(simulator, "_draw_phase", corrupt_draw)
+
+
+@pytest.mark.parametrize("path, case", CONSTRUCTOR_PATHS)
+def test_every_constructor_path_rejects_an_inconsistent_transcript(tmp_path, monkeypatch, path, case):
+    config = default_config(3, 3, 1, modulus=101)
+    transcript = simulate(config, (1, 2, 3), 1, on_degenerate="resample")
+    plan, channels, observations = _inconsistent(transcript, case)
+    message = INCONSISTENT[case]
+    if path == "load":
+        _write_inconsistent_file(tmp_path / "run.json", transcript, channels, observations, case)
+        message = "run.bin: " + ("channels must have shape" if "shape" in message else message)
+    elif path == "run_delivery":
+        _corrupt_delivery(monkeypatch, case)
+        library = random_library(config, SeededRng(1).child(LIBRARY_STREAM))
+    with pytest.raises(ValueError, match=message):
+        if path == "direct":
+            Transcript(plan, channels, observations, transcript.seed)
+        elif path == "replace":
+            replace(transcript, plan=plan, channels=channels, observations=observations)
+        elif path == "load":
+            load_transcript(tmp_path / "run.json")
+        else:
+            run_delivery(plan, library, 1, on_degenerate="resample")
 
 
 def test_transcript_roundtrip_empty(tmp_path):
@@ -577,18 +694,18 @@ def test_transcript_roundtrip_empty(tmp_path):
 
 @pytest.mark.parametrize("columns", [-1, 1])
 def test_save_rejects_observations_that_do_not_match_the_channel_log(tmp_path, columns):
-    # the header counts uses from the channel log: one observation column
-    # too few or too many would make a file that load_transcript rejects
+    # one observation column too few or too many would make a file that
+    # could not be loaded back; such a transcript cannot be built at all
     config, library, plan, transcript = seeded_run(3, 3, 1, seed=1)
     observations = transcript.observations
     if columns < 0:
         observations = observations[:, :columns]
     else:
         observations = np.concatenate([observations, observations[:, :columns]], axis=1)
-    malformed = replace(transcript, observations=observations)
-    expected = f"observations hold {observations.shape[1]} columns for {transcript.total_uses}"
+    total, columns = transcript.total_uses, observations.shape[1]
+    expected = rf"observations must have shape \(3, {total}\), got \(3, {columns}\)"
     with pytest.raises(ValueError, match=expected):
-        save_transcript(malformed, tmp_path / "run.json")
+        save_transcript(replace(transcript, observations=observations), tmp_path / "run.json")
     assert not (tmp_path / "run.json").exists() and not (tmp_path / "run.bin").exists()
 
 
