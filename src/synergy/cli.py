@@ -368,9 +368,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built by the first ``main`` call rather than on
+# import (importing the CLI stays as cheap as before).  Parsing leaves the
+# parser unchanged, and the seed's environment fallback is read by the
+# handler, not at parse time, so every call parses afresh.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (UsageError, ValueError, OSError) as exc:

@@ -21,7 +21,11 @@ per window, each window at most ``_SYSTEM_ENTRIES`` int64 entries of
 augmented systems or combining products (but at least one pair).  A
 window gathers, with one index into the transcript's uint32 (T, K, K)
 channel log, only the channel rows and active columns of its pairs'
-uses, and ``solve`` widens that block to int64.  The uint32 observations
+uses, and ``solve`` widens that block to int64 in the copy that moves
+its batch to the last axis.  (Delivery gathers its rank checks straight
+into that layout with one flat ``take`` over its own contiguous log; a
+transcript's log may be any uint32 view, so the decode gathers by
+index.)  The uint32 observations
 are only copied into int64 arrays or widened before any arithmetic.  In
 phases past the first, each member then removes its own previous-phase
 observation from the combined rows and applies the inverse of the
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import _as_int, group_table, system_rows
-from .field import matmul, solve
+from .field import _reduce, matmul, solve
 from .placement import CacheContents, _holders, fill_caches, subpacketize
 from .simulator import Transcript
 
@@ -150,8 +154,7 @@ def _decode_phase(
         heard = plan.block_uses(index - 1, without_rank[group, position])
         own_previous = observations[member[:, np.newaxis] - 1, heard].astype(np.int64)
         own_part = phase.combining.T[position][:, :, np.newaxis] * own_previous[:, np.newaxis]
-        adjusted = solved.reshape(count, order - 1, width) - own_part
-        adjusted %= modulus
+        adjusted = _reduce(solved.reshape(count, order - 1, width) - own_part, modulus)
         # Only `order` distinct minors, inverted once per plan, exactly,
         # so applying the inverse equals a per-group solve.
         recovered = matmul(phase.combining_inverses[position], adjusted, modulus)
@@ -243,7 +246,7 @@ def decode_user(
                 wanted, np.searchsorted(contents.holders, without_rank[groups[:, np.newaxis], kept])
             ]
             payload = streams[pair[groups, position]]
-            file[without_rank[groups, position]] = (payload - cached.sum(axis=1)) % modulus
+            file[without_rank[groups, position]] = _reduce(payload - cached.sum(axis=1), modulus)
         file[contents.holders] = contents.blocks[demand[entry - 1] - 1]
         outcomes.append(DecodeOutcome(file=file.reshape(-1), solves=solves, max_system_dim=max_dim))
     return outcomes[0] if single else outcomes

@@ -2,19 +2,33 @@
 generator behind every random draw in the package.
 
 Field elements are plain ints in ``[0, modulus)``.  Moduli must stay
-below ``2**31`` (the default ``2**31 - 1`` is the largest prime there):
-then one product of reduced elements, and the difference of two such
-products, fits in int64, so products are reduced eagerly and the short
-sums that follow cannot overflow at the matrix sizes used here.
-:class:`~synergy.placement.SystemConfig` enforces the bound.
+below ``2**31`` (the default ``2**31 - 1`` is the largest prime there);
+:class:`~synergy.placement.SystemConfig` enforces the bound.  Then a
+product of two reduced elements is below ``2**62``, the difference of
+two such products is below ``2**62`` in magnitude, and the sum of two
+stays below ``2**63``: every intermediate of the kernels fits in int64,
+and each is reduced before it could grow further.
+
+Reduction is by scalar floor division, ``x - (x // p) * p``
+(:func:`_reduce`), into reused buffers.  numpy divides an int64 array by
+a scalar through libdivide, while ``%`` runs a hardware division per
+entry: on the cache-resident blocks here the three passes take about a
+sixth of the time of one ``%``.  By the bound above, every value the
+kernels reduce is an exact int64 below ``2**63`` in magnitude, and its
+integer floor quotient is exact, so the result is exactly ``%``'s.
 
 ``solve``, ``is_invertible`` and ``matmul`` also take a leading batch
 axis, so a block of small systems costs one pass of numpy operations
-instead of one Python loop per system.  ``solve`` and ``is_invertible``
-share one fraction-free forward elimination that forms only the
+instead of one Python loop per system.  Inside, they work batch-last:
+the one copy that widens the operands to int64 also moves the batch to
+the last axis, so every multiply, subtract and reduction runs over the
+whole batch contiguously, however small each system is.  ``solve`` and
+``is_invertible`` share one fraction-free forward elimination
+(:func:`_eliminate`) that works in place on that copy and forms only the
 trailing block at each step (about n**3 / 3 multiply-reduce steps per
 n x n system): ``is_invertible`` runs it alone, ``solve`` runs it on
-``[a | b]`` and back-substitutes with one inversion per system.
+``[a | b]`` and back-substitutes with every pivot inverted in one
+product tree.
 """
 
 from __future__ import annotations
@@ -101,76 +115,129 @@ def _integers(name: str, values, modulus: int) -> np.ndarray:
     return values
 
 
+def _reduce(values: np.ndarray, modulus: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Reduce the integer array ``values`` into [0, modulus) in place,
+    as ``values % modulus`` would, and return it; ``scratch``, an array
+    of the same shape, receives the quotients (a new one when None).
+
+    Floor division rounds toward minus infinity, so negative entries land
+    in [0, modulus) too.  The quotient is exact for every int64 entry,
+    and the multiply and subtract that follow are exact modulo 2**64
+    with a true result in [0, modulus), so the remainder is exact even
+    where an intermediate wraps.
+    """
+    quotient = np.floor_divide(values, modulus, out=scratch)
+    quotient *= modulus
+    values -= quotient
+    return values
+
+
+def _in_field(values: np.ndarray, modulus: int) -> np.ndarray:
+    """Reduce the int64 array ``values`` in place unless every entry
+    already lies in [0, modulus), and return it: two scans, and the
+    reduction only for input that needs it."""
+    if values.size and (values.min() < 0 or values.max() >= modulus):
+        _reduce(values, modulus)
+    return values
+
+
+def _batch_last(values: np.ndarray, batch: tuple[int, ...], modulus: int) -> np.ndarray:
+    """``values`` of shape (..., r, c), its leading axes broadcastable to
+    ``batch``, as a new reduced, contiguous int64 array of shape (r, c,
+    ...) with one trailing axis per axis of ``batch`` (missing ones of
+    length 1)."""
+    values = values.reshape((1,) * (len(batch) + 2 - values.ndim) + values.shape)
+    out = np.empty(values.shape[-2:] + values.shape[:-2], dtype=np.int64)
+    out[...] = values.transpose(-2, -1, *range(len(batch)))
+    return _in_field(out, modulus)
+
+
 def matmul(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     """Matrix (or matrix-vector) product over the field.
 
     ``a`` may carry leading batch axes, ``(..., m, k)``, with ``b`` of
     shape ``(..., k, n)`` broadcast against them; a one-dimensional ``b``
-    is a single vector.  Each scalar product is reduced before summation,
-    so the inner dimension may grow to ~2**32 terms without overflowing
-    int64.  Both operands must have an integer dtype, and the modulus
-    must be an integer of at least 2 (ValueError).
+    is a single vector.  The operands are copied batch-last and reduced,
+    so every product and sum runs over the batch axes; the result is a
+    view of a batch-last array.  The inner index is summed two terms at
+    a time: two products of reduced elements sum below 2**63, so each
+    pair is reduced once, and the reduced pairs may number ~2**32
+    without overflowing int64.  ValueError when an operand does not have
+    an integer dtype, the shapes do not match, or the modulus is not an
+    integer of at least 2.
     """
     modulus = _modulus(modulus)
-    a = _integers("a", a, modulus).astype(np.int64, copy=False)
-    b = _integers("b", b, modulus).astype(np.int64, copy=False)
+    a = _integers("a", a, modulus)
+    b = _integers("b", b, modulus)
     single = b.ndim == 1
     rhs = b[:, np.newaxis] if single else b
-    products = a[..., :, :, np.newaxis] * rhs[..., np.newaxis, :, :]
-    products %= modulus
-    out = products.sum(axis=-2)
-    out %= modulus
+    if a.ndim < 2 or rhs.ndim < 2 or a.shape[-1] != rhs.shape[-2]:
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    batch = np.broadcast_shapes(a.shape[:-2], rhs.shape[:-2])
+    left, right = _batch_last(a, batch, modulus), _batch_last(rhs, batch, modulus)
+    inner = left.shape[1]
+    out = np.zeros((left.shape[0], right.shape[1], *batch), dtype=np.int64)
+    term, scratch = np.empty_like(out), np.empty_like(out)
+    for j in range(0, inner, 2):
+        np.multiply(left[:, j, np.newaxis], right[j], out=term)
+        if j + 1 < inner:
+            term += np.multiply(left[:, j + 1, np.newaxis], right[j + 1], out=scratch)
+        out += _reduce(term, modulus, scratch)
+    out = _reduce(out, modulus, scratch).transpose(*range(2, out.ndim), 0, 1)
     return out[..., 0] if single else out
 
 
-def _eliminate(block: np.ndarray, modulus: int, keep_rows: bool) -> tuple[np.ndarray, list]:
-    """Fraction-free forward elimination over a batch of systems.
+def _eliminate(block: np.ndarray, modulus: int) -> np.ndarray:
+    """Fraction-free forward elimination over a batch of systems, in
+    place, batch-last.
 
-    ``block`` is a reduced int64 array of shape (B, n, c) with c >= n: the
-    square coefficients first, then any right-hand-side columns.  It is
-    read, never written.  Each step takes the first nonzero entry of the
-    leading column as the pivot (swapping it with the top row) and turns
-    every other row r into ``pivot * r - r[0] * pivot_row``, which scales
-    r by a nonzero field element and so keeps each system's solution.
-    Only the trailing block is formed: the next step works on a new array
-    one row and one column smaller, about n**3 / 3 multiply-reduce steps
-    per square system in all.  Products of two reduced elements stay
-    below 2**62, so nothing overflows for moduli below 2**31.
+    ``block`` is a reduced, contiguous int64 array of shape (n, c, B)
+    with c >= n: system b is ``block[:, :, b]``, its square coefficients
+    first, then any right-hand-side columns.  The batch is the last axis,
+    so every multiply, subtract and reduction runs over B contiguous
+    entries (a whole trailing row, (c - k - 1) * B entries, at step k).
+    Pivot search and row swaps work along the row axis.
 
-    Returns the (B,) mask of invertible systems and, with ``keep_rows``,
-    the pivot rows: entry k has shape (B, c - k), its first column the
-    k-th diagonal element of the triangular factor.  Rows of a singular
-    system hold garbage.
+    Step k works on the trailing view ``block[k:, k:]``: it takes the
+    first nonzero entry of the leading column as the pivot, swapping that
+    row with the top one, and turns every other row r into
+    ``pivot * r - r[0] * pivot_row``, which scales r by a nonzero field
+    element and so keeps each system's solution.  Only the block past
+    the pivot row and column is written, about n**3 / 3 multiply-reduce
+    steps per square system.  The products are of reduced elements, so
+    they and their difference stay below 2**62 in magnitude; the
+    difference is reduced by scalar floor division (:func:`_reduce`),
+    whose quotient is then exact.  The second product and the quotients
+    share one workspace, a shrinking view of a flat buffer the size of
+    the first trailing block: besides ``block``, that buffer is all the
+    elimination allocates.
+
+    Returns the (B,) mask of invertible systems.  ``block[k, k:]`` is
+    then the k-th pivot row, its first entry the k-th diagonal element
+    of the triangular factor; the entries below the diagonal are stale,
+    and every row of a singular system holds garbage.
     """
-    ok = np.ones(block.shape[0], dtype=bool)
-    pivot_rows = []
-    for step in range(block.shape[1]):
-        top = block[:, 0]
-        pivot_row, swapped = top, None
-        if not top[:, 0].all():
-            nonzero = block[:, :, 0] != 0
-            ok &= nonzero.any(axis=1)
-            index = nonzero.argmax(axis=1)
+    n, width, count = block.shape
+    ok = np.ones(count, dtype=bool)
+    scratch = np.empty(max(n - 1, 0) * (width - 1) * count, dtype=np.int64)
+    for step in range(n):
+        trailing = block[step:, step:]
+        top = trailing[0]
+        if not top[0].all():
+            nonzero = trailing[:, 0] != 0
+            ok &= nonzero.any(axis=0)
+            index = nonzero.argmax(axis=0)
             swapped = np.flatnonzero(index)
-            pivot_row = top.copy()
-            pivot_row[swapped] = block[swapped, index[swapped]]
-        pivot = pivot_row[:, :1, np.newaxis]
-        rest = block[:, 1:]
-        trailing = rest[:, :, 1:] * pivot
-        trailing -= rest[:, :, :1] * pivot_row[:, np.newaxis, 1:]
-        trailing %= modulus
-        if swapped is not None and swapped.size:
-            # The pivot's old slot in the trailing block takes the old top row.
-            old, new = top[swapped], pivot_row[swapped]
-            trailing[swapped, index[swapped] - 1] = (
-                old[:, 1:] * new[:, :1] - old[:, :1] * new[:, 1:]
-            ) % modulus
-        if keep_rows:
-            # Past the input block a copy, so each step's block is freed
-            # once the next one is formed.
-            pivot_rows.append(pivot_row.copy() if step and pivot_row is top else pivot_row)
-        block = trailing
-    return ok, pivot_rows
+            below = trailing[index[swapped], :, swapped]
+            trailing[index[swapped], :, swapped] = top[:, swapped].T
+            top[:, swapped] = below.T
+        rest = trailing[1:, 1:]
+        work = scratch[: rest.size].reshape(rest.shape)
+        np.multiply(trailing[1:, :1], top[1:], out=work)
+        rest *= top[0]
+        rest -= work
+        _reduce(rest, modulus, work)
+    return ok
 
 
 def _inverse_batch(values: np.ndarray, modulus: int) -> np.ndarray:
@@ -188,14 +255,33 @@ def _inverse_batch(values: np.ndarray, modulus: int) -> np.ndarray:
     levels = []
     while level.size > 1:
         levels.append(level)
-        level = level[0::2] * level[1::2] % modulus
+        level = _reduce(level[0::2] * level[1::2], modulus)
     inverse = np.array([pow(int(level[0]), -1, modulus)], dtype=np.int64)
     for level in reversed(levels):
         children = np.empty_like(level)
-        children[0::2] = inverse * level[1::2] % modulus
-        children[1::2] = inverse * level[0::2] % modulus
-        inverse = children
+        np.multiply(inverse, level[1::2], out=children[0::2])
+        np.multiply(inverse, level[0::2], out=children[1::2])
+        inverse = _reduce(children, modulus)
     return inverse[: flat.size].reshape(values.shape)
+
+
+def _square(a: np.ndarray) -> None:
+    """ValueError unless ``a`` is one square matrix or a batch of them."""
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("coefficient matrix must be square")
+
+
+def _systems(a: np.ndarray, rhs: np.ndarray | None, modulus: int) -> np.ndarray:
+    """``[a | rhs]`` of a (B, n, n) batch and its (B, n, m) right-hand
+    sides (none for None) as the reduced int64 (n, n + m, B) block that
+    :func:`_eliminate` works on: a new array, transposed in the copy that
+    widens it to int64."""
+    count, n = a.shape[:2]
+    block = np.empty((n, n + (0 if rhs is None else rhs.shape[-1]), count), dtype=np.int64)
+    block[:, :n] = a.transpose(1, 2, 0)
+    if rhs is not None:
+        block[:, n:] = rhs.transpose(1, 2, 0)
+    return _in_field(block, modulus)
 
 
 def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
@@ -205,52 +291,42 @@ def solve(a: np.ndarray, b: np.ndarray, modulus: int = MODULUS) -> np.ndarray:
     ``a`` may also be a batch ``(B, n, n)`` with ``b`` of shape ``(B, n)``
     or ``(B, n, m)``: every system is solved in one pass.  Forward
     elimination of ``[a | b]`` with the first nonzero pivot (exact
-    arithmetic needs no magnitude pivoting), then back-substitution.  Each
-    system inverts only the product of its diagonal; the back-substitution
-    recovers every pivot's inverse from prefix products of the diagonal
-    (Montgomery's trick).  Raises SingularMatrixError when any ``a`` is
-    not invertible, and ValueError when ``a`` or ``b`` does not have an
-    integer dtype or the modulus is not an integer of at least 2.
+    arithmetic needs no magnitude pivoting), then back-substitution over
+    the batch axis, with every pivot inverted in one product tree
+    (:func:`_inverse_batch`).  The result is a view of a batch-last
+    array.  Raises SingularMatrixError when any ``a`` is not invertible,
+    and ValueError when ``a`` is not square, ``b`` does not match it,
+    either does not have an integer dtype or the modulus is not an
+    integer of at least 2.
     """
     modulus = _modulus(modulus)
     a = _integers("a", a, modulus)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError("coefficient matrix must be square")
+    _square(a)
     batched = a.ndim == 3
-    b = _integers("b", b, modulus).astype(np.int64, copy=False)
+    b = _integers("b", b, modulus)
     single = b.ndim == a.ndim - 1
     rhs = b[..., np.newaxis] if single else b
     if rhs.ndim != a.ndim or rhs.shape[:-1] != a.shape[:-1]:
         raise ValueError("right-hand side does not match the matrix")
     if not batched:
         a, rhs = a[np.newaxis], rhs[np.newaxis]
-    # [a | rhs] widened to int64 in one array, without an int64 copy of a.
-    n = a.shape[-1]
-    augmented = np.empty((*a.shape[:-1], n + rhs.shape[-1]), dtype=np.int64)
-    augmented[..., :n] = a
-    augmented[..., n:] = rhs
-    augmented %= modulus
-    ok, pivot_rows = _eliminate(augmented, modulus, keep_rows=True)
+    block = _systems(a, rhs, modulus)
+    ok = _eliminate(block, modulus)
     if not ok.all():
         raise SingularMatrixError(f"rank deficiency in system {int(np.argmin(ok))}")
-    # Row k of the triangular factor is [d_k, u_k(k+1), ..., u_k(n-1), rhs_k].
-    # prefix[k] = d_0 * ... * d_k; one inversion of prefix[n - 1] per
-    # system, then 1/d_k = prefix[k - 1] / prefix[k] walking k down.
-    prefix = [pivot_rows[0][:, 0]]
-    for row in pivot_rows[1:]:
-        prefix.append(prefix[-1] * row[:, 0] % modulus)
-    running = _inverse_batch(prefix[-1], modulus)  # 1 / prefix[k] at step k
-    x = np.empty(rhs.shape, dtype=np.int64)
+    # Row k of the triangular factor is block[k, k:] = [d_k, u_k(k+1), ...,
+    # u_k(n-1), rhs_k], so x_k = (rhs_k - sum_j u_k(j) x_j) / d_k.  Once
+    # x_k is known, every row above subtracts its reduced share at once;
+    # those rows stay above -n * modulus, and x_k is reduced before use.
+    n = block.shape[0]
+    inverses = _inverse_batch(block[np.arange(n), np.arange(n)], modulus)
+    x = block[:, n:].copy()  # (n, m, B), becoming the solution from the bottom up
     for k in range(n - 1, -1, -1):
-        row = pivot_rows[k]
-        if k:
-            inverse_k = running * prefix[k - 1] % modulus
-            running = running * row[:, 0] % modulus
-        else:
-            inverse_k = running
-        known = (row[:, 1 : n - k, np.newaxis] * x[:, k + 1 :]) % modulus
-        value = (row[:, n - k :] - known.sum(axis=1)) % modulus
-        x[:, k] = value * inverse_k[:, np.newaxis] % modulus
+        x_k = _reduce(x[k], modulus)
+        x_k *= inverses[k]
+        _reduce(x_k, modulus)
+        x[:k] -= _reduce(block[:k, k, np.newaxis] * x_k, modulus)
+    x = x.transpose(2, 0, 1)
     if not batched:
         x = x[0]
     return x[..., 0] if single else x
@@ -260,18 +336,15 @@ def is_invertible(a: np.ndarray, modulus: int = MODULUS) -> bool | np.ndarray:
     """Whether a square matrix is invertible over the field; for a batch
     ``(B, n, n)``, a boolean array with one entry per matrix.
 
-    Runs the forward elimination alone.  Reduced int64 input is read in
-    place, without a copy.  ValueError when ``a`` does not have an
-    integer dtype or the modulus is not an integer of at least 2.
+    Runs the forward elimination alone, on a batch-last copy; the input
+    is never written.  ValueError when ``a`` is not square (the message
+    :func:`solve` gives), does not have an integer dtype, or the modulus
+    is not an integer of at least 2.
     """
     modulus = _modulus(modulus)
     a = _integers("a", a, modulus)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        return np.zeros(a.shape[0], dtype=bool) if a.ndim == 3 else False
-    batch = np.asarray(a, dtype=np.int64).reshape(-1, *a.shape[-2:])
-    if batch.size and (batch.min() < 0 or batch.max() >= modulus):
-        batch = batch % modulus
-    ok, _ = _eliminate(batch, modulus, keep_rows=False)
+    _square(a)
+    ok = _eliminate(_systems(a.reshape(-1, *a.shape[-2:]), None, modulus), modulus)
     return ok if a.ndim == 3 else bool(ok[0])
 
 

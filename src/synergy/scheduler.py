@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import _as_int, format_rational, group_table
-from .field import MODULUS, cauchy_combining_matrix, solve
+from .field import MODULUS, _reduce, cauchy_combining_matrix, solve
 from .placement import SystemConfig
 
 __all__ = [
@@ -183,7 +183,7 @@ def build_xors(config: SystemConfig, subfiles: np.ndarray, demand) -> np.ndarray
     if size > config.K:
         return np.zeros((0, config.subfile_symbols), dtype=np.int64)
     members, _, without_rank = group_table(config.K, size)
-    return subfiles[demand[members - 1] - 1, without_rank].sum(axis=1) % config.modulus
+    return _reduce(subfiles[demand[members - 1] - 1, without_rank].sum(axis=1), config.modulus)
 
 
 def plan_phases(

@@ -241,14 +241,22 @@ def _phase_symbols(plan: DeliveryPlan, index: int, xors, observe) -> np.ndarray:
 
 
 def _decodable(channels: np.ndarray, rows: np.ndarray, active: int, modulus: int) -> np.ndarray:
-    """Per channel of a (uses, K, K) block: whether every system decoding
-    will rely on is invertible.  ``rows[u, i]`` lists the channel rows of
-    member i's system at use u (see
+    """Per channel of a contiguous (uses, K, K) block: whether every
+    system decoding will rely on is invertible.  ``rows[u, i]`` lists the
+    channel rows of member i's system at use u (see
     :func:`~synergy.combinatorics.system_rows`); each system keeps the
-    active antennas' columns."""
-    uses = np.arange(len(channels))[:, np.newaxis, np.newaxis]
-    systems = channels[uses, rows, :active]  # (uses, members, active, active)
-    invertible = is_invertible(systems.reshape(-1, active, active), modulus)
+    active antennas' columns.
+
+    One ``take`` gathers the systems straight into the batch-last layout
+    :func:`~synergy.field.is_invertible` eliminates in: entry (r, c, b)
+    of the (active, active, uses * members) array is row r, column c of
+    system b, handed over as its (uses * members, active, active)
+    transpose, so the kernel widens it without transposing."""
+    K = channels.shape[1]
+    # Flat offset of entry (r, 0) of every system, (active, uses * members).
+    starts = ((np.arange(len(channels))[:, np.newaxis, np.newaxis] * K + rows) * K).reshape(-1, active).T
+    systems = channels.reshape(-1).take(starts[:, np.newaxis] + np.arange(active)[:, np.newaxis])
+    invertible = is_invertible(systems.transpose(2, 0, 1), modulus)
     return invertible.reshape(len(channels), -1).all(axis=1)
 
 

@@ -2,8 +2,9 @@
 
 Canonical subsets come from ``itertools.combinations`` and their rank
 from the combinatorial number system, one element at a time; row rank
-over a prime field is an unbatched Gaussian elimination.  None of them
-reads the package's own tables or kernels.
+over a prime field is an unbatched Gaussian elimination, and solutions
+and products over the field are computed on Python ints, one system at a
+time.  None of them reads the package's own tables or kernels.
 """
 
 import itertools
@@ -68,3 +69,28 @@ def matrix_rank(a, modulus=MODULUS):
         a[result + 1 :] = (a[result + 1 :] - np.outer(below, a[result])) % modulus
         result += 1
     return result
+
+
+def gauss_jordan_solve(a, b, modulus):
+    """Solution of ``a @ x = b`` over the field by Gauss-Jordan on Python
+    ints, as a list of rows of ``x``; None when ``a`` is singular."""
+    n = len(a)
+    rows = [[int(x) % modulus for x in row] + [int(x) % modulus for x in rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, modulus)
+        rows[col] = [x * inv % modulus for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(x - factor * y) % modulus for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def matrix_product(a, b, modulus):
+    """``a @ b`` over the field on Python ints, as a list of rows."""
+    columns = list(zip(*b))
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % modulus for col in columns] for row in a]

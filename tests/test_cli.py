@@ -326,3 +326,26 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep"])  # --mode is required
     assert excinfo.value.code == 2
+
+
+def test_consecutive_calls_share_one_parser_and_parse_independently(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; no subcommand, flag or default
+    # of one call leaks into the next.
+    monkeypatch.delenv("SYNERGY_SEED", raising=False)
+    gap_csv = tmp_path / "gap.csv"
+    code, out, _ = run(capsys, "sweep", "--mode", "gap", "--kmax", "4", "--output", str(gap_csv))
+    assert code == 0 and out == ""
+    parser = cli._PARSER
+    assert parser is not None
+    code, out, _ = run(capsys, "simulate", "-K", "3", "-N", "3", "-M", "1", "--seed", "7")
+    assert code == 0 and "seed=7" in out and out.count(": ok") == 3
+    monkeypatch.setenv("SYNERGY_SEED", "5")
+    code, out, _ = run(capsys, "simulate", "-K", "3", "-N", "3", "--replication", "2")
+    assert code == 0 and "seed=5" in out and "replication=2" in out
+    code, out, _ = run(capsys, "sweep", "--mode", "gap", "--kmax", "4")
+    assert code == 0 and out == gap_csv.read_bytes().decode()
+    code, _, err = run(capsys, "simulate", "-K", "3", "-N", "3", "-M", "1", "--replication", "1")
+    assert code == 2 and "error:" in err
+    code, out, _ = run(capsys, "simulate", "-K", "3", "-N", "3", "-M", "1")
+    assert code == 0 and "seed=5" in out
+    assert cli._PARSER is parser

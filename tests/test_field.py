@@ -93,6 +93,17 @@ def test_matmul_matches_python_ints():
     assert matmul(a, b).tolist() == expected
 
 
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((2, 1), (3, 2)), ((2, 3), (2, 2)), ((3,), (3, 2)), ((4, 2, 3), (2,)), ((2, 2), ())],
+    ids=["inner-1-against-3", "inner-3-against-2", "vector-a", "batch-against-short-vector", "scalar-b"],
+)
+def test_matmul_rejects_operands_whose_inner_dimensions_differ(a_shape, b_shape):
+    # A (2, 1) by (3, 2) product used to broadcast into a wrong answer.
+    with pytest.raises(ValueError, match="^cannot multiply shapes "):
+        matmul(np.ones(a_shape, dtype=np.int64), np.ones(b_shape, dtype=np.int64))
+
+
 def test_solve_identity_returns_rhs():
     rng = SeededRng(3)
     b = rng.field_matrix(5, 1)[:, 0]

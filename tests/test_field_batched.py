@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import matrix_rank
+from references import gauss_jordan_solve, matrix_rank
 from synergy.field import (
     MODULUS,
     SeededRng,
@@ -16,24 +16,6 @@ from synergy.field import (
     matmul,
     solve,
 )
-
-
-def reference_solve(a, b, modulus):
-    """Gauss-Jordan on Python ints; None when ``a`` is singular."""
-    n = len(a)
-    rows = [[int(x) % modulus for x in row] + [int(x) % modulus for x in rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = pow(rows[col][col], -1, modulus)
-        rows[col] = [x * inv % modulus for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(x - factor * y) % modulus for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
 
 
 def biased_matrices(rng, count, rows, cols, modulus):
@@ -58,7 +40,7 @@ def test_batched_solve_matches_per_matrix_and_reference(seed, n, count, rhs_cols
     rng = SeededRng(seed)
     a = biased_matrices(rng, count, n, n, modulus)
     b = biased_matrices(rng, count, n, rhs_cols, modulus)
-    references = [reference_solve(a[i].tolist(), b[i].tolist(), modulus) for i in range(count)]
+    references = [gauss_jordan_solve(a[i].tolist(), b[i].tolist(), modulus) for i in range(count)]
     keep = [i for i, ref in enumerate(references) if ref is not None]
     if not keep:
         return
@@ -105,9 +87,10 @@ def test_batched_is_invertible_matches_rank(seed, n, count):
 
 
 def test_is_invertible_rejects_non_square_batches():
-    assert not is_invertible(np.ones((3, 2), dtype=np.int64))
-    assert not is_invertible(np.ones(3, dtype=np.int64))
-    assert is_invertible(np.ones((4, 3, 2), dtype=np.int64)).tolist() == [False] * 4
+    # A non-square input used to read as singular; it is rejected as solve rejects it.
+    for shape in [(3, 2), (3,), (4, 3, 2), (), (2, 2, 2, 2)]:
+        with pytest.raises(ValueError, match="^coefficient matrix must be square$"):
+            is_invertible(np.ones(shape, dtype=np.int64))
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,7 +222,7 @@ def test_solve_on_swap_heavy_batches_matches_reference(seed, n, count, rhs_cols,
     rng = SeededRng(seed)
     a = shape(rng, count, n, modulus, np.zeros(count, dtype=bool))
     b = near_modulus(rng, (count, n, rhs_cols), modulus)
-    expected = np.array([reference_solve(a[i].tolist(), b[i].tolist(), modulus) for i in range(count)])
+    expected = np.array([gauss_jordan_solve(a[i].tolist(), b[i].tolist(), modulus) for i in range(count)])
     assert np.array_equal(solve(a, b, modulus), expected)
     assert np.array_equal(solve(a[0], b[0, :, 0], modulus), expected[0, :, 0])
     singular = a.copy()
