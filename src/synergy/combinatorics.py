@@ -100,11 +100,14 @@ class Subset:
     universe: int
 
     def __post_init__(self) -> None:
-        elems = tuple(int(e) for e in self.elements)
+        elems = tuple(_as_int(e, "subset elements must be integers") for e in self.elements)
         object.__setattr__(self, "elements", elems)
-        if any(not 1 <= e <= self.universe for e in elems):
-            raise ValueError(f"elements {elems} out of range for universe {self.universe}")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        # Strictly increasing elements lie in range when their two ends do.
+        if any(map(operator.ge, elems, elems[1:])) or (
+            elems and not (1 <= elems[0] and elems[-1] <= self.universe)
+        ):
+            if any(not 1 <= e <= self.universe for e in elems):
+                raise ValueError(f"elements {elems} out of range for universe {self.universe}")
             raise ValueError(f"elements must be strictly increasing: {elems}")
 
 

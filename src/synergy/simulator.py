@@ -31,10 +31,14 @@ channel log in windows of at most ``_WINDOW`` uses, each drawn and
 checked for decodability in one batch against the systems of
 :func:`~synergy.combinatorics.system_rows`, which decoding solves, and
 never rewinds the stream: a degenerate draw is consumed as a failed draw
-of its use.  The received symbols are formed and logged window by window
-too.  Only those buffers (each window's draw, decodability check and
-received-symbol product) are bounded by ``_WINDOW``; the phase's
-transmitted symbols are still held whole.
+of its use.  After a step that met a degenerate draw, the next checks
+every pending draw of a ``_RETRY_WINDOW``-use window at its next
+``_ALIGNMENTS`` candidate uses at once, so a burst of redraws costs a
+few batches rather than one per redraw.  The received symbols are
+formed and logged window by window too.  Only those buffers (each
+window's draw, decodability check and received-symbol product) are
+bounded by ``_WINDOW``; the phase's transmitted symbols are still held
+whole.
 """
 
 from __future__ import annotations
@@ -71,10 +75,14 @@ _TRANSCRIPT_VERSION = 1
 _SIDECAR_MAGIC = b"SYNTRANS"
 
 # Most uses one step of the channel walk draws, checks or multiplies at
-# once, which bounds delivery's working set whatever the phase length;
-# after a degenerate draw the walk restarts at _RETRY_WINDOW uses.
+# once, which bounds delivery's working set whatever the phase length.
+# A step after one that met a degenerate draw covers _RETRY_WINDOW uses
+# and checks each pending draw at up to _ALIGNMENTS candidate uses (its
+# own, and one further back per failed draw before it in the step); a
+# step after a clean one checks one candidate use of twice the window.
 _WINDOW = 1024
-_RETRY_WINDOW = 4
+_RETRY_WINDOW = 24
+_ALIGNMENTS = 3
 # Draws per use, the degenerate one included, before "resample" gives up.
 _MAX_REDRAWS = 64
 
@@ -271,49 +279,123 @@ def _draw_phase(
     """Fill ``channels``, the (uses, K, K) slice of the channel log that
     holds one phase, whose first use is ``offset``.
 
-    One forward walk over the channel stream, in windows of at most
-    ``_WINDOW`` uses.  A window draws only the matrices it still lacks
-    (n consecutive K x K draws equal one (n * K) x K draw), stores them
-    in the uint32 slice (every draw is reduced, so that is exact) and
-    checks every (use, member) system in one batch.  Every matrix before
-    the first degenerate one is kept; the degenerate one is consumed as a
-    failed draw of its use (the first of that use's ``_MAX_REDRAWS``
-    draws), and the matrices after it move up one use and are checked
-    again.  The window then restarts at ``_RETRY_WINDOW`` uses and
-    doubles while checks come back clean.  The stream is never rewound
-    and nothing is drawn past the phase's last use.
+    One forward walk over the channel stream, in steps.  The slice holds
+    every draw made and not yet consumed: ``channels[:done]`` are
+    accepted, and each pending draw after them sits at the use it takes
+    if no draw before it fails.  A step draws only the matrices its
+    window still lacks (n consecutive K x K draws equal one (n * K) x K
+    draw) and stores them in the uint32 slice (every draw is reduced, so
+    that is exact).  It then checks, in one batch, each pending draw of
+    the window at its candidate uses: after a failed draws earlier in
+    the step, the draw at window index i is tried at the use a before
+    its own, for a below ``alignments`` (and a <= i).  A check is one
+    system per member of the use's group, so a draw is checked once per
+    group, not per use: alignments that keep it in one group share a
+    check, and the check a draw had in an earlier step is reused while
+    it stays in that group.
+
+    One scan over that (draw, alignment) table replays the per-use rule:
+    each draw either becomes its use's channel or is consumed as a
+    failed draw of that use (one of its ``_MAX_REDRAWS`` draws), and the
+    scan stops at the draw that would need an alignment the step did not
+    check.  The failed draws then leave the slice in one shift, and the
+    next step starts at the first use not accepted.
+
+    Until a phase's first degenerate draw a step checks one alignment of
+    a window of ``_WINDOW`` uses, so a phase that draws none costs one
+    check per use, in one batch per ``_WINDOW`` uses.  From then on a
+    step after one that met a degenerate draw checks ``_ALIGNMENTS``
+    alignments of ``_RETRY_WINDOW`` uses, and a step after a clean one
+    checks one alignment of twice the previous window, up to
+    ``_WINDOW`` uses.  Which draws each step checks is not part of the
+    stream: the stream is never rewound, nothing is drawn past the
+    phase's last use, and every draw is consumed as the per-use rule
+    consumes it.
     """
     K, modulus, active, width = config.K, config.modulus, phase.active_antennas, phase.uses_per_group
     group_rows = system_rows(K, phase.order)
-    # channels[:done] are accepted, channels[done:drawn] drawn but unchecked
-    # at their current use; `failures` counts the failed draws of use `done`.
+    # `failures` counts the failed draws of use `failed_use`, the use of
+    # the last degenerate draw.  From the first one on, known_group[i]
+    # and known_ok[i] hold the group and result of the latest check of
+    # the draw at channels[i] (group -1: none yet) and shift with it.
     done = drawn = failures = 0
-    window = _WINDOW
+    failed_use = -1
+    known_group = known_ok = None
+    alignments, window = 1, _WINDOW
     while done < len(channels):
         end = min(done + window, len(channels))
         if drawn < end:
             block = rng.field_matrix((end - drawn) * K, K, modulus, nonzero=True)
             channels[drawn:end] = block.reshape(-1, K, K)
             drawn = end
-        rows = group_rows[np.arange(done, end) // width]
-        bad = np.flatnonzero(~_decodable(channels[done:end], rows, active, modulus))
-        if bad.size == 0:
-            done, failures = end, 0
-            window = min(2 * window, _WINDOW)
-            continue
-        use = done + int(bad[0])
-        if on_degenerate == "error":
-            group = tuple(group_table(K, phase.order)[0][use // width].tolist())
-            raise DegenerateChannelError(
-                f"use {offset + use}: singular decoding system for group {group}"
-            )
-        failures = failures + 1 if use == done else 1
-        if failures >= _MAX_REDRAWS:
-            raise DegenerateChannelError(
-                f"use {offset + use}: still singular after {_MAX_REDRAWS} redraws"
-            )
-        channels[use : drawn - 1] = channels[use + 1 : drawn]
-        done, drawn, window = use, drawn - 1, min(_RETRY_WINDOW, _WINDOW)
+        if known_group is None:
+            groups = np.arange(done, end)[:, np.newaxis] // width
+            ok = _decodable(channels[done:end], group_rows[groups[:, 0]], active, modulus)
+            ok = ok[:, np.newaxis]
+        else:
+            # groups[i, a]: the group of use done + i - a, where the draw
+            # at window index i is tried after a failures in this step;
+            # only entries with i >= a are ever read.  Such an entry needs
+            # a check unless the draw's last check or the entry before it
+            # in its row has its group.
+            groups = (done + lags[: end - done, :alignments]) // width
+            same = groups == known_group[done:end, np.newaxis]
+            fresh = reachable[: end - done, :alignments] & ~same
+            need = fresh.copy()
+            need[:, 1:] &= groups[:, 1:] != groups[:, :-1]
+            ok = known_ok[done:end, np.newaxis].repeat(alignments, axis=1)
+            if need.any():
+                pending = channels[done:end][need.nonzero()[0]]
+                checked = _decodable(pending, group_rows[groups[need]], active, modulus)
+                ok[fresh] = checked[need.cumsum()[fresh.ravel()] - 1]
+        # Replay the per-use rule: after a failures the next draw is read
+        # at alignment a; stop at the draw past the last alignment checked.
+        bad, scanned = [], end - done
+        for a in range(alignments):
+            first = bad[-1] + 1 if bad else 0
+            column = ok[first:scanned, a]
+            if column.all():
+                break
+            index = first + int(column.argmin())
+            use = done + index - a
+            if on_degenerate == "error":
+                group = tuple(group_table(K, phase.order)[0][use // width].tolist())
+                raise DegenerateChannelError(
+                    f"use {offset + use}: singular decoding system for group {group}"
+                )
+            failures = failures + 1 if use == failed_use else 1
+            if failures >= _MAX_REDRAWS:
+                raise DegenerateChannelError(
+                    f"use {offset + use}: still singular after {_MAX_REDRAWS} redraws"
+                )
+            bad.append(index)
+            failed_use = use
+        else:
+            scanned = bad[-1] + 1
+        if bad and known_group is None:
+            known_group = np.full(len(channels), -1)
+            known_ok = np.zeros(len(channels), dtype=bool)
+            lags = np.arange(_WINDOW)[:, np.newaxis] - np.arange(_ALIGNMENTS)
+            reachable = lags >= 0
+        if known_group is not None:
+            if bad:
+                alignments, window = _ALIGNMENTS, min(_RETRY_WINDOW, _WINDOW)
+            else:
+                alignments, window = 1, min(2 * window, _WINDOW)
+            # Keep each draw's check at its last column, the nearest to
+            # the use the next step tries it at.  (The draws whose last
+            # column is not read, i < a, are consumed by this step.)
+            known_group[done:end] = groups[:, -1]
+            known_ok[done:end] = ok[:, -1]
+        # The failed draws leave the slice: the draws between the k-th
+        # and the next move k uses down.
+        for array in (channels, known_group, known_ok) if bad else ():
+            tail = array[done:drawn]
+            for k, (start, stop) in enumerate(zip(bad, bad[1:] + [len(tail)]), 1):
+                tail[start + 1 - k : stop - k] = tail[start + 1 : stop]
+        if bad:
+            known_group[drawn - len(bad) : drawn] = -1
+        done, drawn = done + scanned - len(bad), drawn - len(bad)
 
 
 def run_delivery(

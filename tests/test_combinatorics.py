@@ -210,6 +210,13 @@ def test_subset_validation():
         Subset((4,), 3)
 
 
+@pytest.mark.parametrize("elements", [(1.5, 2), ("1", "2"), (1, 2.0), (None,)])
+def test_subset_rejects_non_integer_elements(elements):
+    # int() once truncated these to (1, 2) without a word.
+    with pytest.raises(ValueError, match="^subset elements must be integers, got "):
+        Subset(elements, 3)
+
+
 def test_subset_helpers():
     # The subset {1, 3} of {1, ..., 4} read off its row of the group tables.
     members, complement, without_rank = group_table(4, 2)

@@ -285,7 +285,16 @@ def delivery_phase_states(monkeypatch):
     return states
 
 
-@pytest.mark.parametrize("window", [None, 1, 3])
+# (window, alignments) patched into the walk; a case that keeps the
+# module's alignments is named by its window alone.
+WALK_PATCHES = [(window, alignments) for alignments in (None, 1, 2) for window in (None, 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "window, alignments",
+    WALK_PATCHES,
+    ids=[f"{w}" if a is None else f"{w}-{a}" for w, a in WALK_PATCHES],
+)
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -295,9 +304,12 @@ def delivery_phase_states(monkeypatch):
     seed=st.integers(0, 2**32),
     on_degenerate=st.sampled_from(["resample", "resample", "error"]),
 )
-def test_channel_walk_matches_per_use_reference(window, data, K, modulus, max_redraws, seed, on_degenerate):
-    # A window of 1 or 3 uses puts degenerate draws on window edges; None
-    # keeps the module's window.
+def test_channel_walk_matches_per_use_reference(
+    window, alignments, data, K, modulus, max_redraws, seed, on_degenerate
+):
+    # A window of 1 or 3 uses puts degenerate draws on window edges, and
+    # 1 or 2 alignments make a step's scan stop after its first or second
+    # degenerate draw; None keeps the module's value.
     replication = data.draw(st.integers(0, K - 1), label="replication")
     config = default_config(K, K, replication, modulus=modulus)
     library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
@@ -306,6 +318,8 @@ def test_channel_walk_matches_per_use_reference(window, data, K, modulus, max_re
     with pytest.MonkeyPatch.context() as monkeypatch:
         if window is not None:
             monkeypatch.setattr(simulator, "_WINDOW", window)
+        if alignments is not None:
+            monkeypatch.setattr(simulator, "_ALIGNMENTS", alignments)
         monkeypatch.setattr(simulator, "_MAX_REDRAWS", max_redraws)
         states = delivery_phase_states(monkeypatch)
         try:
@@ -317,6 +331,32 @@ def test_channel_walk_matches_per_use_reference(window, data, K, modulus, max_re
         transcript = run_delivery(plan, library, seed, on_degenerate=on_degenerate)
     assert len(transcript.channels) == len(expected)
     assert all(np.array_equal(channel, h) for channel, h in zip(transcript.channels, expected))
+    assert states == expected_states
+
+
+def fine_resample_cell(seed):
+    """Plan and library of the K=12 N=12 M=8 GF(101) cell: phases of 1,
+    3, 15 and 165 uses per group, with about 8 redraws per 100 uses."""
+    config = default_config(12, 12, 8, modulus=101)
+    library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
+    return plan_phases(config, tuple(range(1, 13)), subfiles=subpacketize(config, library)), library
+
+
+@pytest.mark.parametrize("on_degenerate", ["resample", "error"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_channel_walk_matches_per_use_reference_at_workload_scale(seed, on_degenerate, monkeypatch):
+    plan, library = fine_resample_cell(seed)
+    states = delivery_phase_states(monkeypatch)
+    expected_states = []
+    try:
+        expected = per_use_channels(plan, seed, simulator._MAX_REDRAWS, on_degenerate, expected_states)
+    except DegenerateChannelError as exc:
+        assert on_degenerate == "error"
+        with pytest.raises(DegenerateChannelError, match=f"^{re.escape(str(exc))}$"):
+            run_delivery(plan, library, seed, on_degenerate=on_degenerate)
+        return
+    transcript = run_delivery(plan, library, seed, on_degenerate=on_degenerate)
+    assert np.array_equal(transcript.channels, np.array(expected))
     assert states == expected_states
 
 
@@ -348,6 +388,25 @@ def test_channel_walk_checks_few_uses(monkeypatch):
             run_delivery(plan, library, seed)
         assert checked[0] <= 3 * transcript.total_uses, (seed, checked[0])
         assert draws[0] <= 30, (seed, draws[0])
+
+
+def test_channel_walk_checks_in_few_batches(monkeypatch):
+    # After a degenerate draw a step checks every pending draw at several
+    # candidate uses at once, so the 4 phases of this cell and its ~60
+    # redraws take at most 45 batches of rank checks.
+    calls = [0]
+    decodable = simulator._decodable
+
+    def counting_decodable(*args):
+        calls[0] += 1
+        return decodable(*args)
+
+    monkeypatch.setattr(simulator, "_decodable", counting_decodable)
+    for seed in (1, 2, 3):
+        plan, library = fine_resample_cell(seed)
+        calls[0] = 0
+        run_delivery(plan, library, seed, on_degenerate="resample")
+        assert calls[0] <= 45, (seed, calls[0])
 
 
 def test_plan_offsets_and_group_ranks_cover_every_use():
