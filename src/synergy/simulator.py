@@ -315,12 +315,15 @@ def _draw_phase(
     K, modulus, active, width = config.K, config.modulus, phase.active_antennas, phase.uses_per_group
     group_rows = system_rows(K, phase.order)
     # `failures` counts the failed draws of use `failed_use`, the use of
-    # the last degenerate draw.  From the first one on, known_group[i]
-    # and known_ok[i] hold the group and result of the latest check of
-    # the draw at channels[i] (group -1: none yet) and shift with it.
+    # the last degenerate draw.  known_group[i] and known_ok[i] hold the
+    # group and result of the latest check of the draw at channels[i]
+    # (group -1: none yet) and shift with it.
     done = drawn = failures = 0
     failed_use = -1
-    known_group = known_ok = None
+    known_group = np.full(len(channels), -1)
+    known_ok = np.zeros(len(channels), dtype=bool)
+    lags = np.arange(_WINDOW)[:, np.newaxis] - np.arange(_ALIGNMENTS)
+    reachable = lags >= 0
     alignments, window = 1, _WINDOW
     while done < len(channels):
         end = min(done + window, len(channels))
@@ -328,26 +331,24 @@ def _draw_phase(
             block = rng.field_matrix((end - drawn) * K, K, modulus, nonzero=True)
             channels[drawn:end] = block.reshape(-1, K, K)
             drawn = end
-        if known_group is None:
-            groups = np.arange(done, end)[:, np.newaxis] // width
-            ok = _decodable(channels[done:end], group_rows[groups[:, 0]], active, modulus)
-            ok = ok[:, np.newaxis]
-        else:
-            # groups[i, a]: the group of use done + i - a, where the draw
-            # at window index i is tried after a failures in this step;
-            # only entries with i >= a are ever read.  Such an entry needs
-            # a check unless the draw's last check or the entry before it
-            # in its row has its group.
-            groups = (done + lags[: end - done, :alignments]) // width
-            same = groups == known_group[done:end, np.newaxis]
-            fresh = reachable[: end - done, :alignments] & ~same
-            need = fresh.copy()
-            need[:, 1:] &= groups[:, 1:] != groups[:, :-1]
-            ok = known_ok[done:end, np.newaxis].repeat(alignments, axis=1)
-            if need.any():
-                pending = channels[done:end][need.nonzero()[0]]
-                checked = _decodable(pending, group_rows[groups[need]], active, modulus)
-                ok[fresh] = checked[need.cumsum()[fresh.ravel()] - 1]
+        # groups[i, a]: the group of use done + i - a, where the draw at
+        # window index i is tried after a failures in this step; only
+        # entries with i >= a are ever read.  Such an entry needs a check
+        # unless the draw's last check or the entry before it in its row
+        # has its group.
+        groups = (done + lags[: end - done, :alignments]) // width
+        same = groups == known_group[done:end, np.newaxis]
+        fresh = reachable[: end - done, :alignments] & ~same
+        need = fresh.copy()
+        need[:, 1:] &= groups[:, 1:] != groups[:, :-1]
+        ok = known_ok[done:end, np.newaxis].repeat(alignments, axis=1)
+        if need.any():
+            # A step that checks every draw once (one alignment, no check
+            # to reuse: every step of a phase with no degenerate draw)
+            # hands over the slice itself rather than a gathered copy.
+            pending = channels[done:end] if need.all() else channels[done:end][need.nonzero()[0]]
+            checked = _decodable(pending, group_rows[groups[need]], active, modulus)
+            ok[fresh] = checked[need.cumsum()[fresh.ravel()] - 1]
         # Replay the per-use rule: after a failures the next draw is read
         # at alignment a; stop at the draw past the last alignment checked.
         bad, scanned = [], end - done
@@ -372,21 +373,15 @@ def _draw_phase(
             failed_use = use
         else:
             scanned = bad[-1] + 1
-        if bad and known_group is None:
-            known_group = np.full(len(channels), -1)
-            known_ok = np.zeros(len(channels), dtype=bool)
-            lags = np.arange(_WINDOW)[:, np.newaxis] - np.arange(_ALIGNMENTS)
-            reachable = lags >= 0
-        if known_group is not None:
-            if bad:
-                alignments, window = _ALIGNMENTS, min(_RETRY_WINDOW, _WINDOW)
-            else:
-                alignments, window = 1, min(2 * window, _WINDOW)
-            # Keep each draw's check at its last column, the nearest to
-            # the use the next step tries it at.  (The draws whose last
-            # column is not read, i < a, are consumed by this step.)
-            known_group[done:end] = groups[:, -1]
-            known_ok[done:end] = ok[:, -1]
+        if bad:
+            alignments, window = _ALIGNMENTS, min(_RETRY_WINDOW, _WINDOW)
+        else:
+            alignments, window = 1, min(2 * window, _WINDOW)
+        # Keep each draw's check at its last column, the nearest to the
+        # use the next step tries it at.  (The draws whose last column is
+        # not read, i < a, are consumed by this step.)
+        known_group[done:end] = groups[:, -1]
+        known_ok[done:end] = ok[:, -1]
         # The failed draws leave the slice: the draws between the k-th
         # and the next move k uses down.
         for array in (channels, known_group, known_ok) if bad else ():
