@@ -4,18 +4,10 @@ metrics quantifying what caching and delayed feedback deliver jointly.
 
 Delivery time is measured in normalized slots (one slot = serving one
 file to one user interference-free).  Exact intermediate values are
-integer numerator/denominator pairs.  The converse bound and the gap
-certificate scan one memoized table of harmonic numerators over a
-common denominator lcm(1, ..., n): the bound's candidates share that
-denominator up to a small factor, so they compare by cross-multiplying
-small integers, and only the winner is reduced.  The single-point
-functions read ``combinatorics.harmonic``.  Each exact value a function
-returns is built once, as a reduced Fraction; the sweeps write each CSV
-line straight from the integer pairs (``GapCertificate.csv_lines``,
-``SynergyReport.csv_line``), and the certificate builds its reports only
-when ``rows`` is read.  The floats are int / int divisions, which Python
-rounds correctly.  The logarithmic-approximation metrics
-(cache_fraction_for_gap, the mid-range gap envelope) use doubles.
+integer numerator/denominator pairs, and each exact value a function
+returns is built once, as a reduced Fraction.  The floats are int / int
+divisions, which Python rounds correctly.  The logarithmic-approximation
+metrics (cache_fraction_for_gap, the mid-range gap envelope) use doubles.
 """
 
 from __future__ import annotations
@@ -163,10 +155,17 @@ def outer_bound(K: int, N: int, M) -> OuterBound:
         raise ValueError(f"cache size must lie in [0, {N}] files, got {Fraction(mn, md)}")
     n_md = N * md
     s_hi = K if mn == 0 else min(n_md // mn, K)
-    common, table = _harmonics(s_hi)
+    # Most scans stop early, so the table starts at 64 entries at most and
+    # doubles only when the scan reaches its end; lcm(1, ..., n) divides
+    # lcm(1, ..., 2n), so the best candidate is rescaled exactly.
+    common, table = _harmonics(min(s_hi, 63))
     scaled = common * mn
     best_num, best_q, best_s = common * n_md - scaled, n_md, 1
     for s in range(2, s_hi + 1):
+        if s == len(table):
+            larger, table = _harmonic_table(2 * s)
+            best_num *= larger // common
+            common, scaled = larger, larger * mn
         head = table[s]
         # harmonic(s) - s*s*M/N bounds candidate s from above, and its steps
         # 1/(s+1) - (2s+1)*M/N shrink: once it is below the best it has
@@ -315,15 +314,6 @@ class GapCertificate:
                 f"{low_num}/{low_den},{low_num / low_den!r},"
                 f"{time_num * low_den / (time_den * low_num)!r},{argmax_s}"
             )
-
-    def to_json(self) -> dict:
-        return {
-            "cells": len(self.cells),
-            "max_gap": format_rational(self.max_gap),
-            "max_gap_decimal": float(self.max_gap),
-            "argmax_K": self.argmax[0],
-            "argmax_replication": self.argmax[1],
-        }
 
 
 def gap_certificate(K_max: int) -> GapCertificate:
@@ -522,14 +512,6 @@ class EnvelopeReport:
     right: float
     grid_max: float
     grid_argmax: float
-
-    def to_json(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "grid_max": self.grid_max,
-            "grid_argmax": self.grid_argmax,
-        }
 
 
 def check_midrange_gap_envelope(grid_points: int = 10_000) -> EnvelopeReport:

@@ -3,47 +3,15 @@ overheard observation streams from the last phase down, solve each
 first-phase block, strip cached blocks from the folded messages, and
 reassemble the requested files.
 
-Decoding walks integer group tables.  Phase order j has one row per
-j-subset in canonical order (:func:`~synergy.combinatorics.group_table`),
-the plan maps a group rank to its uses
-(:meth:`~synergy.scheduler.DeliveryPlan.block_uses`), and "the group
-without member i" is one lookup in the table's ``without_rank``.
-
-Every member of a group decodes the same uses, so a phase's work for a
-batch of users is one list of (group, member) pairs: each pair whose
-member is in the batch, group-major.  Each slot of a pair's block is a
-(K-j+1)-square system, the member's own channel row plus one row per
-non-member (:func:`~synergy.combinatorics.system_rows`, the systems
-delivery checked), whose right-hand side is the member's own observation
-and the streams that member recovered for the non-members in the phase
-after.  The pairs are solved in windows of whole pairs, one ``solve``
-per window, each window at most ``_SYSTEM_ENTRIES`` int64 entries of
-augmented systems or combining products (but at least one pair).  A
-window gathers, with one index into the transcript's uint32 (T, K, K)
-channel log, only the channel rows and active columns of its pairs'
-uses, and ``solve`` widens that block to int64 in the copy that moves
-its batch to the last axis.  (Delivery gathers its rank checks straight
-into that layout with one flat ``take`` over its own contiguous log; a
-transcript's log may be any uint32 view, so the decode gathers by
-index.)  The uint32 observations
-are only copied into int64 arrays or widened before any arithmetic.  In
-phases past the first, each member then removes its own previous-phase
-observation from the combined rows and applies the inverse of the
-combining matrix with its column deleted.  There are only j such minors
-per phase; the plan inverts them once (``PhasePlan.combining_inverses``)
-and each window applies them as one batched product, which yields what
-the other members saw in the previous phase.  At the first phase each
-pair's solved block is the folded message itself; each user then
-subtracts the blocks it caches for the other members, found by subset
-rank in its cache's ``holders``, and keeps its own missing block.
-
-The recovered streams are held one level at a time, and only the
-entries some member reconstructs: the streams phase i reads are a
-(pairs, uses_per_group, K - j) array, indexed by that phase's pair,
-slot and non-member, allocated when phase i + 1 first writes it and
-freed once phase i has read it.  Each member's right-hand side uses only
-its own observations and its own recovered streams, so a batch decodes
-each user exactly as a batch of one does.
+Decoding walks integer group tables
+(:func:`~synergy.combinatorics.group_table`) and the plan's use layout
+(:meth:`~synergy.scheduler.DeliveryPlan.block_uses`).  Every member of a
+group decodes the same uses, so a phase's work for a batch is one list
+of (group, member) pairs (:func:`_phase_pairs`), solved window by window
+(:func:`_decode_phase`).  The recovered streams are held one phase level
+at a time, and each member's right-hand side uses only its own
+observations and its own recovered streams, so a batch decodes each user
+exactly as a batch of one does.
 """
 
 from __future__ import annotations
@@ -56,7 +24,7 @@ import numpy as np
 
 from .combinatorics import _as_int, group_table, system_rows
 from .field import _reduce, matmul, solve
-from .placement import CacheContents, _holders, fill_caches, subpacketize
+from .placement import CacheContents, _holders, _library, fill_caches, subpacketize
 from .simulator import Transcript
 
 __all__ = [
@@ -78,11 +46,9 @@ class DecodeOutcome:
     max_system_dim: int
 
 
-# Most int64 entries one window of the decode forms at once: a pair
-# counts the entries of its augmented systems, or of its combining
-# product when that is larger.  A window holds whole (group, member)
-# pairs, at least one, so the decode's working set is bounded as
-# delivery's is by ``simulator._WINDOW``.
+# Most int64 entries one window of the decode forms at once: a pair counts
+# its augmented systems' entries, or its combining product's when that is
+# larger.  A window holds whole (group, member) pairs, at least one.
 _SYSTEM_ENTRIES = 32_768
 
 
@@ -109,6 +75,19 @@ def _decode_phase(
 ) -> np.ndarray:
     """Solve phase ``index`` of the plan for every pair of the batch
     (see :func:`_phase_pairs`), window by window.
+
+    Each slot of a pair's block is a (K - order + 1)-square system, the
+    member's own channel row plus one row per non-member (the systems
+    delivery checked, :func:`~synergy.combinatorics.system_rows`), whose
+    right-hand side is the member's own observation and the streams it
+    recovered for the non-members in the phase after.  A window of whole
+    pairs is one ``solve``; it gathers only its pairs' channel rows and
+    active columns, with one index into the transcript's log (any uint32
+    view), and ``solve`` widens that block to int64.  Past the first
+    phase, each member then removes its own previous-phase observation
+    from the combined rows and applies the inverse of the combining
+    matrix with its column deleted, which yields what the other members
+    saw in the previous phase.
 
     ``streams`` holds what each pair's member recovered of the
     non-members' observations of the group's block: a (pairs,
@@ -290,14 +269,14 @@ def verify_all(transcript: Transcript, library: np.ndarray) -> DeliveryReport:
     """Decode every user against the original library, in one batched
     :func:`decode_user` call.
 
-    Argument errors raise before any decode: a library whose shape does
-    not match the config raises LengthMismatchError.  Decode failures
-    become report entries: a user whose file differs is a mismatch, and
-    when the batch raises, every user is decoded alone again so that
-    each entry carries its own exception.
+    Argument errors raise before any decode: a library that
+    ``subpacketize`` rejects raises its ValueError or LengthMismatchError.
+    Decode failures become report entries: a user whose file differs is
+    a mismatch, and when the batch raises, every user is decoded alone
+    again so that each entry carries its own exception.
     """
     config = transcript.config
-    library = np.asarray(library, dtype=np.int64)
+    library = _library(config, library)
     caches = fill_caches(config, subpacketize(config, library))
     users = range(1, config.K + 1)
     try:

@@ -7,28 +7,9 @@ below ``2**31`` (the default ``2**31 - 1`` is the largest prime there);
 product of two reduced elements is below ``2**62``, the difference of
 two such products is below ``2**62`` in magnitude, and the sum of two
 stays below ``2**63``: every intermediate of the kernels fits in int64,
-and each is reduced before it could grow further.
-
-Reduction is by scalar floor division, ``x - (x // p) * p``
-(:func:`_reduce`), into reused buffers.  numpy divides an int64 array by
-a scalar through libdivide, while ``%`` runs a hardware division per
-entry: on the cache-resident blocks here the three passes take about a
-sixth of the time of one ``%``.  By the bound above, every value the
-kernels reduce is an exact int64 below ``2**63`` in magnitude, and its
-integer floor quotient is exact, so the result is exactly ``%``'s.
-
+and each is reduced (:func:`_reduce`) before it could grow further.
 ``solve``, ``is_invertible`` and ``matmul`` also take a leading batch
-axis, so a block of small systems costs one pass of numpy operations
-instead of one Python loop per system.  Inside, they work batch-last:
-the one copy that widens the operands to int64 also moves the batch to
-the last axis, so every multiply, subtract and reduction runs over the
-whole batch contiguously, however small each system is.  ``solve`` and
-``is_invertible`` share one fraction-free forward elimination
-(:func:`_eliminate`) that works in place on that copy and forms only the
-trailing block at each step (about n**3 / 3 multiply-reduce steps per
-n x n system): ``is_invertible`` runs it alone, ``solve`` runs it on
-``[a | b]`` and back-substitutes with every pivot inverted in one
-product tree.
+axis, which they move last in the copy that widens them to int64.
 """
 
 from __future__ import annotations
@@ -119,6 +100,9 @@ def _reduce(values: np.ndarray, modulus: int, scratch: np.ndarray | None = None)
     """Reduce the integer array ``values`` into [0, modulus) in place,
     as ``values % modulus`` would, and return it; ``scratch``, an array
     of the same shape, receives the quotients (a new one when None).
+    numpy divides by a scalar through libdivide, so on cache-resident
+    blocks these three passes take about a sixth of the time of one
+    ``%``, which divides entry by entry.
 
     Floor division rounds toward minus infinity, so negative entries land
     in [0, modulus) too.  The quotient is exact for every int64 entry,
@@ -204,13 +188,10 @@ def _eliminate(block: np.ndarray, modulus: int) -> np.ndarray:
     ``pivot * r - r[0] * pivot_row``, which scales r by a nonzero field
     element and so keeps each system's solution.  Only the block past
     the pivot row and column is written, about n**3 / 3 multiply-reduce
-    steps per square system.  The products are of reduced elements, so
-    they and their difference stay below 2**62 in magnitude; the
-    difference is reduced by scalar floor division (:func:`_reduce`),
-    whose quotient is then exact.  The second product and the quotients
-    share one workspace, a shrinking view of a flat buffer the size of
-    the first trailing block: besides ``block``, that buffer is all the
-    elimination allocates.
+    steps per square system, and reduced by :func:`_reduce`.  The second
+    product and the quotients share one workspace, a shrinking view of a
+    flat buffer the size of the first trailing block: besides ``block``,
+    that buffer is all the elimination allocates.
 
     Returns the (B,) mask of invertible systems.  ``block[k, k:]`` is
     then the k-th pivot row, its first entry the k-th diagonal element
@@ -410,16 +391,6 @@ class SeededRng:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
-    def field_element(self, modulus: int = MODULUS, nonzero: bool = False) -> int:
-        """One draw below ``modulus``; with ``nonzero``, zeros are
-        rejected.  ValueError for a modulus that is not an integer of at
-        least 2."""
-        modulus = _modulus(modulus, "nonzero draws" if nonzero else "draws")
-        value = self.next_u64() % modulus
-        while nonzero and value == 0:
-            value = self.next_u64() % modulus
-        return value
-
     def _outputs(self, count: int) -> np.ndarray:
         """The next ``count`` outputs as a uint64 array, in one vector
         pass: the state after m outputs is seed-state + m * increment."""
@@ -437,11 +408,11 @@ class SeededRng:
     def field_matrix(
         self, rows: int, cols: int, modulus: int = MODULUS, nonzero: bool = False
     ) -> np.ndarray:
-        """Matrix of field elements, drawn row-major, one output per entry.
-
-        Equal to ``rows * cols`` calls of :meth:`field_element`, stream
-        and final state included.  Rejected zeros are replaced by drawing
-        exactly the shortfall again, so every output drawn is consumed.
+        """Matrix of field elements, drawn row-major: each entry is the
+        next output modulo ``modulus``; with ``nonzero``, outputs that
+        reduce to zero are skipped.  Rejected zeros are replaced by
+        drawing exactly the shortfall again, so every output drawn is
+        consumed and the stream is that of one draw per entry.
         ValueError for rows or cols that are not integers, and for a
         modulus that is not an integer of at least 2.
         """

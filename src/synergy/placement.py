@@ -2,15 +2,14 @@
 subsets and fill each user's cache with the blocks whose subset contains
 that user.
 
-A library is an (N, file_symbols) int64 array of field symbols.  Each
-file splits into one contiguous block per replication-sized user subset,
-in canonical subset order, so concatenating the blocks back in that
-order reproduces the file exactly.  Blocks and caches are arrays indexed
-by subset rank (:func:`~synergy.combinatorics.group_table` order), never
-keyed by subset objects.  Block size is
-``max(K - replication, 1) * granularity`` symbols: the first delivery
-phase spreads a block over K - replication antennas, and the granularity
-multiplier keeps every later phase's re-chunking integral.
+A library is an (N, file_symbols) int64 array of field symbols, and
+every library handed to the package passes one check (:func:`_library`).
+Blocks and caches are arrays indexed by subset rank
+(:func:`~synergy.combinatorics.group_table` order), never keyed by
+subset objects.  Block size is ``max(K - replication, 1) * granularity``
+symbols: the first delivery phase spreads a block over K - replication
+antennas, and the granularity multiplier keeps every later phase's
+re-chunking integral.
 """
 
 from __future__ import annotations
@@ -158,16 +157,17 @@ def random_library(config: SystemConfig, rng: SeededRng) -> np.ndarray:
     return rng.field_matrix(config.N, config.file_symbols, config.modulus)
 
 
-def subpacketize(config: SystemConfig, library: np.ndarray) -> np.ndarray:
-    """Split every file into equal contiguous blocks, one per
-    replication-sized subset in canonical order: the read-only
-    (N, subfiles_per_file, subfile_symbols) view whose entry [file - 1, r]
-    is the block of subset rank r.
+def _library(config: SystemConfig, library) -> np.ndarray:
+    """``library`` as an int64 (N, file_symbols) array of symbols in
+    [0, modulus), the one check of every library the package is handed.
 
-    Raises LengthMismatchError when the library does not match the
-    (N, subfiles_per_file * subfile_symbols) grid.
+    ValueError for a dtype that is not integer (a float library would be
+    truncated) or a symbol outside the field (a uint64 one at or above
+    2**63 would wrap), LengthMismatchError for any other shape.
     """
-    library = np.asarray(library, dtype=np.int64)
+    library = np.asarray(library)
+    if library.dtype.kind not in "iu":
+        raise ValueError(f"library must hold integers, got dtype {library.dtype}")
     expected = (config.N, config.file_symbols)
     if library.shape != expected:
         raise LengthMismatchError(
@@ -175,6 +175,19 @@ def subpacketize(config: SystemConfig, library: np.ndarray) -> np.ndarray:
             f"{config.subfiles_per_file} blocks of {config.subfile_symbols} symbols "
             f"(expected {expected})"
         )
+    if library.size and (library.min() < 0 or library.max() >= config.modulus):
+        raise ValueError(f"library symbols must lie in [0, {config.modulus})")
+    return library.astype(np.int64, copy=False)
+
+
+def subpacketize(config: SystemConfig, library: np.ndarray) -> np.ndarray:
+    """Split every file into equal contiguous blocks, one per
+    replication-sized subset in canonical order: the read-only
+    (N, subfiles_per_file, subfile_symbols) view whose entry [file - 1, r]
+    is the block of subset rank r.  The library is checked as
+    :func:`_library` checks it.
+    """
+    library = _library(config, library)
     blocks = library.reshape(config.N, config.subfiles_per_file, config.subfile_symbols)
     blocks.setflags(write=False)
     return blocks
@@ -199,15 +212,12 @@ def fill_caches(config: SystemConfig, subfiles: np.ndarray) -> list[CacheContent
 def save_library(path, config: SystemConfig, library: np.ndarray) -> None:
     """Write the library in the interchange layout: a header of
     K, N, M, granularity, modulus as little-endian uint32, then all files
-    concatenated as little-endian uint32 symbols."""
-    library = np.asarray(library, dtype=np.int64)
-    if library.shape != (config.N, config.file_symbols):
-        raise LengthMismatchError(f"library shape {library.shape} does not match the config")
+    concatenated as little-endian uint32 symbols.  The library is
+    checked as :func:`_library` checks it, before anything is written."""
+    library = _library(config, library)
     header_values = (config.K, config.N, config.M, config.granularity, config.modulus)
     if any(value >= 1 << 32 for value in header_values):
         raise ValueError("header field exceeds uint32 range")
-    if library.size and (int(library.min()) < 0 or int(library.max()) >= config.modulus):
-        raise ValueError(f"library symbols must lie in [0, {config.modulus})")
     with open(path, "wb") as fh:
         fh.write(np.array(header_values, dtype="<u4").tobytes())
         fh.write(library.astype("<u4").tobytes())

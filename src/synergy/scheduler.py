@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import _as_int, format_rational, group_table
+from .combinatorics import _as_int, group_table
 from .field import MODULUS, _reduce, cauchy_combining_matrix, solve
 from .placement import SystemConfig
 
@@ -33,7 +33,6 @@ __all__ = [
     "validate_demand",
     "build_xors",
     "plan_phases",
-    "plan_to_json",
 ]
 
 
@@ -232,30 +231,3 @@ def plan_phases(
     xors = build_xors(config, subfiles, demand) if subfiles is not None else None
     return DeliveryPlan(config=config, demand=demand, xors=xors, phases=tuple(phases))
 
-
-def plan_to_json(plan: DeliveryPlan, include_groups: bool = True) -> dict:
-    """JSON-ready view: subsets as sorted integer arrays, durations as
-    "num/den" strings.  Group listings can be suppressed for large K."""
-    phases = []
-    for phase in plan.phases:
-        entry = {
-            "order": phase.order,
-            "uses_per_group": phase.uses_per_group,
-            "active_antennas": phase.active_antennas,
-            "duration": format_rational(phase.duration),
-            "group_count": phase.group_count,
-            "combining": None if phase.combining is None else phase.combining.tolist(),
-        }
-        if include_groups:
-            entry["groups"] = group_table(phase.universe, phase.order)[0].tolist()
-        phases.append(entry)
-    return {
-        "format": "synergy-plan",
-        "version": 1,
-        "config": plan.config.to_json(),
-        "demand": None if plan.demand is None else list(plan.demand),
-        "xor_count": None if plan.xors is None else len(plan.xors),
-        "total_duration": format_rational(plan.total_duration),
-        "total_uses": plan.total_uses,
-        "phases": phases,
-    }

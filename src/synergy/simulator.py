@@ -8,37 +8,12 @@ phase.  After delivery ends the full channel log is released to the
 decoders (delayed global receiver-side channel knowledge), while
 received values stay private to each user.
 
-The channel log is one read-only uint32 (T, K, K) array,
-``Transcript.channels``: row t is the matrix of use t.  Delivery fills it
-in place, the sidecar stores the same bytes in the same order, the
-loader hands back a read-only view of the bytes it read, reshaped, and
-decoders index it directly.  The (K, T) observations are uint32 too.
-Every symbol lies below the modulus, which is below 2**31, so the
-narrow dtype is exact; no code does arithmetic on it: each reader
-gathers a block and widens it to int64 (the field kernels do so at
-entry) or uses it only as an index or an assignment source, since
-uint32 differences wrap silently.  No object is built per use.
-
-Delivery walks phases, not groups.  Each phase is a fixed table of
-groups (:func:`~synergy.combinatorics.group_table`), and the plan lays
-out their uses: ``DeliveryPlan.offsets`` per phase and
-``DeliveryPlan.block_uses``, the one place a (phase, group rank, slot)
-becomes a use index.  So a phase costs one gather of its streams (in
-later phases one index into the ledger's observation array, then one
-batched product with the combining matrix) and one forward walk over the
-channel stream.  The walk fills the phase's slice of the preallocated
-channel log in windows of at most ``_WINDOW`` uses, each drawn and
-checked for decodability in one batch against the systems of
-:func:`~synergy.combinatorics.system_rows`, which decoding solves, and
-never rewinds the stream: a degenerate draw is consumed as a failed draw
-of its use.  After a step that met a degenerate draw, the next checks
-every pending draw of a ``_RETRY_WINDOW``-use window at its next
-``_ALIGNMENTS`` candidate uses at once, so a burst of redraws costs a
-few batches rather than one per redraw.  The received symbols are
-formed and logged window by window too.  Only those buffers (each
-window's draw, decodability check and received-symbol product) are
-bounded by ``_WINDOW``; the phase's transmitted symbols are still held
-whole.
+The channel log and the observations are read-only uint32 arrays
+(:class:`Transcript`), exact since every symbol lies below the modulus,
+which is below 2**31.  No code does arithmetic on them, since uint32
+differences wrap: each reader widens a gathered block to int64 (the
+field kernels do so at entry) or uses it only as an index or an
+assignment source.  No object is built per use.
 """
 
 from __future__ import annotations
@@ -52,7 +27,7 @@ import numpy as np
 
 from .combinatorics import Subset, _as_int, format_rational, group_table, system_rows
 from .field import SeededRng, is_invertible, matmul
-from .placement import LengthMismatchError, SystemConfig, random_library, subpacketize
+from .placement import SystemConfig, _library, random_library, subpacketize
 from .scheduler import DeliveryPlan, PhasePlan, build_xors, plan_phases
 
 __all__ = [
@@ -75,11 +50,9 @@ _TRANSCRIPT_VERSION = 1
 _SIDECAR_MAGIC = b"SYNTRANS"
 
 # Most uses one step of the channel walk draws, checks or multiplies at
-# once, which bounds delivery's working set whatever the phase length.
-# A step after one that met a degenerate draw covers _RETRY_WINDOW uses
-# and checks each pending draw at up to _ALIGNMENTS candidate uses (its
-# own, and one further back per failed draw before it in the step); a
-# step after a clean one checks one candidate use of twice the window.
+# once, which bounds those buffers whatever the phase length (a phase's
+# transmitted symbols are held whole).  _draw_phase says how the window
+# and the candidate uses per draw follow the redraws.
 _WINDOW = 1024
 _RETRY_WINDOW = 24
 _ALIGNMENTS = 3
@@ -96,15 +69,12 @@ class CausalityError(Exception):
 
 
 class _DelayedCsitLedger:
-    """Transmitter-side record of what every user received; reads are
-    strictly causal.
-
-    It wraps the (K, total_uses) uint32 observation array that the
-    delivery fills in use order; ``visible_uses`` counts the uses logged
-    so far.
-    A use becomes visible only once :meth:`record` ran for it, i.e.
-    strictly after it completed.  The combining is fixed, so the transmitter needs
-    the received symbols of past uses but none of their coefficients.
+    """Transmitter-side record of what every user received, wrapping the
+    (K, total_uses) uint32 observation array that delivery fills in use
+    order.  Reads are strictly causal: a use becomes visible (counted in
+    ``visible_uses``) only once :meth:`record` ran for it.  The combining
+    is fixed, so the transmitter needs the received symbols of past uses
+    but none of their coefficients.
     """
 
     def __init__(self, observations: np.ndarray) -> None:
@@ -282,17 +252,15 @@ def _draw_phase(
     One forward walk over the channel stream, in steps.  The slice holds
     every draw made and not yet consumed: ``channels[:done]`` are
     accepted, and each pending draw after them sits at the use it takes
-    if no draw before it fails.  A step draws only the matrices its
-    window still lacks (n consecutive K x K draws equal one (n * K) x K
-    draw) and stores them in the uint32 slice (every draw is reduced, so
-    that is exact).  It then checks, in one batch, each pending draw of
-    the window at its candidate uses: after a failed draws earlier in
-    the step, the draw at window index i is tried at the use a before
-    its own, for a below ``alignments`` (and a <= i).  A check is one
-    system per member of the use's group, so a draw is checked once per
-    group, not per use: alignments that keep it in one group share a
-    check, and the check a draw had in an earlier step is reused while
-    it stays in that group.
+    if no draw before it fails.  A step draws the n matrices its window
+    still lacks as one (n * K) x K draw, into the uint32 slice.  It
+    then checks, in one batch, each pending draw of the window at its
+    candidate uses: after a failed draws earlier in the step, the draw
+    at window index i is tried at the use a before its own, for a below
+    ``alignments`` (and a <= i).  A check is one system per member of
+    the use's group, so a draw is checked once per group, not per use:
+    alignments that keep it in one group share a check, and the check a
+    draw had in an earlier step is reused while it stays in that group.
 
     One scan over that (draw, alignment) table replays the per-use rule:
     each draw either becomes its use's channel or is consumed as a
@@ -403,7 +371,8 @@ def run_delivery(
     """Execute the plan over a fresh random channel per use.
 
     ``library`` supplies the folded-message payloads when the plan
-    carries none.  ``on_degenerate`` picks the reaction when a drawn
+    carries none, and is checked as ``subpacketize`` checks it either
+    way.  ``on_degenerate`` picks the reaction when a drawn
     channel makes a decoder-side system singular (probability ~K/modulus
     per use): "error" raises DegenerateChannelError, "resample" redraws
     that use's coefficients as part of the deterministic stream, at most
@@ -421,12 +390,7 @@ def run_delivery(
     config = plan.config
     if plan.demand is None:
         raise ValueError("plan has no demand; build it with plan_phases(config, demand, ...)")
-    library = np.asarray(library, dtype=np.int64)
-    if library.shape != (config.N, config.file_symbols):
-        raise LengthMismatchError(
-            f"library shape {library.shape} does not match the config "
-            f"(expected {(config.N, config.file_symbols)})"
-        )
+    library = _library(config, library)
     xors = plan.xors
     if xors is None:
         xors = build_xors(config, subpacketize(config, library), plan.demand)

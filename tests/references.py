@@ -4,7 +4,8 @@ Canonical subsets come from ``itertools.combinations`` and their rank
 from the combinatorial number system, one element at a time; row rank
 over a prime field is an unbatched Gaussian elimination, and solutions
 and products over the field are computed on Python ints, one system at a
-time.  None of them reads the package's own tables or kernels.
+time; a field element is drawn from the raw splitmix64 outputs, one
+draw at a time.  None of them reads the package's own tables or kernels.
 """
 
 import itertools
@@ -94,3 +95,14 @@ def matrix_product(a, b, modulus):
     """``a @ b`` over the field on Python ints, as a list of rows."""
     columns = list(zip(*b))
     return [[sum(int(x) * int(y) for x, y in zip(row, col)) % modulus for col in columns] for row in a]
+
+
+def field_element(rng, modulus=MODULUS, nonzero=False):
+    """One draw below ``modulus`` from ``rng``'s next outputs: the next
+    output reduced, with ``nonzero`` the first one that does not reduce
+    to zero.  ``SeededRng.field_matrix`` must equal one such draw per
+    entry, row-major, stream state included."""
+    value = rng.next_u64() % modulus
+    while nonzero and value == 0:
+        value = rng.next_u64() % modulus
+    return value

@@ -4,7 +4,9 @@ import io
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -90,6 +92,32 @@ def test_outer_bound_matches_the_full_scan_past_its_early_stop(K, N, M):
     assert (result.value, result.argmax_s) == (max(best, 0), candidates.index(best) + 1)
 
 
+def test_outer_bound_builds_its_harmonic_table_only_as_far_as_it_scans():
+    # The scan at K = N = 10**4, M = 1 stops near s = 70; a table built for
+    # every s up to K took 52 MB and 0.2 s.
+    K = 10**4
+    for value in vars(bounds).values():
+        getattr(value, "cache_clear", lambda: None)()
+    tracemalloc.start()
+    try:
+        result = outer_bound(K, K, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the full scan over one common denominator lcm(1, ..., K): candidate s
+    # is (heads[s] * q - common * s) / (common * q) with q = K // s
+    common = math.lcm(*range(1, K + 1))
+    heads = list(accumulate((common // s for s in range(1, K + 1)), initial=0))
+    best_num, best_q, best_s = heads[1] * K - common, K, 1
+    for s in range(2, K + 1):
+        q = K // s
+        num = heads[s] * q - common * s
+        if num * best_q > best_num * q:
+            best_num, best_q, best_s = num, q, s
+    assert result == OuterBound(Fraction(best_num, common * best_q), best_s, False)
+
+
 def test_outer_bound_rational_cache_size():
     result = outer_bound(4, 4, Fraction(3, 2))
     assert result.value == Fraction(5, 8)
@@ -161,7 +189,7 @@ def _csv_writer_line(row: dict) -> str:
 def test_gap_certificate_csv_lines_match_the_reports_without_building_them():
     certificate = gap_certificate(24)
     lines = list(certificate.csv_lines())
-    assert certificate.to_json()["cells"] == len(lines) == 23 * 24 // 2
+    assert len(certificate.cells) == len(lines) == 23 * 24 // 2
     assert "rows" not in vars(certificate)  # built on first read only
     assert lines == [_csv_writer_line(row.csv_row()) for row in certificate.rows]
 

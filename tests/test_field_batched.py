@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import gauss_jordan_solve, matrix_rank
+from references import field_element, gauss_jordan_solve, matrix_rank
 from synergy.field import (
     MODULUS,
     SeededRng,
@@ -24,7 +24,7 @@ def biased_matrices(rng, count, rows, cols, modulus):
     cells = []
     for _ in range(count * rows * cols):
         kind, offset = rng.uniform_int(3), rng.uniform_int(3)
-        cells.append((offset, modulus - 1 - offset, rng.field_element(modulus))[kind])
+        cells.append((offset, modulus - 1 - offset, field_element(rng, modulus))[kind])
     return np.array(cells, dtype=np.int64).reshape(count, rows, cols)
 
 
@@ -64,7 +64,7 @@ def singular_batch(rng, count, n, modulus):
         target = rng.uniform_int(n)
         if n >= 3:
             first, second = [r for r in range(n) if r != target][:2]
-            c1, c2 = rng.field_element(modulus), rng.field_element(modulus)
+            c1, c2 = field_element(rng, modulus), field_element(rng, modulus)
             a[i, target] = (c1 * a[i, first] + c2 * a[i, second]) % modulus
         else:
             a[i, target] = 0
@@ -119,7 +119,7 @@ def test_batched_matmul_matches_per_matrix(seed, count, m, k):
 def test_field_matrix_matches_repeated_field_element(seed, rows, cols, modulus, nonzero):
     batched, serial = SeededRng(seed), SeededRng(seed)
     matrix = batched.field_matrix(rows, cols, modulus, nonzero)
-    expected = [serial.field_element(modulus, nonzero) for _ in range(rows * cols)]
+    expected = [field_element(serial, modulus, nonzero) for _ in range(rows * cols)]
     assert matrix.dtype == np.int64 and matrix.shape == (rows, cols)
     assert matrix.reshape(-1).tolist() == expected
     assert batched._state == serial._state
@@ -155,7 +155,7 @@ def near_modulus(rng, shape, modulus):
     cells = [
         max(1, modulus - 1 - rng.uniform_int(3))
         if rng.uniform_int(2)
-        else rng.field_element(modulus, True)
+        else field_element(rng, modulus, True)
         for _ in range(int(np.prod(shape)))
     ]
     return np.array(cells, dtype=np.int64).reshape(shape)

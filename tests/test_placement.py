@@ -16,7 +16,9 @@ from synergy.placement import (
     save_library,
     subpacketize,
 )
-from synergy.scheduler import build_xors
+from synergy.decoder import verify_all
+from synergy.scheduler import build_xors, plan_phases
+from synergy.simulator import run_delivery, simulate
 
 
 def make_setup(K, N, M, granularity=1, seed=0):
@@ -241,6 +243,43 @@ def test_save_rejects_mismatched_library(tmp_path):
     config, library = make_setup(2, 2, 1)
     with pytest.raises(LengthMismatchError):
         save_library(tmp_path / "x.bin", config, library[:, :-1])
+
+
+def _bad_library(library, kind, modulus):
+    """``library`` made a float library, or given one symbol outside the
+    field: negative, at the modulus, or a uint64 one that an int64 cast
+    wraps to a negative number."""
+    if kind == "float":
+        return library + 0.5
+    bad = library.astype(np.uint64) if kind == "uint64" else library.copy()
+    bad[1, 0] = {"negative": -1, "modulus": modulus, "uint64": 2**63 + 1}[kind]
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["float", "negative", "modulus", "uint64"])
+@pytest.mark.parametrize("entry", ["subpacketize", "run_delivery", "verify_all", "save_library"])
+def test_every_entry_point_rejects_a_library_outside_the_field(tmp_path, entry, kind):
+    # Each used to truncate, reduce or wrap such a library into other
+    # symbols, and verify_all then reported a match for every user.
+    config, library = make_setup(3, 3, 1)
+    bad = _bad_library(library, kind, config.modulus)
+    path = tmp_path / "lib.bin"
+    call = {
+        "subpacketize": lambda: subpacketize(config, bad),
+        "run_delivery": lambda: run_delivery(plan_phases(config, (1, 2, 3)), bad, 0),
+        "verify_all": lambda: verify_all(simulate(config, (1, 2, 3), 0), bad),
+        "save_library": lambda: save_library(path, config, bad),
+    }[entry]
+    expected = (
+        "library must hold integers, got dtype float64"
+        if kind == "float"
+        else f"library symbols must lie in [0, {config.modulus})"
+    )
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == expected
+    assert not isinstance(caught.value, LengthMismatchError)
+    assert not path.exists()
 
 
 def test_random_library_deterministic_and_in_range():

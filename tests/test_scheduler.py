@@ -14,7 +14,6 @@ from synergy.scheduler import (
     default_config,
     minimal_granularity,
     plan_phases,
-    plan_to_json,
     validate_demand,
 )
 
@@ -238,20 +237,6 @@ def test_plan_with_payloads_requires_demand():
         plan_phases(config, subfiles=subfiles)
     plan = plan_phases(config, (1, 2, 3), subfiles=subfiles)
     assert len(plan.xors) == 3
-
-
-def test_plan_to_json_shape():
-    config, library, subfiles = seeded_setup(3, 3, 1)
-    plan = plan_phases(config, (1, 2, 3), subfiles=subfiles)
-    data = plan_to_json(plan)
-    assert data["total_duration"] == "5/6"
-    assert data["xor_count"] == 3
-    assert [p["duration"] for p in data["phases"]] == ["1/2", "1/3"]
-    assert data["phases"][0]["groups"] == [[1, 2], [1, 3], [2, 3]]
-    assert data["phases"][0]["combining"] is None
-    assert len(data["phases"][1]["combining"]) == 2
-    slim = plan_to_json(plan, include_groups=False)
-    assert "groups" not in slim["phases"][0]
 
 
 def test_plan_structural_avoids_group_materialization():
