@@ -156,17 +156,19 @@ def outer_bound(K: int, N: int, M) -> OuterBound:
     n_md = N * md
     s_hi = K if mn == 0 else min(n_md // mn, K)
     # Most scans stop early, so the table starts at 64 entries at most and
-    # doubles only when the scan reaches its end; lcm(1, ..., n) divides
+    # doubles only when the scan runs past its end, which the IndexError
+    # catches at no cost to the scans that stop; lcm(1, ..., n) divides
     # lcm(1, ..., 2n), so the best candidate is rescaled exactly.
-    common, table = _harmonics(min(s_hi, 63))
+    common, table = _harmonics(s_hi if s_hi < 64 else 63)
     scaled = common * mn
     best_num, best_q, best_s = common * n_md - scaled, n_md, 1
     for s in range(2, s_hi + 1):
-        if s == len(table):
+        try:
+            head = table[s]
+        except IndexError:
             larger, table = _harmonic_table(2 * s)
-            best_num *= larger // common
-            common, scaled = larger, larger * mn
-        head = table[s]
+            best_num, common, scaled = best_num * (larger // common), larger, larger * mn
+            head = table[s]
         # harmonic(s) - s*s*M/N bounds candidate s from above, and its steps
         # 1/(s+1) - (2s+1)*M/N shrink: once it is below the best it has
         # passed its peak, so no later candidate can win

@@ -168,12 +168,10 @@ def _library(config: SystemConfig, library) -> np.ndarray:
     library = np.asarray(library)
     if library.dtype.kind not in "iu":
         raise ValueError(f"library must hold integers, got dtype {library.dtype}")
-    expected = (config.N, config.file_symbols)
-    if library.shape != expected:
+    if library.shape != (config.N, config.file_symbols):
         raise LengthMismatchError(
-            f"library shape {library.shape} does not split into "
-            f"{config.subfiles_per_file} blocks of {config.subfile_symbols} symbols "
-            f"(expected {expected})"
+            f"library shape {library.shape} does not match the config "
+            f"(expected {(config.N, config.file_symbols)})"
         )
     if library.size and (library.min() < 0 or library.max() >= config.modulus):
         raise ValueError(f"library symbols must lie in [0, {config.modulus})")
