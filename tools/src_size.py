@@ -39,11 +39,11 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def measure(package: Path = SRC / "synergy") -> dict:
-    """The line counts of every module of ``package`` and the number of
-    public names of ``synergy``."""
+def measure() -> dict:
+    """The line counts of every module of ``synergy`` and the number of
+    its public names."""
     counts = dict.fromkeys(("total", "code", "docstring", "comment", "blank"), 0)
-    for path in sorted(package.glob("*.py")):
+    for path in sorted((SRC / "synergy").glob("*.py")):
         text = path.read_text()
         docstrings = _docstring_lines(ast.parse(text))
         for number, line in enumerate(text.splitlines(), 1):
