@@ -79,9 +79,14 @@ def epsilon(n: int) -> float:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as "num/den", keeping the denominator even when it is 1."""
+    """Render as "num/den", keeping the denominator even when it is 1.
+    ValueError naming the value for anything ``Fraction`` cannot read
+    exactly: None, NaN, an infinity or a malformed string."""
     if not isinstance(value, Fraction):
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"value must be a finite rational, got {value!r}") from None
     return f"{value.numerator}/{value.denominator}"
 
 

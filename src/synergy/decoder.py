@@ -48,8 +48,14 @@ class DecodeOutcome:
 
 # Most int64 entries one window of the decode forms at once: a pair counts
 # its augmented systems' entries, or its combining product's when that is
-# larger.  A window holds whole (group, member) pairs, at least one.
-_SYSTEM_ENTRIES = 32_768
+# larger.  A window holds whole (group, member) pairs, at least one.  Each
+# window pays the kernels' fixed cost once, which at these sizes outweighs
+# the arithmetic.  At 65,536, every phase of K=8 replication 0 (at most
+# 60,480 entries) and of K=12 replication 8 (at most 63,360) is one window;
+# at 32,768 the three largest of each took two.  Measured in process against
+# 32,768: a K=8 replication-0 simulate took 0.94x the time and a K=9 one
+# 0.87x, and the K=12 replication-0 decode peak rose from 12.56 to 12.59 MB.
+_SYSTEM_ENTRIES = 65_536
 
 
 def _phase_pairs(K: int, order: int, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,6 +113,7 @@ def _decode_phase(
     groups, positions, _ = _phase_pairs(K, order, slot)
     if index:
         width = plan.phases[index - 1].uses_per_group
+        inverses = plan.combining_inverses[index]
         _, _, previous_pair = _phase_pairs(K, order - 1, slot)
         out = np.empty((np.count_nonzero(previous_pair >= 0), width, K - order + 1), dtype=np.int64)
     else:
@@ -136,7 +143,7 @@ def _decode_phase(
         adjusted = _reduce(solved.reshape(count, order - 1, width) - own_part, modulus)
         # Only `order` distinct minors, inverted once per plan, exactly,
         # so applying the inverse equals a per-group solve.
-        recovered = matmul(phase.combining_inverses[position], adjusted, modulus)
+        recovered = matmul(inverses[position], adjusted, modulus)
         # Row k of `recovered` is what the group's other member at
         # position k saw of the group without it.  There this pair's
         # member sits one position earlier when k came first, and the

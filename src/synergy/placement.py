@@ -199,7 +199,20 @@ def _holders(config: SystemConfig, user: int) -> np.ndarray:
 
 
 def fill_caches(config: SystemConfig, subfiles: np.ndarray) -> list[CacheContents]:
-    """User k caches exactly the blocks whose subset contains k."""
+    """User k caches exactly the blocks whose subset contains k.
+
+    ``subfiles`` is the (N, subfiles_per_file, subfile_symbols) array of
+    :func:`subpacketize`: ValueError for a dtype that is not integer and
+    LengthMismatchError for any other shape, each naming the subfiles.
+    """
+    subfiles = np.asarray(subfiles)
+    if subfiles.dtype.kind not in "iu":
+        raise ValueError(f"subfiles must hold integers, got dtype {subfiles.dtype}")
+    expected = (config.N, config.subfiles_per_file, config.subfile_symbols)
+    if subfiles.shape != expected:
+        raise LengthMismatchError(
+            f"subfiles shape {subfiles.shape} does not match the config (expected {expected})"
+        )
     caches = []
     for user in range(1, config.K + 1):
         holders = _holders(config, user)

@@ -21,7 +21,14 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import _as_int, group_table
-from .field import MODULUS, _reduce, cauchy_combining_matrix, solve
+from .field import (
+    MODULUS,
+    SingularMatrixError,
+    _reduce,
+    cauchy_combining_matrix,
+    is_invertible,
+    solve,
+)
 from .placement import SystemConfig
 
 __all__ = [
@@ -63,24 +70,6 @@ class PhasePlan:
     def group_count(self) -> int:
         return math.comb(self.universe, self.order)
 
-    @cached_property
-    def combining_inverses(self) -> np.ndarray | None:
-        """(order, order-1, order-1): entry i inverts ``combining`` with
-        column i deleted, exactly; None in the first phase.
-
-        Computed once per plan with one batched solve against the
-        identity, and derived from ``combining`` itself, so a plan built
-        with another matrix gets its own inverses.  Raises
-        SingularMatrixError if some minor is singular.
-        """
-        if self.combining is None:
-            return None
-        minors = np.stack([np.delete(self.combining, i, axis=1) for i in range(self.order)])
-        identity = np.broadcast_to(np.eye(self.order - 1, dtype=np.int64), minors.shape)
-        inverses = solve(minors, identity, self.modulus)
-        inverses.setflags(write=False)
-        return inverses
-
 
 @dataclass(frozen=True, eq=False)
 class DeliveryPlan:
@@ -117,6 +106,54 @@ class DeliveryPlan:
     @property
     def total_uses(self) -> int:
         return self.offsets[-1]
+
+    @cached_property
+    def combining_inverses(self) -> tuple[np.ndarray | None, ...]:
+        """Per phase, aligned with ``phases``: the read-only (order,
+        order-1, order-1) array whose entry i inverts the phase's
+        ``combining`` with column i deleted, exactly; None in the first
+        phase.
+
+        Every minor of every phase is inverted in one batched solve
+        against the identity, each padded with the identity to the
+        largest minor size, which leaves its inverse in the top-left
+        corner.  Derived from each phase's own ``combining``, so a plan
+        built with other matrices gets its own inverses.  Raises
+        SingularMatrixError naming the phase order and the deleted column
+        if some minor is singular.
+        """
+        combined = [phase for phase in self.phases if phase.combining is not None]
+        if not combined:
+            return (None,) * len(self.phases)
+        size = max(phase.order for phase in combined) - 1
+        labels = [(phase.order, column) for phase in combined for column in range(phase.order)]
+        identity = np.broadcast_to(np.eye(size, dtype=np.int64), (len(labels), size, size))
+        minors = identity.copy()
+        start = 0
+        for phase in combined:
+            order = phase.order
+            kept = np.arange(order - 1)
+            kept = kept + (kept >= np.arange(order)[:, np.newaxis])  # row i skips column i
+            minor = phase.combining[:, kept].transpose(1, 0, 2)
+            minors[start : start + order, : order - 1, : order - 1] = minor
+            start += order
+        modulus = self.config.modulus
+        try:
+            inverses = solve(minors, identity, modulus)
+        except SingularMatrixError:
+            order, column = labels[int(np.argmin(is_invertible(minors, modulus)))]
+            raise SingularMatrixError(
+                f"phase {order}: combining matrix with column {column} deleted is singular"
+            ) from None
+        inverses.setflags(write=False)  # and so every slice below
+        out, start = [], 0
+        for phase in self.phases:
+            if phase.combining is None:
+                out.append(None)
+                continue
+            out.append(inverses[start : start + phase.order, : phase.order - 1, : phase.order - 1])
+            start += phase.order
+        return tuple(out)
 
     def block_uses(self, index: int, ranks) -> np.ndarray:
         """Channel uses of the blocks that phase ``index`` sends for the
@@ -159,8 +196,13 @@ def default_config(K: int, N: int, M: int, modulus: int = MODULUS) -> SystemConf
 
 def validate_demand(config: SystemConfig, demand) -> tuple[int, ...]:
     """Demand is one 1-based file index per user; repeats are allowed.
-    ValueError for an entry that is not an integer."""
-    demand = tuple(_as_int(r, "demand entries must be integers") for r in demand)
+    ValueError for a demand that is not a sequence and for an entry that
+    is not an integer."""
+    try:
+        entries = tuple(demand)
+    except TypeError:
+        raise ValueError(f"demand must be a sequence of file indices, got {demand!r}") from None
+    demand = tuple(_as_int(r, "demand entries must be integers") for r in entries)
     if len(demand) != config.K:
         raise ValueError(f"demand must list {config.K} file indices, got {len(demand)}")
     if any(not 1 <= r <= config.N for r in demand):

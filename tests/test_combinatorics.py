@@ -103,6 +103,13 @@ def test_format_rational():
     assert format_rational(Fraction(4, 2)) == "2/1"
 
 
+@pytest.mark.parametrize("value", [None, float("inf"), float("-inf"), float("nan"), "1/0x"])
+def test_format_rational_rejects_what_is_not_a_finite_rational(value):
+    # None raised TypeError and an infinity OverflowError
+    with pytest.raises(ValueError, match=r"^value must be a finite rational, got "):
+        format_rational(value)
+
+
 def test_enumerate_pairs_of_three():
     assert group_table(3, 2)[0].tolist() == [[1, 2], [1, 3], [2, 3]]
 

@@ -160,6 +160,23 @@ def test_fill_caches_empty_when_no_cache():
     assert all(len(cache.holders) == 0 and cache.blocks.size == 0 for cache in caches)
 
 
+@pytest.mark.parametrize(
+    "subfiles, error, message",
+    [
+        # a numpy float scalar used to raise IndexError
+        (np.float64(2.0), ValueError, r"^subfiles must hold integers, got dtype float64$"),
+        (np.zeros((4, 6, 1)), ValueError, r"^subfiles must hold integers, got dtype float64$"),
+        (np.zeros((4, 6, 3), dtype=np.int64), LengthMismatchError, r"^subfiles shape \(4, 6, 3\)"),
+        (np.int64(2), LengthMismatchError, r"^subfiles shape \(\) does not match"),
+    ],
+    ids=["float-scalar", "float-array", "wrong-shape", "int-scalar"],
+)
+def test_fill_caches_rejects_subfiles_that_are_not_the_config_blocks(subfiles, error, message):
+    config, _ = make_setup(4, 4, 2)
+    with pytest.raises(error, match=message):
+        fill_caches(config, subfiles)
+
+
 def test_each_block_held_by_exactly_replication_users():
     config, library = make_setup(5, 5, 2)
     blocks = subpacketize(config, library)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from references import rank
 from synergy.combinatorics import group_table, harmonic
-from synergy.field import SeededRng
+from synergy.field import MODULUS, SeededRng, SingularMatrixError, matmul, solve
 from synergy.placement import SystemConfig, random_library, subpacketize
 from synergy.scheduler import (
     GranularityError,
@@ -92,6 +93,12 @@ def test_validate_demand():
         validate_demand(config, [1, 2, 5])
     with pytest.raises(ValueError):
         validate_demand(config, [0, 1, 2])
+
+
+def test_validate_demand_rejects_a_demand_that_is_not_a_sequence():
+    # iterating the int used to raise TypeError
+    with pytest.raises(ValueError, match=r"^demand must be a sequence of file indices, got -1$"):
+        validate_demand(SystemConfig(3, 4, 0), -1)
 
 
 def test_validate_demand_rejects_non_integer_entries():
@@ -245,3 +252,62 @@ def test_plan_structural_avoids_group_materialization():
     assert plan.total_duration == harmonic(64) - 1
     widest = next(phase for phase in plan.phases if phase.order == 32)
     assert widest.group_count == math.comb(64, 32)
+
+
+def minor_inverse(combining, column, modulus):
+    """Reference: one solve of the minor without ``column`` against the
+    identity."""
+    minor = np.delete(combining, column, axis=1)
+    return solve(minor, np.eye(len(minor), dtype=np.int64), modulus)
+
+
+@pytest.mark.parametrize("modulus", [13, 101, MODULUS])
+def test_plan_combining_inverses_equal_per_minor_solves(modulus):
+    # GF(13) has Cauchy matrices for groups of at most 6 members
+    for K in range(1, min(8, (modulus - 1) // 2) + 1):
+        for M in sorted({0, 1, K - 1}):
+            config = default_config(K, K, M, modulus=modulus)
+            plan = plan_phases(config)
+            inverses = plan.combining_inverses
+            assert len(inverses) == len(plan.phases)
+            for phase, entry in zip(plan.phases, inverses):
+                if phase.combining is None:
+                    assert entry is None
+                    continue
+                assert entry.shape == (phase.order, phase.order - 1, phase.order - 1)
+                assert not entry.flags.writeable
+                for column in range(phase.order):
+                    expected = minor_inverse(phase.combining, column, modulus)
+                    assert np.array_equal(entry[column], expected)
+
+
+def test_a_plan_with_other_combining_matrices_gets_its_own_inverses():
+    plan = plan_phases(default_config(5, 5, 0))
+    modulus = plan.config.modulus
+    assert plan.combining_inverses[2] is plan.combining_inverses[2]  # computed once per plan
+    phases = tuple(
+        replace(phase, combining=phase.combining * 2 % modulus) if phase.order == 3 else phase
+        for phase in plan.phases
+    )
+    other = replace(plan, phases=phases)
+    for index, phase in enumerate(other.phases[1:], start=1):
+        for column, inverse in enumerate(other.combining_inverses[index]):
+            expected = minor_inverse(phase.combining, column, modulus)
+            assert np.array_equal(inverse, expected)
+            minor = np.delete(phase.combining, column, axis=1)
+            assert np.array_equal(matmul(minor, inverse, modulus), np.eye(phase.order - 1))
+    assert not np.array_equal(other.combining_inverses[2], plan.combining_inverses[2])
+    assert np.array_equal(other.combining_inverses[3], plan.combining_inverses[3])
+
+
+def test_a_singular_combining_minor_names_its_phase_and_column():
+    plan = plan_phases(default_config(4, 4, 0))
+    # Deleting column 2 leaves [[1, 2], [2, 4]]; the other two minors are
+    # invertible.  In the padded batch this minor is system 4.
+    singular = np.array([[1, 2, 1], [2, 4, 3]], dtype=np.int64)
+    phases = tuple(
+        replace(phase, combining=singular) if phase.order == 3 else phase for phase in plan.phases
+    )
+    message = r"^phase 3: combining matrix with column 2 deleted is singular$"
+    with pytest.raises(SingularMatrixError, match=message):
+        replace(plan, phases=phases).combining_inverses
