@@ -105,7 +105,10 @@ class Subset:
     universe: int
 
     def __post_init__(self) -> None:
-        elems = tuple(_as_int(e, "subset elements must be integers") for e in self.elements)
+        try:
+            elems = tuple(map(operator.index, self.elements))
+        except TypeError:
+            elems = tuple(_as_int(e, "subset elements must be integers") for e in self.elements)
         object.__setattr__(self, "elements", elems)
         # Strictly increasing elements lie in range when their two ends do.
         if any(map(operator.ge, elems, elems[1:])) or (

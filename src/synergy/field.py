@@ -188,7 +188,8 @@ def _eliminate(block: np.ndarray, modulus: int) -> np.ndarray:
     ``pivot * r - r[0] * pivot_row``, which scales r by a nonzero field
     element and so keeps each system's solution.  Only the block past
     the pivot row and column is written, about n**3 / 3 multiply-reduce
-    steps per square system, and reduced by :func:`_reduce`.  The second
+    steps per square system, and reduced by :func:`_reduce`; the last
+    step, whose trailing block is one row, only checks its pivot.  The second
     product and the quotients share one workspace, a shrinking view of a
     flat buffer the size of the first trailing block: besides ``block``,
     that buffer is all the elimination allocates.
@@ -212,6 +213,8 @@ def _eliminate(block: np.ndarray, modulus: int) -> np.ndarray:
             below = trailing[index[swapped], :, swapped]
             trailing[index[swapped], :, swapped] = top[:, swapped].T
             top[:, swapped] = below.T
+        if step == n - 1:
+            break
         rest = trailing[1:, 1:]
         work = scratch[: rest.size].reshape(rest.shape)
         np.multiply(trailing[1:, :1], top[1:], out=work)

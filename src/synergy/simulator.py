@@ -52,10 +52,12 @@ _SIDECAR_MAGIC = b"SYNTRANS"
 # Most uses one step of the channel walk draws, checks or multiplies at
 # once, which bounds those buffers whatever the phase length (a phase's
 # transmitted symbols are held whole).  _draw_phase says how the window
-# and the candidate uses per draw follow the redraws.
+# and the candidate uses per draw follow the redraws and the group
+# width: a retry step checks _RETRY_WINDOW uses per alignment, and at
+# most _ALIGNMENTS alignments.
 _WINDOW = 1024
-_RETRY_WINDOW = 24
-_ALIGNMENTS = 3
+_RETRY_WINDOW = 8
+_ALIGNMENTS = 32
 # Draws per use, the degenerate one included, before "resample" gives up.
 _MAX_REDRAWS = 64
 
@@ -239,87 +241,93 @@ def _decodable(channels: np.ndarray, rows: np.ndarray, active: int, modulus: int
 
 
 def _draw_phase(
-    rng: SeededRng,
-    config: SystemConfig,
-    phase: PhasePlan,
-    on_degenerate: str,
-    channels: np.ndarray,
-    offset: int,
-) -> None:
+    rng: SeededRng, config: SystemConfig, phase: PhasePlan, on_degenerate: str,
+    channels: np.ndarray, offset: int, retry: bool = False,
+) -> bool:
     """Fill ``channels``, the (uses, K, K) slice of the channel log that
-    holds one phase, whose first use is ``offset``.
+    holds one phase, whose first use is ``offset``; return whether this
+    phase or an earlier one of the delivery (``retry``) met a degenerate
+    draw.
 
-    One forward walk over the channel stream, in steps.  The slice holds
-    every draw made and not yet consumed: ``channels[:done]`` are
-    accepted, and each pending draw after them sits at the use it takes
-    if no draw before it fails.  A step draws the n matrices its window
-    still lacks as one (n * K) x K draw, into the uint32 slice.  It
-    then checks, in one batch, each pending draw of the window at its
-    candidate uses: after a failed draws earlier in the step, the draw
-    at window index i is tried at the use a before its own, for a below
-    ``alignments`` (and a <= i).  A check is one system per member of
-    the use's group, so a draw is checked once per group, not per use:
-    alignments that keep it in one group share a check, and the check a
-    draw had in an earlier step is reused while it stays in that group.
+    One forward walk over the channel stream, in steps.  A step covers a
+    window of the uses not yet accepted and draws the matrices its
+    window lacks as one (n * K) x K draw.  It then checks, in one batch,
+    each of the window's pending draws at its candidate uses: after a
+    failed draws earlier in the step, the draw at window index i is
+    tried at the use a before its own, for a below the step's alignments
+    (and a <= i).  A check is one system per member of the use's group,
+    so a draw is checked once per group, not per use: alignments that
+    keep it in one group share a check, and the check a draw had in an
+    earlier step is reused while it stays in that group.
 
     One scan over that (draw, alignment) table replays the per-use rule:
     each draw either becomes its use's channel or is consumed as a
     failed draw of that use (one of its ``_MAX_REDRAWS`` draws), and the
     scan stops at the draw that would need an alignment the step did not
-    check.  The failed draws then leave the slice in one shift, and the
-    next step starts at the first use not accepted.
+    check.  The next step starts at the first use not accepted.
 
-    Until a phase's first degenerate draw a step checks one alignment of
-    a window of ``_WINDOW`` uses, so a phase that draws none costs one
-    check per use, in one batch per ``_WINDOW`` uses.  From then on a
-    step after one that met a degenerate draw checks ``_ALIGNMENTS``
-    alignments of ``_RETRY_WINDOW`` uses, and a step after a clean one
-    checks one alignment of twice the previous window, up to
-    ``_WINDOW`` uses.  Which draws each step checks is not part of the
-    stream: the stream is never rewound, nothing is drawn past the
-    phase's last use, and every draw is consumed as the per-use rule
-    consumes it.
+    A step with no pending draw and one alignment draws straight into
+    the log, so a phase that draws no degenerate channel costs one check
+    per use, in one batch per ``_WINDOW`` uses.  Every other step keeps
+    its draws in a ring of pending draws, in stream order, no longer
+    than the phase or ``_WINDOW``, and copies each accepted one once
+    into its use's slot.  A step after one that met a degenerate draw,
+    and the first step of a phase after one that did (``retry``), is a
+    retry step: it checks width + 2 alignments (at most
+    ``_ALIGNMENTS``), which keep a draw within 3 groups of ``width``
+    uses, over ``_RETRY_WINDOW`` uses per alignment (at most
+    ``_WINDOW``).  A step after a clean one checks one alignment of
+    twice the previous window, up to ``_WINDOW`` uses.  Which draws each
+    step checks is not part of the stream: the stream is never rewound,
+    nothing is drawn past the phase's last use, and every draw is
+    consumed as the per-use rule consumes it.
     """
     K, modulus, active, width = config.K, config.modulus, phase.active_antennas, phase.uses_per_group
     group_rows = system_rows(K, phase.order)
-    # `failures` counts the failed draws of use `failed_use`, the use of
-    # the last degenerate draw.  known_group[i] and known_ok[i] hold the
-    # group and result of the latest check of the draw at channels[i]
-    # (group -1: none yet) and shift with it.
-    done = drawn = failures = 0
-    failed_use = -1
-    known_group = np.full(len(channels), -1)
-    known_ok = np.zeros(len(channels), dtype=bool)
-    lags = np.arange(_WINDOW)[:, np.newaxis] - np.arange(_ALIGNMENTS)
-    reachable = lags >= 0
-    alignments, window = 1, _WINDOW
+    retry_alignments = min(width + 2, _ALIGNMENTS)
+    retry_window = min(_RETRY_WINDOW * retry_alignments, _WINDOW)
+    alignments, window = (retry_alignments, retry_window) if retry else (1, _WINDOW)
+    # Draws are numbered in stream order from the phase's first: `drawn`
+    # were drawn, the first `consumed` accepted or failed.  Pending draw j
+    # sits at ring[j % size] (no more are pending than uses remain), and
+    # known_group[j % size] and known_ok[j % size] hold the group and
+    # result of its latest check (group -1: none).  The ring is made when
+    # a step first needs it, so a clean phase makes none.  `failures`
+    # counts the failed draws of use `failed_use`.
+    done, consumed, drawn, failures, failed_use = 0, 0, 0, 0, -1
+    size = min(len(channels), _WINDOW)
+    ring = np.empty((size, K, K), dtype=np.uint32) if retry else None
+    known_group, known_ok = np.full(size, -1), np.zeros(size, dtype=bool)
     while done < len(channels):
-        end = min(done + window, len(channels))
-        if drawn < end:
-            block = rng.field_matrix((end - drawn) * K, K, modulus, nonzero=True)
-            channels[drawn:end] = block.reshape(-1, K, K)
-            drawn = end
+        logged = drawn == consumed and alignments == 1
+        count = min(window, len(channels) - done)
+        slots = np.arange(consumed, consumed + count) % size
+        if drawn < consumed + count:
+            block = rng.field_matrix((consumed + count - drawn) * K, K, modulus, nonzero=True)
+            where = slice(done, done + count) if logged else slots[drawn - consumed :]
+            (channels if logged else ring)[where] = block.reshape(-1, K, K)
+            known_group[slots[drawn - consumed :]] = -1
+            drawn = consumed + count
         # groups[i, a]: the group of use done + i - a, where the draw at
         # window index i is tried after a failures in this step; only
         # entries with i >= a are ever read.  Such an entry needs a check
         # unless the draw's last check or the entry before it in its row
         # has its group.
-        groups = (done + lags[: end - done, :alignments]) // width
-        same = groups == known_group[done:end, np.newaxis]
-        fresh = reachable[: end - done, :alignments] & ~same
+        lags = np.arange(count)[:, np.newaxis] - np.arange(alignments)
+        groups = (done + lags) // width
+        fresh = (lags >= 0) & (groups != known_group[slots, np.newaxis])
         need = fresh.copy()
         need[:, 1:] &= groups[:, 1:] != groups[:, :-1]
-        ok = known_ok[done:end, np.newaxis].repeat(alignments, axis=1)
+        ok = known_ok[slots, np.newaxis].repeat(alignments, axis=1)
         if need.any():
-            # A step that checks every draw once (one alignment, no check
-            # to reuse: every step of a phase with no degenerate draw)
-            # hands over the slice itself rather than a gathered copy.
-            pending = channels[done:end] if need.all() else channels[done:end][need.nonzero()[0]]
+            # A step drawn into the log checks every draw once and hands
+            # over the log slice itself rather than a gathered copy.
+            pending = channels[done : done + count] if logged else ring[slots[need.nonzero()[0]]]
             checked = _decodable(pending, group_rows[groups[need]], active, modulus)
             ok[fresh] = checked[need.cumsum()[fresh.ravel()] - 1]
         # Replay the per-use rule: after a failures the next draw is read
         # at alignment a; stop at the draw past the last alignment checked.
-        bad, scanned = [], end - done
+        bad, scanned = [], count
         for a in range(alignments):
             first = bad[-1] + 1 if bad else 0
             column = ok[first:scanned, a]
@@ -341,24 +349,21 @@ def _draw_phase(
             failed_use = use
         else:
             scanned = bad[-1] + 1
+        if not logged:  # each accepted draw leaves the ring for its use's slot
+            channels[done : done + scanned - len(bad)] = ring[np.delete(slots[:scanned], bad)]
+        elif bad:  # the draws after the failed one, if any, wait in the ring
+            ring = np.empty((size, K, K), dtype=np.uint32) if ring is None else ring
+            ring[slots[scanned:]] = channels[done + scanned : done + count]
+        # Keep each pending draw's check at its last column, the nearest
+        # to the use the next step tries it at.
+        known_group[slots[scanned:]] = groups[scanned:, -1]
+        known_ok[slots[scanned:]] = ok[scanned:, -1]
         if bad:
-            alignments, window = _ALIGNMENTS, min(_RETRY_WINDOW, _WINDOW)
+            retry, alignments, window = True, retry_alignments, retry_window
         else:
             alignments, window = 1, min(2 * window, _WINDOW)
-        # Keep each draw's check at its last column, the nearest to the
-        # use the next step tries it at.  (The draws whose last column is
-        # not read, i < a, are consumed by this step.)
-        known_group[done:end] = groups[:, -1]
-        known_ok[done:end] = ok[:, -1]
-        # The failed draws leave the slice: the draws between the k-th
-        # and the next move k uses down.
-        for array in (channels, known_group, known_ok) if bad else ():
-            tail = array[done:drawn]
-            for k, (start, stop) in enumerate(zip(bad, bad[1:] + [len(tail)]), 1):
-                tail[start + 1 - k : stop - k] = tail[start + 1 : stop]
-        if bad:
-            known_group[drawn - len(bad) : drawn] = -1
-        done, drawn = done + scanned - len(bad), drawn - len(bad)
+        done, consumed = done + scanned - len(bad), consumed + scanned
+    return retry
 
 
 def run_delivery(
@@ -398,11 +403,11 @@ def run_delivery(
     rng = SeededRng(seed).child(CHANNEL_STREAM)
     channels = np.empty((plan.total_uses, K, K), dtype=np.uint32)
     observations = np.zeros((K, plan.total_uses), dtype=np.uint32)
-    ledger = _DelayedCsitLedger(observations)
+    ledger, retry = _DelayedCsitLedger(observations), False
     for index, phase in enumerate(plan.phases):
         first, end = plan.offsets[index], plan.offsets[index + 1]
         sent = _phase_symbols(plan, index, xors, ledger.observations)
-        _draw_phase(rng, config, phase, on_degenerate, channels[first:end], first)
+        retry = _draw_phase(rng, config, phase, on_degenerate, channels[first:end], first, retry)
         for start in range(first, end, _WINDOW):
             # received[u] = channels[u][:, :active] @ sent[u]
             stop = min(start + _WINDOW, end)

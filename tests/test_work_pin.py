@@ -20,7 +20,7 @@ COUNTED = ("solve", "is_invertible", "_eliminate", "_inverse_batch", "_reduce")
 # The most calls one coarse op at seed 3 may make.  The batch sizes, not
 # the call counts, grow with the phase: every decode phase is one window,
 # and the combining minors of every phase are one solve.
-PINNED = {"solve": 9, "is_invertible": 8, "_eliminate": 17, "_inverse_batch": 9, "_reduce": 511}
+PINNED = {"solve": 9, "is_invertible": 8, "_eliminate": 17, "_inverse_batch": 9, "_reduce": 494}
 
 
 def clear_memo_caches():
