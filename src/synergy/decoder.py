@@ -24,7 +24,7 @@ import numpy as np
 
 from .combinatorics import _as_int, group_table, system_rows
 from .field import _reduce, matmul, solve
-from .placement import CacheContents, _holders, _library, fill_caches, subpacketize
+from .placement import CacheContents, _holder_table, _library, fill_caches, subpacketize
 from .simulator import Transcript
 
 __all__ = [
@@ -46,15 +46,21 @@ class DecodeOutcome:
     max_system_dim: int
 
 
-# Most int64 entries one window of the decode forms at once: a pair counts
-# its augmented systems' entries, or its combining product's when that is
-# larger.  A window holds whole (group, member) pairs, at least one.  Each
-# window pays the kernels' fixed cost once, which at these sizes outweighs
-# the arithmetic.  At 65,536, every phase of K=8 replication 0 (at most
-# 60,480 entries) and of K=12 replication 8 (at most 63,360) is one window;
-# at 32,768 the three largest of each took two.  Measured in process against
-# 32,768: a K=8 replication-0 simulate took 0.94x the time and a K=9 one
-# 0.87x, and the K=12 replication-0 decode peak rose from 12.56 to 12.59 MB.
+# Most int64 entries of the augmented systems one window of the decode
+# solves at once: a pair counts n * active * (active + 1) entries, or
+# n * active * (order - 1) when that is more.  It bounds the solve only:
+# past the first phase, each pair's (order - 1)-square combining minor is
+# gathered too, and matmul copies that gather batch-last, so on K=12
+# replication 8 the order-10 phase (660 pairs, one window) forms 106,920
+# entries of minors and about 144,000 with the product's other arrays,
+# 2.2 times the bound.  A window holds whole (group, member) pairs, at
+# least one.  Each window pays the kernels' fixed cost once, which at
+# these sizes outweighs the arithmetic.  At 65,536, every phase of K=8
+# replication 0 (at most 60,480 entries) and of K=12 replication 8 (at
+# most 63,360) is one window; at 32,768 the three largest of each took
+# two.  Measured in process against 32,768: a K=8 replication-0 simulate
+# took 0.94x the time and a K=9 one 0.87x, and the K=12 replication-0
+# decode peak rose from 12.56 to 12.59 MB.
 _SYSTEM_ENTRIES = 65_536
 
 
@@ -73,7 +79,7 @@ def _phase_pairs(K: int, order: int, slot: np.ndarray) -> tuple[np.ndarray, np.n
 def _others(order: int, position: np.ndarray) -> np.ndarray:
     """Per pair, the positions of the group's other order - 1 members."""
     others = np.arange(order - 1)
-    return others + (others >= position[:, np.newaxis])
+    return others + (others >= position[..., np.newaxis])
 
 
 def _decode_phase(
@@ -186,10 +192,10 @@ def decode_user(
         raise ValueError(f"{len(users)} users but {len(caches)} caches")
     if not all(1 <= entry <= K for entry in users):
         raise ValueError(f"user must lie in [1, {K}]")
+    table = _holder_table(K, config.replication)
+    blocks_shape = (config.N, table.shape[1], config.subfile_symbols)
     for entry, contents in zip(users, caches):
-        holders = _holders(config, entry)
-        blocks_shape = (config.N, len(holders), config.subfile_symbols)
-        if not np.array_equal(contents.holders, holders) or contents.blocks.shape != blocks_shape:
+        if not np.array_equal(contents.holders, table[entry - 1]) or contents.blocks.shape != blocks_shape:
             raise ValueError(
                 f"cache of user {contents.user} does not hold the {blocks_shape} blocks "
                 f"of the subsets containing user {entry}"
@@ -214,27 +220,31 @@ def decode_user(
         if index:
             solves += count
             max_dim = max(max_dim, phase.order - 1)
+    files = np.empty((len(users), config.subfiles_per_file, config.subfile_symbols), dtype=np.int64)
     if phases:
         # `streams` now holds each first-phase pair's folded message.
+        # Member m's block in it is file demand[m]'s block of the group
+        # without m, which the pair's member caches.  Each user's pairs
+        # form one row of the batch: one gather per cache strips its row,
+        # and one reduction finishes every row.
         order = phases[0].order
         members, _, without_rank = group_table(K, order)
-        _, _, pair = _phase_pairs(K, order, slot)
-    outcomes = []
-    for entry, contents in zip(users, caches):
-        file = np.empty((config.subfiles_per_file, config.subfile_symbols), dtype=np.int64)
-        if phases:
-            # Member m's block in the folded message is file demand[m]'s
-            # block of the group without m, which the user caches.
-            groups, position = np.nonzero(members == entry)
-            kept = _others(order, position)
-            wanted = np.array(demand)[members[groups[:, np.newaxis], kept] - 1] - 1
-            cached = contents.blocks[
-                wanted, np.searchsorted(contents.holders, without_rank[groups[:, np.newaxis], kept])
-            ]
-            payload = streams[pair[groups, position]]
-            file[without_rank[groups, position]] = _reduce(payload - cached.sum(axis=1), modulus)
-        file[contents.holders] = contents.blocks[demand[entry - 1] - 1]
-        outcomes.append(DecodeOutcome(file=file.reshape(-1), solves=solves, max_system_dim=max_dim))
+        groups, positions, _ = _phase_pairs(K, order, slot)
+        mine = np.argsort(slot[members[groups, positions]], kind="stable")
+        mine = mine.reshape(len(users), math.comb(K - 1, order - 1))
+        group, position = groups[mine], positions[mine]
+        kept = _others(order, position)
+        wanted = np.array(demand)[members[group[..., np.newaxis], kept] - 1] - 1
+        ranks = without_rank[group[..., np.newaxis], kept]
+        payload = streams[mine]
+        for row, contents in enumerate(caches):
+            cached = contents.blocks[wanted[row], np.searchsorted(contents.holders, ranks[row])]
+            payload[row] -= cached.sum(axis=1)
+        target = without_rank[group, position]
+        files[np.arange(len(users))[:, np.newaxis], target] = _reduce(payload, modulus)
+    for file, entry, contents in zip(files, users, caches):
+        file[table[entry - 1]] = contents.blocks[demand[entry - 1] - 1]
+    outcomes = [DecodeOutcome(file.reshape(-1), solves, max_dim) for file in files]
     return outcomes[0] if single else outcomes
 
 

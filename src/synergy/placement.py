@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,7 +142,9 @@ class CacheContents:
     """Blocks stored at one user: ``holders`` are the ascending ranks of
     the replication-sized subsets that contain the user, and ``blocks``
     is the (N, len(holders), subfile_symbols) array whose entry
-    [file - 1, i] is that file's block of subset rank ``holders[i]``."""
+    [file - 1, i] is that file's block of subset rank ``holders[i]``.
+    The caches :func:`fill_caches` makes are views of one holder table
+    and one gather of every user's blocks, which they keep alive."""
 
     user: int
     holders: np.ndarray
@@ -191,17 +194,25 @@ def subpacketize(config: SystemConfig, library: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _holders(config: SystemConfig, user: int) -> np.ndarray:
-    """Ranks, ascending, of the replication-sized subsets that contain
-    ``user``: the blocks of every file that its cache holds."""
-    members = group_table(config.K, config.replication)[0]
-    return np.flatnonzero((members == user).any(axis=1))
+@lru_cache(maxsize=None)
+def _holder_table(K: int, replication: int) -> np.ndarray:
+    """Read-only (K, C(K - 1, replication - 1)) table whose row k - 1
+    holds the ranks, ascending, of the replication-sized subsets that
+    contain user k: the blocks of every file that its cache holds."""
+    members = group_table(K, replication)[0]
+    inside = (members == np.arange(1, K + 1)[:, np.newaxis, np.newaxis]).any(axis=2)
+    table = (np.flatnonzero(inside) % len(members)).reshape(K, members.size // K)
+    table.setflags(write=False)
+    return table
 
 
 def fill_caches(config: SystemConfig, subfiles: np.ndarray) -> list[CacheContents]:
     """User k caches exactly the blocks whose subset contains k.
 
-    ``subfiles`` is the (N, subfiles_per_file, subfile_symbols) array of
+    Every user's blocks are gathered in one index into ``subfiles``
+    along the holder table, and each cache's ``holders`` and ``blocks``
+    are views of that table and that gather.  ``subfiles`` is the
+    (N, subfiles_per_file, subfile_symbols) array of
     :func:`subpacketize`: ValueError for a dtype that is not integer and
     LengthMismatchError for any other shape, each naming the subfiles.
     """
@@ -213,11 +224,9 @@ def fill_caches(config: SystemConfig, subfiles: np.ndarray) -> list[CacheContent
         raise LengthMismatchError(
             f"subfiles shape {subfiles.shape} does not match the config (expected {expected})"
         )
-    caches = []
-    for user in range(1, config.K + 1):
-        holders = _holders(config, user)
-        caches.append(CacheContents(user, holders, subfiles[:, holders]))
-    return caches
+    table = _holder_table(config.K, config.replication)
+    blocks = subfiles[:, table]
+    return [CacheContents(user, table[user - 1], blocks[:, user - 1]) for user in range(1, config.K + 1)]
 
 
 def save_library(path, config: SystemConfig, library: np.ndarray) -> None:

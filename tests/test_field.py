@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from references import matrix_rank
+from references import gauss_jordan_solve, matrix_rank
 from synergy.field import (
     MODULUS,
     SeededRng,
@@ -143,6 +143,33 @@ def test_solve_rejects_bad_shapes():
         solve(np.ones((2, 3), dtype=np.int64), np.ones(2, dtype=np.int64))
     with pytest.raises(ValueError):
         solve(np.eye(2, dtype=np.int64), np.ones(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("modulus", [2, 13, 101])
+@pytest.mark.parametrize("zero_rows", [1, 2], ids=["add", "add-then-swap"])
+def test_zero_pivots_match_the_reference_elimination(modulus, zero_rows):
+    # Every system's first `zero_rows` rows start with a zero and the
+    # next one does not, so the first pivot is fixed by adding the next
+    # row alone (1) or needs a swap after that (2); over these small
+    # fields later pivots are often zero too.  The first eight systems
+    # have a zero first column and are singular.
+    rng = SeededRng(modulus + zero_rows)
+    n, count = 4, 120
+    a = rng.field_matrix(count * n, n, modulus).reshape(count, n, n)
+    a[:, :zero_rows, 0] = 0
+    a[:, zero_rows, 0] = rng.field_matrix(count, 1, modulus, nonzero=True)[:, 0]
+    a[:8, :, 0] = 0
+    b = rng.field_matrix(count * n, 2, modulus).reshape(count, n, 2)
+    full = [matrix_rank(m, modulus) == n for m in a]
+    assert is_invertible(a, modulus).tolist() == full
+    assert [is_invertible(m, modulus) for m in a[:16]] == full[:16]
+    keep = np.flatnonzero(full)
+    assert len(keep) >= 10
+    assert solve(a[keep], b[keep], modulus).tolist() == [
+        gauss_jordan_solve(a[i], b[i], modulus) for i in keep
+    ]
+    with pytest.raises(SingularMatrixError):
+        solve(a, b, modulus)
 
 
 def test_rank_zero_and_identity():

@@ -1,4 +1,5 @@
-"""The field-kernel work of one ``coarse`` benchmark operation, pinned.
+"""The field-kernel work of one ``coarse`` benchmark operation, and the
+draw work of one ``fine-resample`` operation, pinned.
 
 A ``coarse`` op is ``synergy simulate -K 8 -N 8 -M 0`` (replication 0,
 granularity 105, 2,283 channel uses): its fixed cost per kernel call
@@ -7,6 +8,11 @@ runs one such op from cleared memo caches, as the benchmark does, and
 counts the public kernels and the private ones they are built from under
 every module name that binds them.  A change that adds kernel calls fails
 here without a wall-clock measurement.
+
+A ``fine-resample`` op draws its channels over GF(101), where almost
+every block of draws holds a zero that a nonzero draw rejects; each
+``SeededRng.field_matrix`` call should still compute its outputs in one
+``SeededRng._outputs`` pass.
 """
 
 import functools
@@ -14,13 +20,14 @@ import functools
 import pytest
 
 from synergy import bounds, cli, combinatorics, decoder, field, placement, scheduler, simulator
+from synergy.field import SeededRng
 
 MODULES = (bounds, cli, combinatorics, decoder, field, placement, scheduler, simulator)
 COUNTED = ("solve", "is_invertible", "_eliminate", "_inverse_batch", "_reduce")
 # The most calls one coarse op at seed 3 may make.  The batch sizes, not
 # the call counts, grow with the phase: every decode phase is one window,
 # and the combining minors of every phase are one solve.
-PINNED = {"solve": 9, "is_invertible": 8, "_eliminate": 17, "_inverse_batch": 9, "_reduce": 494}
+PINNED = {"solve": 9, "is_invertible": 8, "_eliminate": 17, "_inverse_batch": 9, "_reduce": 487}
 
 
 def clear_memo_caches():
@@ -58,3 +65,21 @@ def test_one_coarse_op_makes_the_pinned_kernel_calls(kernel_calls, tmp_path, cap
     assert "over 2283 channel uses" in capsys.readouterr().out
     over = {name: calls for name, calls in kernel_calls.items() if calls > PINNED[name]}
     assert not over, f"more kernel calls than pinned: {kernel_calls}"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_fine_resample_op_draws_each_block_in_one_pass(monkeypatch, tmp_path, seed):
+    calls = {"field_matrix": 0, "_outputs": 0}
+    for name in calls:
+        original = getattr(SeededRng, name)
+
+        @functools.wraps(original)
+        def counting(rng, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(rng, *args, **kwargs)
+
+        monkeypatch.setattr(SeededRng, name, counting)
+    clear_memo_caches()
+    argv = ["simulate", "-K", "12", "-N", "12", "-M", "8", "--modulus", "101", "--resample-degenerate"]
+    assert cli.main([*argv, "--seed", str(seed), "--output", str(tmp_path / "run")]) == 0
+    assert calls["field_matrix"] > 0 and calls["_outputs"] <= calls["field_matrix"], calls
