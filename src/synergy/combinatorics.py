@@ -9,7 +9,6 @@ number, which feeds approximate metrics and never exact accounting.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -119,18 +118,6 @@ class Subset:
             raise ValueError(f"elements must be strictly increasing: {elems}")
 
 
-def _lex_ranks(combos: np.ndarray, universe: int) -> np.ndarray:
-    """Lexicographic index, among all subsets of their size, of every row
-    of an (..., size) array of ascending elements: C(n, k) - 1 minus the
-    sum over positions i (1-based) of C(n - c_i, k - i + 1)."""
-    size = combos.shape[-1]
-    table = np.array(
-        [[math.comb(n, k) for k in range(size + 2)] for n in range(universe + 1)], dtype=np.int64
-    )
-    tail = table[universe - combos, np.arange(size, 0, -1)].sum(axis=-1)
-    return table[universe, size] - 1 - tail
-
-
 @lru_cache(maxsize=None)
 def group_table(universe: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integer tables of all size-``size`` subsets, row r being the
@@ -141,19 +128,52 @@ def group_table(universe: int, size: int) -> tuple[np.ndarray, np.ndarray, np.nd
     - ``without_rank`` (C(universe, size), size): entry [r, i] is the rank
       of subset r with its i-th member removed, among the size - 1 subsets.
 
-    All three are int64 and read-only.
+    All three are int64 and read-only.  The rank of c_1 < ... < c_k among
+    the k-subsets of {1, ..., n} is C(n, k) - 1 - sum_i C(n - c_i, k - i + 1)
+    (i 1-based), so row r is unranked from the combinatorial number
+    system digits n - c_i of C(n, k) - 1 - r, one ``searchsorted`` per
+    position on a binomial column (Knuth, TAOCP 4A, 7.2.1.3).  Only the
+    smaller of the members and the complements is unranked; a mask of
+    each row yields the other.  Removing c_i keeps the terms before it
+    with one lower column and moves those after it one position up, so
+    ``without_rank`` is a prefix sum of C(n - c_j, k - j) plus a suffix
+    sum of C(n - c_j, k - j + 1): O(k) per row.  The binomial table holds
+    only the columns up to k, each entry capped at 2**63 - 1, which no
+    rank reaches, so no entry read overflows: ``group_table(70, 2)`` and
+    ``group_table(70, 68)`` both build.
     """
     if not 0 <= size <= universe:
         raise ValueError(f"subset size {size} out of range for universe {universe}")
-    ground = range(1, universe + 1)
     count = math.comb(universe, size)
-    members = np.array(list(itertools.combinations(ground, size)), dtype=np.int64)
-    members = members.reshape(count, size)
-    inside = np.zeros((count, universe + 1), dtype=bool)
-    inside[np.arange(count)[:, np.newaxis], members] = True
-    complement = np.nonzero(~inside[:, 1:])[1].reshape(count, universe - size) + 1
-    keep = np.array([[i for i in range(size) if i != drop] for drop in range(size)], dtype=np.int64)
-    without_rank = _lex_ranks(members[:, keep.reshape(size, max(size - 1, 0))], universe)
+    # binomial[n, k] = C(n, k), capped (from n = 67 on) at 2**63 - 1.
+    binomial = [[math.comb(n, k) for n in range(universe + 1)] for k in range(size + 1)]
+    binomial = np.minimum(binomial, (1 << 63) - 1).astype(np.int64).T
+    # The complement of the subset of rank r has rank count - 1 - r among
+    # the (universe - size)-subsets, so only the smaller side is unranked,
+    # the members or, in reverse rank order, the complements.  Its
+    # digits[i] = universe - e_i is the largest d with C(d, j - i) at most
+    # what rank is left (j its size, i 0-based).  C(0, j - i) = 0 always
+    # qualifies, so a search past entry 0 returns d itself.
+    small = min(size, universe - size)
+    digits = np.empty((small, count), dtype=np.int64)
+    rest = np.arange(count - 1, -1, -1) if small == size else np.arange(count)
+    for i in range(small):
+        column = binomial[:universe, small - i]
+        digits[i] = np.searchsorted(column[1:], rest, side="right")
+        rest -= column[digits[i]]
+    drawn = np.ascontiguousarray((universe - digits).T)
+    starts = universe * np.arange(count)[:, np.newaxis] - 1  # element e of row r sits at starts[r] + e
+    outside = np.ones(count * universe, dtype=bool)
+    outside[(drawn + starts).reshape(-1)] = False
+    other = np.flatnonzero(outside).reshape(count, universe - small) - starts
+    members, complement = (drawn, other) if small == size else (other, drawn)
+    # Subset r's rank terms high_i = C(universe - c_i, size - i) sum to
+    # count - 1 - r, so dropping c_i leaves C(universe, size - 1) - count
+    # + r + sum_{j <= i} (high_j - low_j) + low_i, low_i = C(universe - c_i,
+    # size - i - 1).
+    high, low = (binomial[universe - members, size - shift - np.arange(size)] for shift in (0, 1))
+    base = np.arange(count) + (binomial[universe, size - 1] - count)
+    without_rank = np.cumsum(high - low, axis=1) + low + base[:, np.newaxis]
     for table in (members, complement, without_rank):
         table.setflags(write=False)
     return members, complement, without_rank

@@ -225,21 +225,31 @@ def decode_user(
         # `streams` now holds each first-phase pair's folded message.
         # Member m's block in it is file demand[m]'s block of the group
         # without m, which the pair's member caches.  Each user's pairs
-        # form one row of the batch: one gather per cache strips its row,
-        # and one reduction finishes every row.
+        # form one row of the batch.  `place` maps a block's subset rank
+        # to its place in each user's holder row, which every cache was
+        # checked to hold above, so one gather per cache, laid out
+        # (order - 1, pairs, symbols), strips its row with a first-axis
+        # sum, and one reduction finishes every row.  The gather's
+        # indices are built per user, so only one user's are held at a
+        # time; building them for the whole batch at once was no faster.
         order = phases[0].order
         members, _, without_rank = group_table(K, order)
+        place = np.zeros((K, math.comb(K, order - 1)), dtype=np.int64)
+        place[np.arange(K)[:, np.newaxis], table] = np.arange(table.shape[1])
         groups, positions, _ = _phase_pairs(K, order, slot)
         mine = np.argsort(slot[members[groups, positions]], kind="stable")
         mine = mine.reshape(len(users), math.comb(K - 1, order - 1))
         group, position = groups[mine], positions[mine]
-        kept = _others(order, position)
-        wanted = np.array(demand)[members[group[..., np.newaxis], kept] - 1] - 1
-        ranks = without_rank[group[..., np.newaxis], kept]
+        requested = np.array(demand) - 1
         payload = streams[mine]
-        for row, contents in enumerate(caches):
-            cached = contents.blocks[wanted[row], np.searchsorted(contents.holders, ranks[row])]
-            payload[row] -= cached.sum(axis=1)
+        for row, (entry, contents) in enumerate(zip(users, caches)):
+            kept = _others(order, position[row]).T
+            spot = place[entry - 1, without_rank[group[row], kept]] * config.N
+            spot += requested[members[group[row], kept] - 1]
+            # One row per (holder place, file): a view for the caches of
+            # fill_caches, which hold each user's blocks holder-major.
+            cached = contents.blocks.transpose(1, 0, 2).reshape(-1, config.subfile_symbols)
+            payload[row] -= cached.take(spot, axis=0).sum(axis=0)
         target = without_rank[group, position]
         files[np.arange(len(users))[:, np.newaxis], target] = _reduce(payload, modulus)
     for file, entry, contents in zip(files, users, caches):
@@ -258,14 +268,7 @@ class UserReport:
     error: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "user": self.user,
-            "requested": self.requested,
-            "match": self.match,
-            "solves": self.solves,
-            "max_system_dim": self.max_system_dim,
-            "error": self.error,
-        }
+        return dict(vars(self))
 
 
 @dataclass

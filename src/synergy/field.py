@@ -343,16 +343,17 @@ def is_invertible(a: np.ndarray, modulus: int = MODULUS) -> bool | np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cauchy(size: int, modulus: int) -> np.ndarray:
+    """The matrix of :func:`cauchy_combining_matrix` over row points
+    0, ..., size - 2 and column points size - 1, ..., 2 * size - 2.
+    Entry (i, j) is 1 / (i - (size - 1 + j)), and i - (size - 1 + j)
+    takes only the 2 * size - 2 values -1, ..., -(2 * size - 2), so only
+    those are inverted, one ``pow`` each, and the matrix gathers them."""
     if size < 2:
         raise ValueError("combining matrices need at least two columns")
     if modulus <= 2 * size:
         raise ValueError(f"modulus {modulus} too small for {2 * size - 1} distinct points")
-    row_points = range(size - 1)
-    col_points = range(size - 1, 2 * size - 1)
-    matrix = np.array(
-        [[pow(x - y, -1, modulus) for y in col_points] for x in row_points],
-        dtype=np.int64,
-    )
+    inverses = np.array([pow(-d, -1, modulus) for d in range(1, 2 * size - 1)], dtype=np.int64)
+    matrix = inverses[np.arange(size) - np.arange(size - 1)[:, np.newaxis] + size - 2]
     matrix.setflags(write=False)
     return matrix
 
@@ -436,11 +437,15 @@ class SeededRng:
         just past the last output kept, so the stream is that of one
         draw per entry, rejected zeros included.  Only a margin that
         falls short draws again; a count of 0 leaves the state as it
-        was.  ValueError for rows or cols that are not integers, and for
-        a modulus that is not an integer of at least 2.
+        was.  ValueError, before anything is drawn, for rows or cols that
+        are not non-negative integers, and for a modulus that is not an
+        integer of at least 2.
         """
         rows = _as_int(rows, "rows must be an integer")
         cols = _as_int(cols, "cols must be an integer")
+        if rows < 0 or cols < 0:
+            name, value = ("rows", rows) if rows < 0 else ("cols", cols)
+            raise ValueError(f"{name} must be non-negative, got {value}")
         modulus = _modulus(modulus, "nonzero draws" if nonzero else "draws")
         count = rows * cols
         values = np.empty(0, dtype=np.uint64)

@@ -113,13 +113,7 @@ class SystemConfig:
         return self.N * self.file_symbols
 
     def to_json(self) -> dict:
-        return {
-            "K": self.K,
-            "N": self.N,
-            "M": self.M,
-            "granularity": self.granularity,
-            "modulus": self.modulus,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, data: dict) -> "SystemConfig":
@@ -144,7 +138,8 @@ class CacheContents:
     is the (N, len(holders), subfile_symbols) array whose entry
     [file - 1, i] is that file's block of subset rank ``holders[i]``.
     The caches :func:`fill_caches` makes are views of one holder table
-    and one gather of every user's blocks, which they keep alive."""
+    and one gather of every user's blocks, which they keep alive; in that
+    gather each user's blocks are contiguous, holder-major."""
 
     user: int
     holders: np.ndarray
@@ -225,8 +220,8 @@ def fill_caches(config: SystemConfig, subfiles: np.ndarray) -> list[CacheContent
             f"subfiles shape {subfiles.shape} does not match the config (expected {expected})"
         )
     table = _holder_table(config.K, config.replication)
-    blocks = subfiles[:, table]
-    return [CacheContents(user, table[user - 1], blocks[:, user - 1]) for user in range(1, config.K + 1)]
+    blocks = subfiles.transpose(1, 0, 2)[table].transpose(0, 2, 1, 3)  # each user's blocks holder-major
+    return [CacheContents(user, table[user - 1], blocks[user - 1]) for user in range(1, config.K + 1)]
 
 
 def save_library(path, config: SystemConfig, library: np.ndarray) -> None:

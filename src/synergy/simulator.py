@@ -281,8 +281,19 @@ def _draw_phase(
     step checks is not part of the stream: the stream is never rewound,
     nothing is drawn past the phase's last use, and every draw is
     consumed as the per-use rule consumes it.
+
+    A phase with one active antenna checks nothing: each of its systems
+    is one channel coefficient, nonzero by construction, so no draw can
+    fail.  It draws straight into the log, at most ``_WINDOW`` uses per
+    draw.  A nonzero draw of n entries consumes the stream as n draws of
+    one do, so the channels and the stream state after the phase are
+    those the walk would give, and ``retry`` passes through unchanged.
     """
     K, modulus, active, width = config.K, config.modulus, phase.active_antennas, phase.uses_per_group
+    if active == 1:  # every system is one nonzero coefficient
+        for block in (channels[start : start + _WINDOW] for start in range(0, len(channels), _WINDOW)):
+            block[...] = rng.field_matrix(len(block) * K, K, modulus, nonzero=True).reshape(block.shape)
+        return retry
     group_rows = system_rows(K, phase.order)
     retry_alignments = min(width + 2, _ALIGNMENTS)
     retry_window = min(_RETRY_WINDOW * retry_alignments, _WINDOW)
@@ -350,7 +361,8 @@ def _draw_phase(
         else:
             scanned = bad[-1] + 1
         if not logged:  # each accepted draw leaves the ring for its use's slot
-            channels[done : done + scanned - len(bad)] = ring[np.delete(slots[:scanned], bad)]
+            accepted = np.bincount(bad, minlength=scanned) == 0
+            channels[done : done + scanned - len(bad)] = ring[slots[:scanned][accepted]]
         elif bad:  # the draws after the failed one, if any, wait in the ring
             ring = np.empty((size, K, K), dtype=np.uint32) if ring is None else ring
             ring[slots[scanned:]] = channels[done + scanned : done + count]

@@ -234,3 +234,45 @@ def test_subset_helpers():
     assert group_table(4, 1)[0][without_rank[row, 1]].tolist() == [1]
     assert complement[row].tolist() == [2, 4]
     assert members[row].tolist().index(3) == 1
+
+
+@pytest.mark.parametrize("universe", range(11, 17))
+def test_group_table_matches_brute_force_at_every_size(universe):
+    # The tables are unranked, not enumerated: hold every row of every
+    # size against the enumeration, each removal ranked by its index there.
+    for size in range(universe + 1):
+        members, complement, without_rank = group_table(universe, size)
+        expected = subsets(universe, size)
+        assert members.tolist() == [list(sub) for sub in expected]
+        assert complement.tolist() == [list(reference_complement(sub, universe)) for sub in expected]
+        if size:
+            index = {sub: r for r, sub in enumerate(subsets(universe, size - 1))}
+            removed = [[index[without(sub, member)] for member in sub] for sub in expected]
+            assert without_rank.tolist() == removed
+
+
+@given(st.data())
+def test_group_table_rows_match_the_rank_reference(data):
+    universe = data.draw(st.integers(min_value=0, max_value=18), label="universe")
+    size = data.draw(st.integers(min_value=0, max_value=universe), label="size")
+    members, complement, without_rank = group_table(universe, size)
+    assert members.shape == (math.comb(universe, size), size)
+    row = data.draw(st.integers(min_value=0, max_value=len(members) - 1), label="row")
+    sub = tuple(members[row].tolist())
+    assert rank(sub, universe) == row and list(sub) == sorted(set(sub))
+    assert tuple(complement[row].tolist()) == reference_complement(sub, universe)
+    assert without_rank[row].tolist() == [rank(without(sub, member), universe) for member in sub]
+
+
+@pytest.mark.parametrize("universe, size", [(70, 2), (66, 3), (70, 68)])
+def test_group_table_builds_where_large_binomials_would_overflow(universe, size):
+    # C(70, 35) and C(66, 33) are near or past 2**63; only the columns up
+    # to the size are read, and those are capped there.
+    members, complement, without_rank = group_table(universe, size)
+    count = math.comb(universe, size)
+    assert members.shape == (count, size) and complement.shape == (count, universe - size)
+    for row in (0, 1, count // 2, count - 1):
+        sub = tuple(members[row].tolist())
+        assert rank(sub, universe) == row
+        assert tuple(complement[row].tolist()) == reference_complement(sub, universe)
+        assert without_rank[row].tolist() == [rank(without(sub, member), universe) for member in sub]

@@ -230,6 +230,16 @@ def test_combining_rejects_a_non_integer_size(size):
     assert np.array_equal(cauchy_combining_matrix(np.int64(3)), cauchy_combining_matrix(3))
 
 
+@pytest.mark.parametrize("modulus", [101, 1009, MODULUS])
+def test_combining_matches_one_pow_per_entry(modulus):
+    # Row points 0..size-2, column points size-1..2*size-2: the matrix
+    # inverts only the distinct differences, so hold it to every entry.
+    for size in range(2, 17):
+        expected = [[pow(x - y, -1, modulus) for y in range(size - 1, 2 * size - 1)] for x in range(size - 1)]
+        matrix = cauchy_combining_matrix(size, modulus)
+        assert matrix.dtype == np.int64 and matrix.tolist() == expected
+
+
 def test_combining_deterministic_and_readonly():
     assert np.array_equal(cauchy_combining_matrix(5), cauchy_combining_matrix(5))
     with pytest.raises(ValueError):
@@ -293,6 +303,20 @@ def test_rng_field_matrix_rejects_non_integer_sizes(rows, cols, name):
         SeededRng(1).field_matrix(rows, cols)
     drawn = SeededRng(1).field_matrix(np.int64(2), np.int64(3))
     assert np.array_equal(drawn, SeededRng(1).field_matrix(2, 3))
+
+
+@pytest.mark.parametrize("rows, cols, name", [(-1, 2, "rows"), (2, -1, "cols"), (-1, -2, "rows")])
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_rng_field_matrix_rejects_negative_sizes_before_drawing(rows, cols, name, nonzero):
+    # (-1, 2) used to give a (0, 2) array, and (-1, -2) to advance the
+    # stream by 2 outputs before numpy failed.
+    rng = SeededRng(1)
+    rng.next_u64()
+    state = rng._state
+    value = rows if name == "rows" else cols
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got {value}$"):
+        rng.field_matrix(rows, cols, 101, nonzero=nonzero)
+    assert rng._state == state
 
 
 @pytest.mark.parametrize("modulus", [1, 0, -1])

@@ -12,11 +12,14 @@ here without a wall-clock measurement.
 A ``fine-resample`` op draws its channels over GF(101), where almost
 every block of draws holds a zero that a nonzero draw rejects; each
 ``SeededRng.field_matrix`` call should still compute its outputs in one
-``SeededRng._outputs`` pass.
+``SeededRng._outputs`` pass.  Its order-12 phase has one active antenna,
+where every decoding system is one nonzero coefficient: no rank check
+may run there.
 """
 
 import functools
 
+import numpy as np
 import pytest
 
 from synergy import bounds, cli, combinatorics, decoder, field, placement, scheduler, simulator
@@ -27,7 +30,9 @@ COUNTED = ("solve", "is_invertible", "_eliminate", "_inverse_batch", "_reduce")
 # The most calls one coarse op at seed 3 may make.  The batch sizes, not
 # the call counts, grow with the phase: every decode phase is one window,
 # and the combining minors of every phase are one solve.
-PINNED = {"solve": 9, "is_invertible": 8, "_eliminate": 17, "_inverse_batch": 9, "_reduce": 487}
+# The order-8 phase has one active antenna, so its 1 x 1 systems are
+# never checked.
+PINNED = {"solve": 9, "is_invertible": 7, "_eliminate": 16, "_inverse_batch": 9, "_reduce": 487}
 
 
 def clear_memo_caches():
@@ -83,3 +88,23 @@ def test_one_fine_resample_op_draws_each_block_in_one_pass(monkeypatch, tmp_path
     argv = ["simulate", "-K", "12", "-N", "12", "-M", "8", "--modulus", "101", "--resample-degenerate"]
     assert cli.main([*argv, "--seed", str(seed), "--output", str(tmp_path / "run")]) == 0
     assert calls["field_matrix"] > 0 and calls["_outputs"] <= calls["field_matrix"], calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_fine_resample_op_checks_no_one_by_one_system(monkeypatch, tmp_path, seed):
+    shapes = []
+    original = field.is_invertible
+
+    @functools.wraps(original)
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    for module in MODULES:
+        if vars(module).get("is_invertible") is original:
+            monkeypatch.setattr(module, "is_invertible", recording)
+    clear_memo_caches()
+    argv = ["simulate", "-K", "12", "-N", "12", "-M", "8", "--modulus", "101", "--resample-degenerate"]
+    assert cli.main([*argv, "--seed", str(seed), "--output", str(tmp_path / "run")]) == 0
+    assert shapes, "no rank check ran"
+    assert all(shape[-2:] != (1, 1) for shape in shapes), shapes
