@@ -266,8 +266,9 @@ def test_group_table_rows_match_the_rank_reference(data):
 
 @pytest.mark.parametrize("universe, size", [(70, 2), (66, 3), (70, 68)])
 def test_group_table_builds_where_large_binomials_would_overflow(universe, size):
-    # C(70, 35) and C(66, 33) are near or past 2**63; only the columns up
-    # to the size are read, and those are capped there.
+    # The table reads binomial columns up to the size only: (70, 2) and
+    # (66, 3) stay far below 2**63, and (70, 68) reaches C(70, 35), past
+    # it, which the table caps.
     members, complement, without_rank = group_table(universe, size)
     count = math.comb(universe, size)
     assert members.shape == (count, size) and complement.shape == (count, universe - size)
