@@ -24,7 +24,7 @@ import numpy as np
 
 from .combinatorics import _as_int, group_table, system_rows
 from .field import _reduce, matmul, solve
-from .placement import CacheContents, _holder_table, _library, fill_caches, subpacketize
+from .placement import CacheContents, _holder_table, _library, _symbols, fill_caches, subpacketize
 from .simulator import Transcript
 
 __all__ = [
@@ -176,9 +176,11 @@ def decode_user(
     batch of one.
 
     Raises ValueError when a user is not an integer, lies outside
-    [1, K] or appears twice, the users and caches differ in number, or a
+    [1, K] or appears twice, the users and caches differ in number, a
     cache does not hold exactly the blocks of the subsets containing its
-    user (another user's cache, for one).  The transcript needs no check:
+    user (another user's cache, for one), or its blocks are not integer,
+    hold a symbol outside [0, modulus) or, as LengthMismatchError, are
+    not (N, holders, subfile_symbols).  The transcript needs no check:
     its constructor makes it consistent with its plan.
     """
     config = transcript.config
@@ -193,13 +195,13 @@ def decode_user(
     if not all(1 <= entry <= K for entry in users):
         raise ValueError(f"user must lie in [1, {K}]")
     table = _holder_table(K, config.replication)
-    blocks_shape = (config.N, table.shape[1], config.subfile_symbols)
+    shape = (config.N, table.shape[1], config.subfile_symbols)
+    blocks = []
     for entry, contents in zip(users, caches):
-        if not np.array_equal(contents.holders, table[entry - 1]) or contents.blocks.shape != blocks_shape:
-            raise ValueError(
-                f"cache of user {contents.user} does not hold the {blocks_shape} blocks "
-                f"of the subsets containing user {entry}"
-            )
+        name = f"cache of user {contents.user}"
+        if not np.array_equal(contents.holders, table[entry - 1]):
+            raise ValueError(f"{name} does not hold the blocks of the subsets containing user {entry}")
+        blocks.append(_symbols(name, contents.blocks, shape, modulus))
     slot = np.full(K + 1, -1)
     slot[users] = np.arange(len(users))
     if np.count_nonzero(slot >= 0) != len(users):
@@ -242,18 +244,18 @@ def decode_user(
         group, position = groups[mine], positions[mine]
         requested = np.array(demand) - 1
         payload = streams[mine]
-        for row, (entry, contents) in enumerate(zip(users, caches)):
+        for row, (entry, cache_blocks) in enumerate(zip(users, blocks)):
             kept = _others(order, position[row]).T
             spot = place[entry - 1, without_rank[group[row], kept]] * config.N
             spot += requested[members[group[row], kept] - 1]
             # One row per (holder place, file): a view for the caches of
             # fill_caches, which hold each user's blocks holder-major.
-            cached = contents.blocks.transpose(1, 0, 2).reshape(-1, config.subfile_symbols)
+            cached = cache_blocks.transpose(1, 0, 2).reshape(-1, config.subfile_symbols)
             payload[row] -= cached.take(spot, axis=0).sum(axis=0)
         target = without_rank[group, position]
         files[np.arange(len(users))[:, np.newaxis], target] = _reduce(payload, modulus)
-    for file, entry, contents in zip(files, users, caches):
-        file[table[entry - 1]] = contents.blocks[demand[entry - 1] - 1]
+    for file, entry, cache_blocks in zip(files, users, blocks):
+        file[table[entry - 1]] = cache_blocks[demand[entry - 1] - 1]
     outcomes = [DecodeOutcome(file.reshape(-1), solves, max_dim) for file in files]
     return outcomes[0] if single else outcomes
 

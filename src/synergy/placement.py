@@ -2,8 +2,10 @@
 subsets and fill each user's cache with the blocks whose subset contains
 that user.
 
-A library is an (N, file_symbols) int64 array of field symbols, and
-every library handed to the package passes one check (:func:`_library`).
+A library is an (N, file_symbols) int64 array of field symbols.  Every
+array of symbols the package is handed (a library, subfiles, a cache's
+blocks, a transcript's channels and observations) passes one check
+(:func:`_symbols`).
 Blocks and caches are arrays indexed by subset rank
 (:func:`~synergy.combinatorics.group_table` order), never keyed by
 subset objects.  Block size is ``max(K - replication, 1) * granularity``
@@ -41,7 +43,7 @@ _MODULUS_LIMIT = 1 << 31  # keeps products of reduced elements below 2**62, exac
 
 
 class LengthMismatchError(ValueError):
-    """Library shape inconsistent with the subpacketization grid."""
+    """An array of symbols whose shape does not match the config."""
 
 
 @dataclass(frozen=True)
@@ -155,25 +157,37 @@ def random_library(config: SystemConfig, rng: SeededRng) -> np.ndarray:
     return rng.field_matrix(config.N, config.file_symbols, config.modulus)
 
 
-def _library(config: SystemConfig, library) -> np.ndarray:
-    """``library`` as an int64 (N, file_symbols) array of symbols in
-    [0, modulus), the one check of every library the package is handed.
+def _symbols(
+    name: str, values, shape: tuple, modulus: int, dtype=np.int64, nonzero: bool = False
+) -> np.ndarray:
+    """``values`` as a ``dtype`` array of ``shape``: the one check of every
+    array of symbols the package is handed, made before any cast.
 
-    ValueError for a dtype that is not integer (a float library would be
-    truncated) or a symbol outside the field (a uint64 one at or above
-    2**63 would wrap), LengthMismatchError for any other shape.
+    ValueError naming ``name`` for a dtype that is not integer (a float
+    would be truncated), a symbol outside [0, modulus) (a uint64 one at
+    or above 2**63 would wrap) or, with ``nonzero``, a zero entry;
+    LengthMismatchError for another shape.  Input of ``dtype`` is not
+    copied, and an unsigned array is scanned once unless zeros are
+    rejected.
     """
-    library = np.asarray(library)
-    if library.dtype.kind not in "iu":
-        raise ValueError(f"library must hold integers, got dtype {library.dtype}")
-    if library.shape != (config.N, config.file_symbols):
-        raise LengthMismatchError(
-            f"library shape {library.shape} does not match the config "
-            f"(expected {(config.N, config.file_symbols)})"
-        )
-    if library.size and (library.min() < 0 or library.max() >= config.modulus):
-        raise ValueError(f"library symbols must lie in [0, {config.modulus})")
-    return library.astype(np.int64, copy=False)
+    symbols = np.asarray(values)
+    if symbols.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {symbols.dtype}")
+    if symbols.shape != shape:
+        raise LengthMismatchError(f"{name} must have shape {shape}, got {symbols.shape}")
+    if symbols.size:
+        low = symbols.min() if nonzero or symbols.dtype.kind == "i" else 0
+        if low < 0 or symbols.max() >= modulus:
+            raise ValueError(f"{name} hold a symbol outside [0, modulus) = [0, {modulus})")
+        if nonzero and low == 0:
+            raise ValueError(f"{name} hold a zero channel coefficient")
+    return symbols.astype(dtype, copy=False)
+
+
+def _library(config: SystemConfig, library) -> np.ndarray:
+    """``library`` as an int64 (N, file_symbols) array, checked by
+    :func:`_symbols`."""
+    return _symbols("library", library, (config.N, config.file_symbols), config.modulus)
 
 
 def subpacketize(config: SystemConfig, library: np.ndarray) -> np.ndarray:
@@ -208,17 +222,12 @@ def fill_caches(config: SystemConfig, subfiles: np.ndarray) -> list[CacheContent
     along the holder table, and each cache's ``holders`` and ``blocks``
     are views of that table and that gather.  ``subfiles`` is the
     (N, subfiles_per_file, subfile_symbols) array of
-    :func:`subpacketize`: ValueError for a dtype that is not integer and
+    :func:`subpacketize`, checked by :func:`_symbols`: ValueError for a
+    dtype that is not integer or a symbol outside [0, modulus), and
     LengthMismatchError for any other shape, each naming the subfiles.
     """
-    subfiles = np.asarray(subfiles)
-    if subfiles.dtype.kind not in "iu":
-        raise ValueError(f"subfiles must hold integers, got dtype {subfiles.dtype}")
     expected = (config.N, config.subfiles_per_file, config.subfile_symbols)
-    if subfiles.shape != expected:
-        raise LengthMismatchError(
-            f"subfiles shape {subfiles.shape} does not match the config (expected {expected})"
-        )
+    subfiles = _symbols("subfiles", subfiles, expected, config.modulus)
     table = _holder_table(config.K, config.replication)
     blocks = subfiles.transpose(1, 0, 2)[table].transpose(0, 2, 1, 3)  # each user's blocks holder-major
     return [CacheContents(user, table[user - 1], blocks[user - 1]) for user in range(1, config.K + 1)]
@@ -244,7 +253,7 @@ def load_library(path) -> tuple[SystemConfig, np.ndarray]:
     Raises ValueError (LengthMismatchError for a wrong size), naming the
     file, when it is truncated, its header is not a valid config, its
     payload does not hold the config's symbols or a symbol is not below
-    the modulus.
+    the modulus (:func:`_symbols`).
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER_BYTES:
@@ -262,7 +271,6 @@ def load_library(path) -> tuple[SystemConfig, np.ndarray]:
             f"{path}: payload holds {len(raw) - _HEADER_BYTES} bytes, expected "
             f"{config.library_symbols} symbols ({expected - _HEADER_BYTES} bytes)"
         )
-    symbols = np.frombuffer(raw, dtype="<u4", offset=_HEADER_BYTES).astype(np.int64)
-    if symbols.size and int(symbols.max()) >= config.modulus:
-        raise ValueError(f"{path}: library symbol not below the field modulus {config.modulus}")
-    return config, symbols.reshape(config.N, config.file_symbols)
+    shape = (config.N, config.file_symbols)
+    symbols = np.frombuffer(raw, dtype="<u4", offset=_HEADER_BYTES).reshape(shape)
+    return config, _symbols(f"{path}: library", symbols, shape, config.modulus)

@@ -52,9 +52,9 @@ class PhasePlan:
     """Block schedule for every group of size ``order``.
 
     ``combining`` is None in the first phase (blocks are raw folded
-    messages) and a (order-1) x order matrix over GF(``modulus``)
-    afterwards.  Groups are not listed, so plans stay cheap for large K;
-    the group of rank r is row r of
+    messages) and a (order-1) x order matrix over the config's field,
+    GF(``SystemConfig.modulus``), afterwards.  Groups are not listed, so
+    plans stay cheap for large K; the group of rank r is row r of
     :func:`~synergy.combinatorics.group_table` (universe, order).
     """
 
@@ -64,7 +64,6 @@ class PhasePlan:
     active_antennas: int
     duration: Fraction
     combining: np.ndarray | None
-    modulus: int
 
     @property
     def group_count(self) -> int:
@@ -267,7 +266,6 @@ def plan_phases(
                 active_antennas=K - order + 1,
                 duration=Fraction(math.comb(K, order) * uses, slot_symbols),
                 combining=combining,
-                modulus=config.modulus,
             )
         )
     xors = build_xors(config, subfiles, demand) if subfiles is not None else None

@@ -27,7 +27,7 @@ import numpy as np
 
 from .combinatorics import Subset, _as_int, format_rational, group_table, system_rows
 from .field import SeededRng, is_invertible, matmul
-from .placement import SystemConfig, _library, random_library, subpacketize
+from .placement import SystemConfig, _library, _symbols, random_library, subpacketize
 from .scheduler import DeliveryPlan, PhasePlan, build_xors, plan_phases
 
 __all__ = [
@@ -118,12 +118,12 @@ class Transcript:
     is the plan's layout (:meth:`DeliveryPlan.block_uses`).
 
     Every transcript is consistent with its plan: the constructor raises
-    ValueError unless the plan has a demand, ``channels`` has shape
-    (plan.total_uses, K, K) and ``observations`` (K, plan.total_uses),
-    both hold integers, every symbol lies in [0, modulus) and no channel
-    coefficient is zero, and unless ``seed`` is an integer, which it
-    stores as a Python int.  uint32 input is kept as is, without a copy;
-    another integer dtype is narrowed once the checks pass.
+    ValueError unless the plan has a demand, ``seed`` is an integer
+    (stored as a Python int) and :func:`~synergy.placement._symbols`
+    passes ``channels`` of shape (plan.total_uses, K, K), with no zero
+    coefficient, and ``observations`` of shape (K, plan.total_uses).
+    uint32 input is kept as is, without a copy; another integer dtype is
+    narrowed once the checks pass.
     """
 
     plan: DeliveryPlan
@@ -135,10 +135,11 @@ class Transcript:
         if self.plan.demand is None:
             raise ValueError("plan has no demand; build it with plan_phases(config, demand, ...)")
         K, modulus, total = self.config.K, self.config.modulus, self.plan.total_uses
-        channels = _symbols("channels", self.channels, (total, K, K), modulus, nonzero=True)
-        observations = _symbols("observations", self.observations, (K, total), modulus)
-        object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "observations", observations)
+        for name, shape in (("channels", (total, K, K)), ("observations", (K, total))):
+            symbols = _symbols(name, getattr(self, name), shape, modulus, np.uint32, name == "channels")
+            symbols = symbols.view()
+            symbols.setflags(write=False)
+            object.__setattr__(self, name, symbols)
         object.__setattr__(self, "seed", _as_int(self.seed, "seed must be an integer"))
         # One Subset per group, built and dropped, for this reason alone:
         # perfbench counts Subset constructions as the delivered groups.
@@ -169,32 +170,6 @@ class Transcript:
             and np.array_equal(self.channels, other.channels)
             and np.array_equal(self.observations, other.observations)
         )
-
-
-def _symbols(name: str, values, shape: tuple, modulus: int, nonzero: bool = False) -> np.ndarray:
-    """``values`` as a read-only uint32 array of ``shape``, every entry in
-    [0, modulus) and, with ``nonzero``, none zero; ValueError otherwise.
-
-    uint32 input is a view of itself.  One max per array, plus one min
-    where the dtype is signed or zeros are rejected, so an unsigned array
-    of symbols is scanned once.
-    """
-    symbols = np.asarray(values)
-    if symbols.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers, got dtype {symbols.dtype}")
-    if symbols.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {symbols.shape}")
-    if symbols.size:
-        low = symbols.min() if nonzero or symbols.dtype.kind == "i" else 0
-        if low < 0 or symbols.max() >= modulus:
-            raise ValueError(f"{name} hold a symbol outside [0, modulus) = [0, {modulus})")
-        if nonzero and low == 0:
-            raise ValueError(f"{name} hold a zero channel coefficient")
-    if symbols.dtype != np.uint32:
-        symbols = symbols.astype(np.uint32)
-    symbols = symbols.view()
-    symbols.setflags(write=False)
-    return symbols
 
 
 def _phase_symbols(plan: DeliveryPlan, index: int, xors, observe) -> np.ndarray:

@@ -16,7 +16,7 @@ from synergy.placement import (
     save_library,
     subpacketize,
 )
-from synergy.decoder import verify_all
+from synergy.decoder import decode_user, verify_all
 from synergy.scheduler import build_xors, plan_phases
 from synergy.simulator import run_delivery, simulate
 
@@ -166,8 +166,9 @@ def test_fill_caches_empty_when_no_cache():
         # a numpy float scalar used to raise IndexError
         (np.float64(2.0), ValueError, r"^subfiles must hold integers, got dtype float64$"),
         (np.zeros((4, 6, 1)), ValueError, r"^subfiles must hold integers, got dtype float64$"),
-        (np.zeros((4, 6, 3), dtype=np.int64), LengthMismatchError, r"^subfiles shape \(4, 6, 3\)"),
-        (np.int64(2), LengthMismatchError, r"^subfiles shape \(\) does not match"),
+        (np.zeros((4, 6, 3), dtype=np.int64), LengthMismatchError,
+         r"^subfiles must have shape \(4, 6, 2\), got \(4, 6, 3\)$"),
+        (np.int64(2), LengthMismatchError, r"^subfiles must have shape \(4, 6, 2\), got \(\)$"),
     ],
     ids=["float-scalar", "float-array", "wrong-shape", "int-scalar"],
 )
@@ -238,7 +239,8 @@ def test_library_load_names_the_file(tmp_path):
         ("three.bin", b"abc", LengthMismatchError, "truncated library file"),
         ("zeroed.bin", bytes(20), ValueError, "need at least one user"),
         ("odd.bin", raw + b"\x00", LengthMismatchError, "payload holds"),
-        ("large.bin", symbol_too_large, ValueError, "library symbol not below the field modulus"),
+        ("large.bin", symbol_too_large, ValueError,
+         rf"library hold a symbol outside \[0, modulus\) = \[0, {config.modulus}\)$"),
     ):
         (tmp_path / name).write_bytes(content)
         with pytest.raises(error, match=f"{name}: {message}"):
@@ -251,7 +253,8 @@ def test_save_rejects_out_of_range_symbols(tmp_path):
         bad = library.copy()
         bad[1, 0] = value
         path = tmp_path / f"bad_{value}.bin"
-        with pytest.raises(ValueError, match="library symbols"):
+        expected = rf"^library hold a symbol outside \[0, modulus\) = \[0, {config.modulus}\)$"
+        with pytest.raises(ValueError, match=expected):
             save_library(path, config, bad)
         assert not path.exists()
 
@@ -263,9 +266,9 @@ def test_save_rejects_mismatched_library(tmp_path):
 
 
 def _bad_library(library, kind, modulus):
-    """``library`` made a float library, or given one symbol outside the
-    field: negative, at the modulus, or a uint64 one that an int64 cast
-    wraps to a negative number."""
+    """``library`` (or any array of symbols) made a float array, or given
+    symbols outside the field at [1, 0]: negative, at the modulus, or a
+    uint64 one that an int64 cast wraps to a negative number."""
     if kind == "float":
         return library + 0.5
     bad = library.astype(np.uint64) if kind == "uint64" else library.copy()
@@ -290,13 +293,54 @@ def test_every_entry_point_rejects_a_library_outside_the_field(tmp_path, entry, 
     expected = (
         "library must hold integers, got dtype float64"
         if kind == "float"
-        else f"library symbols must lie in [0, {config.modulus})"
+        else f"library hold a symbol outside [0, modulus) = [0, {config.modulus})"
     )
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == expected
     assert not isinstance(caught.value, LengthMismatchError)
     assert not path.exists()
+
+
+def _outside_the_field(name, kind, modulus):
+    if kind == "float":
+        return f"{name} must hold integers, got dtype float64"
+    return f"{name} hold a symbol outside [0, modulus) = [0, {modulus})"
+
+
+@pytest.mark.parametrize("kind", ["float", "negative", "modulus", "uint64"])
+@pytest.mark.parametrize("entry", ["fill_caches", "decode_user"])
+def test_subfiles_and_caches_outside_the_field_are_rejected(entry, kind):
+    # fill_caches used to gather such subfiles, and decode_user then
+    # returned files equal to the library only mod p, or failed inside
+    # numpy on a float or wrapping uint64 cache.
+    config, library = make_setup(3, 3, 1)
+    subfiles = subpacketize(config, library)
+    cache = fill_caches(config, subfiles)[1]
+    bad_cache = CacheContents(2, cache.holders, _bad_library(cache.blocks, kind, config.modulus))
+    transcript = run_delivery(plan_phases(config, (1, 2, 3), subfiles=subfiles), library, 0)
+    with pytest.raises(ValueError) as caught:
+        if entry == "fill_caches":
+            fill_caches(config, _bad_library(subfiles, kind, config.modulus))
+        else:
+            decode_user(transcript, 2, bad_cache)
+    name = "subfiles" if entry == "fill_caches" else "cache of user 2"
+    assert str(caught.value) == _outside_the_field(name, kind, config.modulus)
+    assert not isinstance(caught.value, LengthMismatchError)
+
+
+@pytest.mark.parametrize("kind", ["float", "negative", "modulus", "uint64"])
+def test_verify_all_reports_a_cache_outside_the_field(monkeypatch, kind):
+    config, library = make_setup(3, 3, 1)
+    subfiles = subpacketize(config, library)
+    transcript = run_delivery(plan_phases(config, (1, 2, 3), subfiles=subfiles), library, 0)
+    caches = fill_caches(config, subfiles)
+    caches[1] = CacheContents(2, caches[1].holders, _bad_library(caches[1].blocks, kind, config.modulus))
+    monkeypatch.setattr("synergy.decoder.fill_caches", lambda config, subfiles: caches)
+    report = verify_all(transcript, library)
+    assert [entry.match for entry in report.users] == [True, False, True]
+    expected = _outside_the_field("cache of user 2", kind, config.modulus)
+    assert report.users[1].error == f"ValueError: {expected}"
 
 
 def test_random_library_deterministic_and_in_range():
