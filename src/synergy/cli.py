@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .bounds import (
     BoundReport,
     CertificateViolationError,
@@ -67,13 +69,15 @@ def _seed_from(args) -> int:
     return 0
 
 
-def _build_config(args) -> SystemConfig:
+def _build_config(args) -> tuple[SystemConfig, np.ndarray | None]:
+    """The config the flags give, and None; or, with --library, the
+    config and the library of the file, loaded once."""
     if args.library is not None:
-        config, _ = load_library(args.library)
+        config, library = load_library(args.library)
         for name, given in (("K", args.K), ("N", args.N), ("M", args.M)):
             if given is not None and given != getattr(config, name):
                 raise UsageError(f"flag -{name} {given} conflicts with the library header")
-        return config
+        return config, library
     if args.K is None or args.N is None:
         raise UsageError("simulate needs -K and -N (or --library)")
     if args.K < 1:
@@ -90,8 +94,8 @@ def _build_config(args) -> SystemConfig:
         M = (args.replication * args.N) // args.K
     try:
         if args.granularity is None:
-            return default_config(args.K, args.N, M, modulus=args.modulus)
-        return SystemConfig(args.K, args.N, M, granularity=args.granularity, modulus=args.modulus)
+            return default_config(args.K, args.N, M, modulus=args.modulus), None
+        return SystemConfig(args.K, args.N, M, granularity=args.granularity, modulus=args.modulus), None
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -115,20 +119,17 @@ def _parse_demand(spec: str, config: SystemConfig, seed: int) -> tuple[int, ...]
 
 
 def _cmd_simulate(args) -> int:
-    config = _build_config(args)
+    config, library = _build_config(args)
     seed = _seed_from(args)
     demand = _parse_demand(args.demand, config, seed)
     if config.K > 8:
         print(f"warning: K={config.K} blocks grow as C(K, replication); expect a slow run",
               file=sys.stderr)
-    if args.library is not None:
-        _, library = load_library(args.library)
-    else:
+    if library is None:
         library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
-    plan = plan_phases(config, demand, subfiles=subpacketize(config, library))
     mode = "resample" if args.resample_degenerate else "error"
     try:
-        transcript = run_delivery(plan, library, seed, on_degenerate=mode)
+        transcript = run_delivery(plan_phases(config, demand), library, seed, on_degenerate=mode)
     except DegenerateChannelError as exc:
         print(f"degenerate channel: {exc} (rerun with --resample-degenerate)", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from .combinatorics import _as_int, group_table, system_rows
 from .field import _reduce, matmul, solve
-from .placement import CacheContents, _holder_table, _library, _symbols, fill_caches, subpacketize
+from .placement import CacheContents, _holder_table, _symbols, fill_caches, subpacketize
 from .simulator import Transcript
 
 __all__ = [
@@ -298,8 +298,8 @@ def verify_all(transcript: Transcript, library: np.ndarray) -> DeliveryReport:
     again so that each entry carries its own exception.
     """
     config = transcript.config
-    library = _library(config, library)
-    caches = fill_caches(config, subpacketize(config, library))
+    subfiles = subpacketize(config, library)
+    caches = fill_caches(config, subfiles)
     users = range(1, config.K + 1)
     try:
         outcomes = decode_user(transcript, users, caches)
@@ -316,6 +316,6 @@ def verify_all(transcript: Transcript, library: np.ndarray) -> DeliveryReport:
                     UserReport(user, requested, False, 0, 0, f"{type(exc).__name__}: {exc}")
                 )
                 continue
-        match = bool(np.array_equal(outcome.file, library[requested - 1]))
+        match = bool(np.array_equal(outcome.file, subfiles[requested - 1].reshape(-1)))
         entries.append(UserReport(user, requested, match, outcome.solves, outcome.max_system_dim))
     return DeliveryReport(entries)

@@ -1,12 +1,13 @@
 """Symbol-level delivery over a random prime-field broadcast channel.
 
 Every channel use draws a fresh K x K matrix of nonzero coefficients
-(row k is user k's channel).  The transmitter learns what the users
-received only through a strictly causal ledger: content for order-j
-groups is built exclusively from what was logged during the previous
-phase.  After delivery ends the full channel log is released to the
-decoders (delayed global receiver-side channel knowledge), while
-received values stay private to each user.
+(row k is user k's channel).  The transmitter reads only the
+observations logged before each phase: content for order-j groups is
+gathered from the prefix of the observation log that ends at the
+phase's first use, so a read of a later use is out of bounds.  After
+delivery ends the full channel log is released to the decoders
+(delayed global receiver-side channel knowledge), while received values
+stay private to each user.
 
 The channel log and the observations are read-only uint32 arrays
 (:class:`Transcript`), exact since every symbol lies below the modulus,
@@ -27,12 +28,11 @@ import numpy as np
 
 from .combinatorics import Subset, _as_int, format_rational, group_table, system_rows
 from .field import SeededRng, is_invertible, matmul
-from .placement import SystemConfig, _library, _symbols, random_library, subpacketize
+from .placement import SystemConfig, _symbols, random_library, subpacketize
 from .scheduler import DeliveryPlan, PhasePlan, build_xors, plan_phases
 
 __all__ = [
     "DegenerateChannelError",
-    "CausalityError",
     "Transcript",
     "run_delivery",
     "simulate",
@@ -64,45 +64,6 @@ _MAX_REDRAWS = 64
 
 class DegenerateChannelError(Exception):
     """A drawn channel makes some decoder-side square system singular."""
-
-
-class CausalityError(Exception):
-    """Attempt to read channel state before it is ledger-visible."""
-
-
-class _DelayedCsitLedger:
-    """Transmitter-side record of what every user received, wrapping the
-    (K, total_uses) uint32 observation array that delivery fills in use
-    order.  Reads are strictly causal: a use becomes visible (counted in
-    ``visible_uses``) only once :meth:`record` ran for it.  The combining
-    is fixed, so the transmitter needs the received symbols of past uses
-    but none of their coefficients.
-    """
-
-    def __init__(self, observations: np.ndarray) -> None:
-        self._observations = observations
-        self.visible_uses = 0
-
-    def record(self, observations: np.ndarray) -> None:
-        """Log the (K, count) received symbols of the next ``count`` uses
-        (reduced, so storing them as uint32 is exact)."""
-        count = observations.shape[1]
-        self._observations[:, self.visible_uses : self.visible_uses + count] = observations
-        self.visible_uses += count
-
-    def observations(self, users, uses) -> np.ndarray:
-        """What ``users`` (1-based) received at ``uses``, index arrays
-        broadcast together, as uint32; CausalityError if any use is not
-        visible."""
-        uses = np.asarray(uses)
-        if uses.size:
-            first, last = int(uses.min()), int(uses.max())
-            if first < 0 or last >= self.visible_uses:
-                raise CausalityError(
-                    f"use {first if first < 0 else last} is not ledger-visible yet "
-                    f"(visible: {self.visible_uses})"
-                )
-        return self._observations[np.asarray(users) - 1, uses]
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,17 +133,22 @@ class Transcript:
         )
 
 
-def _phase_symbols(plan: DeliveryPlan, index: int, xors, observe) -> np.ndarray:
+def _phase_symbols(plan: DeliveryPlan, index: int, xors, logged: np.ndarray) -> np.ndarray:
     """Transmitted symbols of every use of phase ``index`` of the plan, as
     a (group_count * uses_per_group, active_antennas) array in use order.
 
     First phase: each group's folded message (row g of ``xors`` for the
     group of rank g), split contiguously across antennas.  Later
     phases: every group's members' previous-phase observations, gathered
-    with one index through ``observe(users, uses)`` (uint32, widened by
-    ``matmul``), times ``phase.combining`` in one batched product; each
-    group's combined rows are flattened row-major (combined row major,
-    time minor) and refilled antenna-fastest.
+    with one index from ``logged`` (uint32, widened by ``matmul``),
+    times ``phase.combining`` in one batched product; each group's
+    combined rows are flattened row-major (combined row major, time
+    minor) and refilled antenna-fastest.
+
+    ``logged`` is the (K, first) prefix of the observation log that
+    ends at the phase's first use: the transmitter sees only what was
+    received before the phase, and a read of a later use raises
+    IndexError.
     """
     phase = plan.phases[index]
     members, _, without_rank = group_table(phase.universe, phase.order)
@@ -191,7 +157,7 @@ def _phase_symbols(plan: DeliveryPlan, index: int, xors, observe) -> np.ndarray:
         blocks = xors.reshape(len(members), active, uses)
         return blocks.transpose(0, 2, 1).reshape(-1, active)
     heard = plan.block_uses(index - 1, without_rank)
-    overheard = observe(members[:, :, np.newaxis], heard)  # (groups, order, width)
+    overheard = logged[members[:, :, np.newaxis] - 1, heard]  # (groups, order, width)
     return matmul(phase.combining, overheard, plan.config.modulus).reshape(-1, active)
 
 
@@ -362,45 +328,44 @@ def run_delivery(
 ) -> Transcript:
     """Execute the plan over a fresh random channel per use.
 
-    ``library`` supplies the folded-message payloads when the plan
-    carries none, and is checked as ``subpacketize`` checks it either
-    way.  ``on_degenerate`` picks the reaction when a drawn
-    channel makes a decoder-side system singular (probability ~K/modulus
-    per use): "error" raises DegenerateChannelError, "resample" redraws
-    that use's coefficients as part of the deterministic stream, at most
+    ``library`` is checked once, by ``subpacketize``, and supplies the
+    folded-message payloads when the plan carries none.
+    ``on_degenerate`` picks the reaction when a drawn channel makes a
+    decoder-side system singular (probability ~K/modulus per use):
+    "error" raises DegenerateChannelError, "resample" redraws that use's
+    coefficients as part of the deterministic stream, at most
     ``_MAX_REDRAWS`` draws per use in all.  ValueError for a seed that
     is not an integer; the transcript stores it as a Python int.
 
     The delivery runs a phase at a time: one stream gather and product
     per phase, then one forward walk over the channel stream
     (:func:`_draw_phase`) into the phase's slice of the preallocated
-    channel log, and one received-symbol product and ledger update per
-    window of at most ``_WINDOW`` uses.
+    channel log, and one received-symbol product per window of at most
+    ``_WINDOW`` uses, written straight into the observation log.  Each
+    phase's symbols are gathered from the log's prefix before the phase
+    (:func:`_phase_symbols`).
     """
     if on_degenerate not in ("error", "resample"):
         raise ValueError('on_degenerate must be "error" or "resample"')
     config = plan.config
     if plan.demand is None:
         raise ValueError("plan has no demand; build it with plan_phases(config, demand, ...)")
-    library = _library(config, library)
-    xors = plan.xors
-    if xors is None:
-        xors = build_xors(config, subpacketize(config, library), plan.demand)
+    subfiles = subpacketize(config, library)
+    xors = build_xors(config, subfiles, plan.demand) if plan.xors is None else plan.xors
     K, modulus = config.K, config.modulus
-    rng = SeededRng(seed).child(CHANNEL_STREAM)
+    rng, retry = SeededRng(seed).child(CHANNEL_STREAM), False
     channels = np.empty((plan.total_uses, K, K), dtype=np.uint32)
     observations = np.zeros((K, plan.total_uses), dtype=np.uint32)
-    ledger, retry = _DelayedCsitLedger(observations), False
     for index, phase in enumerate(plan.phases):
         first, end = plan.offsets[index], plan.offsets[index + 1]
-        sent = _phase_symbols(plan, index, xors, ledger.observations)
+        sent = _phase_symbols(plan, index, xors, observations[:, :first])
         retry = _draw_phase(rng, config, phase, on_degenerate, channels[first:end], first, retry)
         for start in range(first, end, _WINDOW):
             # received[u] = channels[u][:, :active] @ sent[u]
             stop = min(start + _WINDOW, end)
             active_columns = channels[start:stop, :, : phase.active_antennas]
             received = matmul(active_columns, sent[start - first : stop - first, :, np.newaxis], modulus)
-            ledger.record(received[:, :, 0].T)
+            observations[:, start:stop] = received[:, :, 0].T
     return Transcript(
         plan=replace(plan, xors=None), channels=channels, observations=observations, seed=seed
     )
@@ -420,9 +385,7 @@ def simulate(
     ValueError for a seed that is not an integer.
     """
     library = random_library(config, SeededRng(seed).child(LIBRARY_STREAM))
-    subfiles = subpacketize(config, library)
-    plan = plan_phases(config, demand, subfiles=subfiles)
-    return run_delivery(plan, library, seed, on_degenerate=on_degenerate)
+    return run_delivery(plan_phases(config, demand), library, seed, on_degenerate=on_degenerate)
 
 
 def reconstruct_transmissions(plan: DeliveryPlan, transcript: Transcript) -> np.ndarray:
@@ -438,13 +401,10 @@ def reconstruct_transmissions(plan: DeliveryPlan, transcript: Transcript) -> np.
         raise ValueError("reconstruction needs a payload-bearing plan")
     config = plan.config
     sent = np.zeros((transcript.total_uses, config.K), dtype=np.int64)
-
-    def observe(users, uses):
-        return transcript.observations[users - 1, uses]
-
     for index, phase in enumerate(plan.phases):
         first, end = plan.offsets[index], plan.offsets[index + 1]
-        sent[first:end, : phase.active_antennas] = _phase_symbols(plan, index, plan.xors, observe)
+        logged = transcript.observations[:, :first]
+        sent[first:end, : phase.active_antennas] = _phase_symbols(plan, index, plan.xors, logged)
     return sent
 
 

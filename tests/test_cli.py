@@ -11,7 +11,7 @@ from synergy.bounds import cache_fraction_for_gap
 from synergy import cli
 from synergy.cli import main
 from synergy.field import SeededRng
-from synergy.placement import random_library, save_library
+from synergy.placement import load_library, random_library, save_library
 from synergy.scheduler import default_config
 from synergy.simulator import LIBRARY_STREAM
 
@@ -157,6 +157,22 @@ def test_simulate_from_library_file(tmp_path, capsys):
     assert "K=3" in out
     code, _, err = run(capsys, "simulate", "--library", str(path), "-K", "4", "--seed", "2")
     assert code == 2
+
+
+def test_simulate_reads_a_library_file_once(tmp_path, capsys, monkeypatch):
+    config = default_config(3, 3, 1)
+    path = tmp_path / "lib.bin"
+    save_library(path, config, random_library(config, SeededRng(0).child(LIBRARY_STREAM)))
+    loads = []
+
+    def counting(*args):
+        loads.append(args)
+        return load_library(*args)
+
+    monkeypatch.setattr(cli, "load_library", counting)
+    code, out, _ = run(capsys, "simulate", "--library", str(path), "--seed", "2")
+    assert code == 0 and out.count(": ok") == 3
+    assert len(loads) == 1
 
 
 def test_simulate_resample_flag_on_tiny_field(capsys):

@@ -19,7 +19,6 @@ from synergy.scheduler import default_config, plan_phases
 from synergy.simulator import (
     CHANNEL_STREAM,
     LIBRARY_STREAM,
-    CausalityError,
     DegenerateChannelError,
     Transcript,
     load_transcript,
@@ -129,17 +128,21 @@ def test_later_phase_content_uses_only_past_observations():
                 assert prev_start + prev_count <= start
 
 
-def test_ledger_guards_future_reads():
-    ledger = simulator._DelayedCsitLedger(np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(CausalityError):
-        ledger.observations(1, [0])
-    ledger.record(np.array([[1], [2]]))
-    assert ledger.observations(2, [0]).tolist() == [2]
-    assert ledger.observations(np.array([[1], [2]]), np.array([[0]])).tolist() == [[1], [2]]
-    for uses in ([1], [0, 1], [-1]):  # at the visible count, past it, or before use 0
-        with pytest.raises(CausalityError):
-            ledger.observations(1, uses)
-    assert ledger.visible_uses == 1
+def test_each_phase_reads_only_the_logged_prefix():
+    # A later phase's symbols come from the observations logged before its
+    # first use; they are the symbols delivered, and the prefix one use
+    # short lacks the previous phase's last use.
+    config, library, plan, transcript = seeded_run(5, 5, 1, seed=2)
+    observations = transcript.observations
+    assert len(plan.phases) > 2
+    for index in range(1, len(plan.phases)):
+        first, end = plan.offsets[index], plan.offsets[index + 1]
+        sent = simulator._phase_symbols(plan, index, plan.xors, observations[:, :first])
+        active = transcript.channels[first:end, :, : plan.phases[index].active_antennas]
+        received = matmul(active, sent[:, :, np.newaxis], config.modulus)[:, :, 0]
+        assert np.array_equal(received.T, observations[:, first:end])
+        with pytest.raises(IndexError):
+            simulator._phase_symbols(plan, index, plan.xors, observations[:, : first - 1])
 
 
 def test_replay_is_bit_identical():
@@ -707,14 +710,15 @@ def _corrupt_delivery(monkeypatch, case):
     its decodability check, or a received symbol."""
     value = SYMBOL_CASES.get(case)
     if case == "observation-above-modulus":
-        record = simulator._DelayedCsitLedger.record
+        product = simulator.matmul
 
-        def corrupt_record(ledger, received):
-            received = received.copy()
-            received[1, 0] = value
-            record(ledger, received)
+        def corrupt_product(a, b, modulus):
+            result = product(a, b, modulus)
+            if np.ndim(a) == 3:  # channels times sent: the (uses, K, 1) received symbols
+                result[0, 1, 0] = value
+            return result
 
-        monkeypatch.setattr(simulator._DelayedCsitLedger, "record", corrupt_record)
+        monkeypatch.setattr(simulator, "matmul", corrupt_product)
     elif value is not None:
         draw_phase = simulator._draw_phase
 

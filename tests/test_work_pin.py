@@ -7,7 +7,8 @@ outweighs its arithmetic, so the number of calls is the work.  This test
 runs one such op from cleared memo caches, as the benchmark does, and
 counts the public kernels and the private ones they are built from under
 every module name that binds them.  A change that adds kernel calls fails
-here without a wall-clock measurement.
+here without a wall-clock measurement.  The same op may check its
+library at most twice.
 
 A ``fine-resample`` op draws its channels over GF(101), where almost
 every block of draws holds a zero that a nonzero draw rejects; each
@@ -70,6 +71,27 @@ def test_one_coarse_op_makes_the_pinned_kernel_calls(kernel_calls, tmp_path, cap
     assert "over 2283 channel uses" in capsys.readouterr().out
     over = {name: calls for name, calls in kernel_calls.items() if calls > PINNED[name]}
     assert not over, f"more kernel calls than pinned: {kernel_calls}"
+
+
+def test_one_coarse_op_checks_its_library_at_most_twice(monkeypatch, tmp_path, capsys):
+    # One check where delivery subpacketizes the library, one where
+    # verification does; the plan carries no payloads to fold first.
+    names = []
+    original = placement._symbols
+
+    @functools.wraps(original)
+    def recording(name, *args, **kwargs):
+        names.append(name)
+        return original(name, *args, **kwargs)
+
+    for module in MODULES:
+        if vars(module).get("_symbols") is original:
+            monkeypatch.setattr(module, "_symbols", recording)
+    clear_memo_caches()
+    argv = ["simulate", "-K", "8", "-N", "8", "-M", "0", "--seed", "3", "--output", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    assert "over 2283 channel uses" in capsys.readouterr().out
+    assert 1 <= names.count("library") <= 2, names
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
