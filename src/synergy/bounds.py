@@ -57,8 +57,8 @@ class EnvelopeCheckError(Exception):
 
 
 def _split(M) -> tuple[int, int]:
-    """Numerator and positive denominator of a cache size (int or rational);
-    ValueError for an infinite or NaN one."""
+    """Numerator and positive denominator of a cache size (int or rational)
+    as Python ints; ValueError for an infinite or NaN one."""
     if type(M) is int:
         return M, 1
     if not isinstance(M, Fraction):
@@ -66,13 +66,14 @@ def _split(M) -> tuple[int, int]:
             M = Fraction(M)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"cache size must be a finite number, got {M!r}") from exc
-    return M.numerator, M.denominator
+    return int(M.numerator), int(M.denominator)
 
 
 def _sizes(K, N) -> tuple[int, int]:
     """K and N as ints; ValueError naming the argument that is not an
     integer, or unless 1 <= K <= N."""
-    K, N = _as_int(K, "K must be an integer"), _as_int(N, "N must be an integer")
+    if type(K) is not int or type(N) is not int:
+        K, N = _as_int(K, "K must be an integer"), _as_int(N, "N must be an integer")
     if K < 1 or N < K:
         raise ValueError("need 1 <= K <= N")
     return K, N
@@ -89,17 +90,11 @@ def _replication(K: int, N: int, mn: int, md: int) -> int:
 @lru_cache(maxsize=None)
 def _harmonic_table(size: int) -> tuple[int, tuple[int, ...]]:
     """L = lcm(1, ..., size - 1) and the numerators of harmonic(0), ...,
-    harmonic(size - 1) over L, unreduced: each the previous plus L / n."""
+    harmonic(size - 1) over L, unreduced: each the previous plus L / n.
+    Callers ask for powers of two, so a sweep over n builds few tables."""
     # every n below size // 2 divides one of its doublings in the upper half
     common = math.lcm(*range(size // 2, size))
     return common, tuple(accumulate((common // n for n in range(1, size)), initial=0))
-
-
-def _harmonics(n: int) -> tuple[int, tuple[int, ...]]:
-    """A common denominator and a numerator table whose entry s is
-    harmonic(s) over it for every s in [0, n]; sizes are powers of two,
-    so a sweep over n builds few tables."""
-    return _harmonic_table(1 << n.bit_length())
 
 
 def _achievable_pair(K: int, replication: int) -> tuple[int, int]:
@@ -159,7 +154,7 @@ def outer_bound(K: int, N: int, M) -> OuterBound:
     # doubles only when the scan runs past its end, which the IndexError
     # catches at no cost to the scans that stop; lcm(1, ..., n) divides
     # lcm(1, ..., 2n), so the best candidate is rescaled exactly.
-    common, table = _harmonics(s_hi if s_hi < 64 else 63)
+    common, table = _harmonic_table(1 << s_hi.bit_length() if s_hi < 64 else 64)
     scaled = common * mn
     best_num, best_q, best_s = common * n_md - scaled, n_md, 1
     for s in range(2, s_hi + 1):
@@ -331,7 +326,7 @@ def gap_certificate(K_max: int) -> GapCertificate:
     # every certified gap is positive, so the first cell replaces 0/1
     best_num, best_den, argmax = 0, 1, (0, 0)
     for K in range(2, K_max + 1):
-        common, table = _harmonics(K)
+        common, table = _harmonic_table(1 << K.bit_length())
         whole = table[K]
         for replication in range(1, K):
             time_num = whole - table[replication]
@@ -395,49 +390,54 @@ class SynergyReport:
         )
         return dict(zip(self.CSV_FIELDS, values))
 
-    def csv_line(self) -> str:
-        """The DoF-sweep CSV line of ``csv_row()``, as ``csv.writer``
-        writes it, without its line ending."""
-        cache_num, cache_den = self.cache_fraction.as_integer_ratio()
-        time_num, time_den = self.single_stream_time.as_integer_ratio()
-        return (
-            f"{self.K},{self.replication},{cache_num}/{cache_den},{self.dof!r},"
-            f"{self.dof_cache_only!r},{self.dof_feedback_only!r},{self.margin!r},"
-            f"{time_num}/{time_den}"
-        )
-
 
 def synergy_report(K: int, replication: int) -> SynergyReport:
     """DoF of the combined scheme vs. the sum of the individual gains.
 
-    ``dof`` is :func:`dof`'s exact pair at N = K, M = replication, and
-    ``dof_cache_only`` a pair too; each is an int / int division, which
-    Python rounds correctly, so it equals ``float`` of the reduced
-    Fraction.  ``dof_feedback_only`` is ``1.0 / float(harmonic(K))``.
+    ``dof`` is :func:`dof` at N = K, M = replication and
+    ``dof_cache_only`` is (1 + replication) / K, each one int / int
+    division of unreduced pairs, which Python rounds correctly, so it
+    equals ``float`` of the reduced Fraction.  ``dof_feedback_only`` is
+    ``1.0 / float(harmonic(K))``.
     """
-    K = _as_int(K, "K must be an integer")
-    replication = _as_int(replication, "replication must be an integer")
+    if type(K) is not int or type(replication) is not int:
+        K = _as_int(K, "K must be an integer")
+        replication = _as_int(replication, "replication must be an integer")
     if not 1 <= replication <= K - 1:
         raise ValueError(f"replication must lie in [1, K-1], got {replication}")
-    # (1 - gamma) / (harmonic(K) - harmonic(replication)), gamma = replication / K
-    dof_num, dof_den = _dof_pair(K, replication, 1, _achievable_pair(K, replication))
-    joint = dof_num / dof_den
-    # (1 - gamma) / single_stream_time
-    cache_only = (1 + replication) / K
-    # 1.0 / float(harmonic(K)), rounded twice: the pinned sweep CSVs hold this value
     whole_num, whole_den = harmonic(K).as_integer_ratio()
+    head_num, head_den = harmonic(replication).as_integer_ratio()
+    # (1 - gamma) / (harmonic(K) - harmonic(replication)), gamma = replication / K
+    time_num = whole_num * head_den - head_num * whole_den
+    joint = (K - replication) * whole_den * head_den / (K * time_num)
+    cache_only = (1 + replication) / K
+    # rounded twice: the pinned sweep CSVs hold this value
     feedback_only = 1.0 / (whole_num / whole_den)
     # in field order, positional as in outer_bound
     return SynergyReport(
-        K,
-        replication,
-        Fraction(replication, K),
-        joint,
-        cache_only,
-        feedback_only,
-        joint - (cache_only + feedback_only),
-        Fraction(K - replication, 1 + replication),
+        K, replication, Fraction(replication, K), joint, cache_only, feedback_only,
+        joint - (cache_only + feedback_only), Fraction(K - replication, 1 + replication),
     )
+
+
+def _synergy_csv_lines(K_max: int) -> Iterator[str]:
+    """The DoF sweep's CSV lines, without line endings: for K in [2,
+    K_max] and replication in [1, K-1], the values of
+    ``synergy_report(K, replication).csv_row()`` as ``csv.writer`` writes
+    them.  ``dof_feedback_only`` depends on K alone, so it is formatted
+    once per K."""
+    for K in range(2, K_max + 1):
+        feedback = None
+        for replication in range(1, K):
+            report = synergy_report(K, replication)
+            if feedback is None:
+                feedback = repr(report.dof_feedback_only)
+            cache_num, cache_den = report.cache_fraction.as_integer_ratio()
+            time_num, time_den = report.single_stream_time.as_integer_ratio()
+            yield (
+                f"{K},{replication},{cache_num}/{cache_den},{report.dof!r},"
+                f"{report.dof_cache_only!r},{feedback},{report.margin!r},{time_num}/{time_den}"
+            )
 
 
 def _check_gap_target(gap: float, K) -> int:

@@ -23,11 +23,11 @@ from .bounds import (
     BoundReport,
     CertificateViolationError,
     SynergyReport,
+    _synergy_csv_lines,
     cache_fraction_for_gap,
     check_midrange_gap_envelope,
     gap_certificate,
     min_cache_fraction_for_gap,
-    synergy_report,
 )
 from .combinatorics import format_rational, harmonic
 from .decoder import verify_all
@@ -217,12 +217,7 @@ def _cmd_sweep(args) -> int:
         )
         return 0
     if args.mode == "dof":
-        lines = (
-            synergy_report(K, replication).csv_line()
-            for K in range(2, args.kmax + 1)
-            for replication in range(1, K)
-        )
-        _write_csv(SynergyReport.CSV_FIELDS, lines, args.output)
+        _write_csv(SynergyReport.CSV_FIELDS, _synergy_csv_lines(args.kmax), args.output)
         return 0
     # buffer mode: closed-form vs. exhaustive minimum cache fraction per target
     if not 2 <= args.kmax <= _BUFFER_KMAX_LIMIT:

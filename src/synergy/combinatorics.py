@@ -39,10 +39,9 @@ def _harmonic_span(lo: int, hi: int) -> tuple[int, int]:
 
 
 def _as_int(value, what: str) -> int:
-    """``value`` as a Python int (``operator.index``, so numpy integers
-    pass); ValueError "<what>, got <value>" for a float, a string or any
-    other non-integer, which would otherwise be truncated or fail later
-    with an undefined error."""
+    """``value`` as a Python int (``operator.index``, so numpy integers pass);
+    ValueError "<what>, got <value>" for a float, a string or any other
+    non-integer, which would otherwise be truncated or fail later, obscurely."""
     try:
         return operator.index(value)
     except TypeError:
@@ -58,17 +57,18 @@ def harmonic(n: int) -> Fraction:
         raise ValueError("harmonic is defined for non-negative n")
     if n == 0:
         return Fraction(0)
-    return Fraction(*_harmonic_span(1, n))
+    # up to the sweeps' largest K, the memoized harmonic(n - 1) plus 1/n
+    lo = n - 1 if n <= 256 else 0
+    num, den = harmonic(lo).as_integer_ratio() if lo else (0, 1)
+    tail_num, tail_den = _harmonic_span(lo + 1, n)
+    return Fraction(num * tail_den + tail_num * den, den * tail_den)
 
 
 @lru_cache(maxsize=256, typed=True)
 def epsilon(n: int) -> float:
-    """harmonic(n) - ln(n) as a double, memoized on n.
-
-    Non-increasing in n: starts at 1.0 and approaches ~0.5772.  Exact
-    harmonic numbers are used while they stay small; bigger n switches to
-    math.fsum, which keeps the result within a few ulp of exact.
-    """
+    """harmonic(n) - ln(n) as a double, memoized on n: non-increasing,
+    from 1.0 towards ~0.5772.  Exact harmonic numbers are used while they
+    stay small; bigger n switches to math.fsum, within a few ulp of exact."""
     n = _as_int(n, "epsilon is defined for integer n")
     if n < 1:
         raise ValueError("epsilon is defined for n >= 1")

@@ -5,9 +5,11 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from synergy import bounds
@@ -200,11 +202,11 @@ def test_every_dof_sweep_line_is_the_csv_writer_line_of_its_report(tmp_path):
     header, *lines = path.read_bytes().decode().split("\r\n")
     assert lines.pop() == ""  # the last line ends in \r\n as well
     assert header == ",".join(SynergyReport.CSV_FIELDS)
+    assert lines == list(bounds._synergy_csv_lines(64))
     cells = [(K, replication) for K in range(2, 65) for replication in range(1, K)]
     assert len(lines) == len(cells)
     for line, (K, replication) in zip(lines, cells):
-        report = synergy_report(K, replication)
-        assert line == report.csv_line() == _csv_writer_line(report.csv_row()), (K, replication)
+        assert line == _csv_writer_line(synergy_report(K, replication).csv_row()), (K, replication)
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -343,6 +345,24 @@ def test_buffer_functions_reject_non_finite_targets(function, gap):
     # NaN used to pass `gap < 1` and read as "no replication reaches it".
     with pytest.raises(ValueError, match="must be finite"):
         function(gap, 10)
+
+
+@pytest.mark.parametrize("spell", [np.int64, np.uint64, np.int32])
+def test_numpy_integer_cache_sizes_answer_as_python_ints(spell):
+    # outer_bound and bound_report used to raise AttributeError (bit_length)
+    # on a numpy cache size, where dof answered
+    assert outer_bound(4, 4, spell(1)) == outer_bound(4, 4, 1)
+    assert bound_report(4, 4, spell(1)) == bound_report(4, 4, 1)
+    assert dof(4, 4, spell(1)) == dof(4, 4, 1)
+    assert all(type(part) is int for part in bounds._split(spell(3)))
+    assert all(type(part) is int for part in bounds._split(Fraction(spell(3), spell(4))))
+
+
+def test_numpy_cache_size_products_do_not_wrap():
+    # K * M with an int64 M used to wrap to 0 with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bounds._replication(2**40, 2**40, *bounds._split(np.int64(2**39))) == 2**39
 
 
 @pytest.mark.parametrize("M", [math.inf, -math.inf, math.nan])

@@ -38,3 +38,29 @@ def test_op_pairs_stops_when_the_outputs_differ(loaded_packages):
     other_seed = SimpleNamespace(main=lambda argv: parent.main([*argv[:-2], "--seed", "99", *argv[-2:]]))
     with pytest.raises(ValueError, match="op 0 .*outputs differ"):
         op_pairs.op_pairs({"parent": parent, "change": other_seed}, COMMAND, 2, 1)
+
+
+def test_op_pairs_runs_a_sweep_without_a_seed(loaded_packages, capsys):
+    # --seed used to be appended to every command, and the sweep parser's
+    # exit went unreported
+    sweep = ["sweep", "--mode", "dof", "--kmax", "8"]
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--ops", "2", "--", *sweep]
+    assert op_pairs.main(argv) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["command"] == sweep and row["ops"] == 2
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["sweep", "--mode", "nope"], "invalid choice: 'nope'"),
+        # verify takes no --output, which every op appends
+        (["verify", "--quick"], "unrecognized arguments: --output"),
+    ],
+)
+def test_op_pairs_reports_a_rejected_command_with_the_parser_message(loaded_packages, capsys, command, message):
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--ops", "1", "--", *command]
+    assert op_pairs.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("op_pairs: the CLI rejects") and message in captured.err

@@ -16,6 +16,12 @@ every block of draws holds a zero that a nonzero draw rejects; each
 ``SeededRng._outputs`` pass.  Its order-12 phase has one active antenna,
 where every decoding system is one nonzero coefficient: no rank check
 may run there.
+
+A cold ``sweep --mode dof --kmax 32`` adds each harmonic term once (the
+parent summed every harmonic(n) from 1, 1,024 ``_harmonic_span`` calls)
+and calls ``synergy_report`` once per row; a cold ``--mode gap --kmax
+32`` calls ``outer_bound`` once per cell.  The benchmark reads both
+per-cell calls, so neither may be skipped.
 """
 
 import functools
@@ -130,3 +136,37 @@ def test_one_fine_resample_op_checks_no_one_by_one_system(monkeypatch, tmp_path,
     assert cli.main([*argv, "--seed", str(seed), "--output", str(tmp_path / "run")]) == 0
     assert shapes, "no rank check ran"
     assert all(shape[-2:] != (1, 1) for shape in shapes), shapes
+
+
+def count_calls(monkeypatch, module, name):
+    """``{name: calls}`` of ``module.name``, counted through every module
+    binding of it, recursive calls included."""
+    calls = {name: 0}
+    original = getattr(module, name)
+
+    @functools.wraps(original)
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for bound in MODULES:
+        if vars(bound).get(name) is original:
+            monkeypatch.setattr(bound, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "mode, module, name, pinned",
+    [
+        ("dof", combinatorics, "_harmonic_span", 32),
+        ("dof", bounds, "synergy_report", 31 * 32 // 2),
+        ("gap", bounds, "outer_bound", 31 * 32 // 2),
+    ],
+    ids=["dof-harmonic_span", "dof-synergy_report", "gap-outer_bound"],
+)
+def test_one_cold_sweep_to_32_makes_the_pinned_calls(monkeypatch, tmp_path, mode, module, name, pinned):
+    calls = count_calls(monkeypatch, module, name)
+    clear_memo_caches()
+    argv = ["sweep", "--mode", mode, "--kmax", "32", "--output", str(tmp_path / f"{mode}.csv")]
+    assert cli.main(argv) == 0
+    assert calls[name] == pinned

@@ -2,13 +2,15 @@
 
 Loads ``src/synergy`` of a parent tree and of a change tree into one
 process, as the packages ``synergy_parent`` and ``synergy_change``, and
-runs one CLI command on both, op by op: op i runs the command with
-``--seed`` (first seed + i) and an output prefix in a fresh directory,
-the parent first when i is even and the change first when i is odd, each
-from cleared memo caches, as the benchmark runs an op.  Every op's exit
-code, stdout, stderr and output files must be byte-identical on both
-sides, or the tool stops with exit 1.  Prints one JSON line: the median
-of the per-op ratios change time / parent time, its quartiles (linear
+runs one CLI command on both, op by op: op i runs the command with an
+output prefix in a fresh directory and, if the command has the flag
+(``sweep`` has not), ``--seed`` (first seed + i), the parent first when
+i is even and the change first when i is odd, each from cleared memo
+caches, as the benchmark runs an op.  Every op's exit code, stdout,
+stderr and output files must be byte-identical on both sides, or the
+tool stops with exit 1; so it does, printing the parser's message, when
+the CLI rejects the command.  Prints one JSON line: the median of the
+per-op ratios change time / parent time, its quartiles (linear
 interpolation between order statistics) and the number of ops the
 change ran faster.
 
@@ -66,17 +68,33 @@ def clear_memo_caches(package: str) -> None:
                     clear()
 
 
+def takes_seed(cli, argv: list[str]) -> bool:
+    """Whether the CLI command ``argv`` has a ``--seed`` flag; ValueError
+    with the parser's message if the CLI rejects ``argv``."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args, _ = cli._build_parser().parse_known_args(argv)
+    except SystemExit:
+        raise ValueError(f"the CLI rejects {' '.join(argv)}: {err.getvalue().strip()}") from None
+    return hasattr(args, "seed")
+
+
 def run_op(cli, package: str, argv: list[str], workdir: Path) -> tuple[float, tuple]:
     """Seconds one ``cli.main(argv + --output workdir/run)`` took, and its
     outcome: exit code, stdout and stderr with the directory name removed,
-    and every file it wrote as ``{name: bytes}``."""
+    and every file it wrote as ``{name: bytes}``.  ValueError with the
+    parser's message if the CLI rejects the command."""
     clear_memo_caches(package)
     out, err = io.StringIO(), io.StringIO()
     command = [*argv, "--output", str(workdir / "run")]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        start = time.perf_counter()
-        code = cli.main(command)
-        seconds = time.perf_counter() - start
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            start = time.perf_counter()
+            code = cli.main(command)
+            seconds = time.perf_counter() - start
+    except SystemExit:  # argparse rejects bad flags this way
+        raise ValueError(f"the CLI rejects {' '.join(command)}: {err.getvalue().strip()}") from None
     files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
     streams = tuple(stream.getvalue().replace(str(workdir), "<out>") for stream in (out, err))
     return seconds, (code, *streams, files)
@@ -84,10 +102,11 @@ def run_op(cli, package: str, argv: list[str], workdir: Path) -> tuple[float, tu
 
 def op_pairs(clis: dict, argv: list[str], ops: int, first_seed: int) -> dict:
     """Run ``ops`` alternated op pairs; ValueError on the first op whose
-    outcomes differ."""
+    outcomes differ or that the CLI rejects."""
+    seeded = takes_seed(clis["parent"], argv)
     ratios, wins = [], 0
     for index in range(ops):
-        op_argv = [*argv, "--seed", str(first_seed + index)]
+        op_argv = [*argv, "--seed", str(first_seed + index)] if seeded else argv
         seconds, outcomes = {}, {}
         for side in SIDES if index % 2 == 0 else SIDES[::-1]:
             with tempfile.TemporaryDirectory() as workdir:
