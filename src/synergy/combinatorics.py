@@ -23,8 +23,7 @@ __all__ = [
     "format_rational",
 ]
 
-# Exact harmonic values stay cheap up to ~1e4 terms; past that epsilon()
-# falls back to a correctly rounded float sum (fsum), good to a few ulp.
+# epsilon() reads exact harmonic values up to here (~1e4 terms stay cheap)
 _EXACT_EPSILON_LIMIT = 10_000
 
 
@@ -57,8 +56,9 @@ def harmonic(n: int) -> Fraction:
         raise ValueError("harmonic is defined for non-negative n")
     if n == 0:
         return Fraction(0)
-    # up to the sweeps' largest K, the memoized harmonic(n - 1) plus 1/n
-    lo = n - 1 if n <= 256 else 0
+    # the memoized value at n less its lowest set bit plus the terms above:
+    # few terms per value in an ascending sweep, a popcount(n)-deep chain
+    lo = n & (n - 1)
     num, den = harmonic(lo).as_integer_ratio() if lo else (0, 1)
     tail_num, tail_den = _harmonic_span(lo + 1, n)
     return Fraction(num * tail_den + tail_num * den, den * tail_den)
